@@ -24,9 +24,12 @@ from .search import (
     pair_table,
     sphere_grid,
     sphere_point,
+    _CHUNK_PAIRS,
     _direction_set,
     _params_to_vector,
+    _params_to_vectors,
     _polish,
+    _polish_batch,
     _scalar_objective,
     _split_params,
     _top_cells,
@@ -384,7 +387,9 @@ def delta(space: Space, eps: float, cfg: SearchConfig | None = None,
 
     mode "geq" (default): inf of 1 - ||x+y||/2 over unit pairs with
     ||x-y|| >= eps (with a 1e-12 feasibility slack so exact-boundary grid
-    pairs are admitted).  mode "eq": the same inf restricted to
+    pairs are admitted).  In 2D the constrained grid + polish answer is
+    compared with the boundary solve restricted to the same feasible set,
+    and the lower one is kept.  mode "eq": the same inf restricted to
     | ||x-y|| - eps | <= 1e-8, located by root-finding in the second sphere
     parameter.  Both return 0 exactly at eps = 0.
     """
@@ -403,7 +408,7 @@ def delta(space: Space, eps: float, cfg: SearchConfig | None = None,
             # Its witness sits within the documented 1e-12 feasibility slack,
             # so the lower of the two answers the same infimum.
             try:
-                boundary = _delta_eq_2d(space, eps, cfg, cache)
+                boundary = _delta_eq_2d(space, eps, cfg, cache, geq=True)
             except ValueError:
                 boundary = None
             if boundary is not None and boundary.value < est.value:
@@ -428,99 +433,77 @@ def _delta_geq(space: Space, eps: float, cfg: SearchConfig,
 
 
 def _delta_eq_2d(space: Space, eps: float, cfg: SearchConfig,
-                 cache: PairTable | None) -> ConstantEstimate:
-    table = cache if cache is not None else pair_table(space, cfg)
-    grid = table.grid
+                 cache: PairTable | None, geq: bool = False) -> ConstantEstimate:
+    """Boundary solve: inf of 1 - ||x+y||/2 over unit pairs on ||x-y|| = eps.
+
+    row_values takes many first-point angles: per angle it keeps the grid
+    cells within _EQ_ROOT_TOL of the constraint and bisects every sign change
+    between neighbouring cells, all brackets of all rows at once.  It serves
+    the grid stage (all angles, in chunks), the lockstep polish of the best
+    rows and the witness.  With geq only pairs with ||x-y|| >= eps -
+    _GEQ_SLACK count: cells inside that slack and the feasible end of each
+    final bracket, so the witness is feasible.
+    """
+    grid = cache.grid if cache is not None else sphere_grid(space, cfg.grid_per_dim)
     n = len(grid.vectors)
-    A, B = table.plus, table.minus
     thetas = grid.params[:, 0]
+    on_low = -_GEQ_SLACK if geq else -_EQ_ROOT_TOL
 
-    def row_value(theta):
-        """min of 1 - ||x+y||/2 over constraint roots of one first-point angle."""
-        x = _params_to_vector(space, np.array([theta]))
-        bvals = np.asarray(space.gauge(x[None, :] - grid.vectors)) - eps
-        best = math.inf
-        on = np.flatnonzero(np.abs(bvals) <= _EQ_ROOT_TOL)
-        for j in on:
-            best = min(best, 1.0 - float(space.gauge(x + grid.vectors[j])) / 2.0)
-        nxt = np.roll(bvals, -1)
-        brackets = np.flatnonzero((bvals * nxt < 0.0))
-        for j in brackets:
-            lo = thetas[j]
-            hi = lo + grid.step
-            flo = bvals[j]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                y = _params_to_vector(space, np.array([mid]))
-                fmid = float(space.gauge(x - y)) - eps
-                if (fmid < 0.0) == (flo < 0.0):
-                    lo, flo = mid, fmid
-                else:
-                    hi = mid
-            y = _params_to_vector(space, np.array([0.5 * (lo + hi)]))
-            best = min(best, 1.0 - float(space.gauge(x + y)) / 2.0)
-        return best
+    def unit(angles):
+        return _params_to_vectors(space, angles[:, None])
 
-    # Grid stage straight from the stored tables: on-constraint cells and
-    # bracketed crossings per row.
-    d = B - eps
-    on_mask = np.abs(d) <= _EQ_ROOT_TOL
-    cross_mask = d * np.roll(d, -1, axis=1) < 0.0
-    feasible_rows = np.flatnonzero(on_mask.any(axis=1) | cross_mask.any(axis=1))
-    if feasible_rows.size == 0:
+    def row_values(angles):
+        """Per angle: min of 1 - ||x+y||/2 over its roots and the y attaining
+        it (first among ties, cells before brackets); and the roots tried."""
+        X = unit(angles)
+        b = np.asarray(space.gauge(X[:, None, :] - grid.vectors)) - eps
+        oi, oj = np.nonzero((b >= on_low) & (b <= _EQ_ROOT_TOL))
+        ci, cj = np.nonzero(b * np.roll(b, -1, axis=1) < 0.0)
+        lo, flo = thetas[cj], b[ci, cj]
+        hi = lo + grid.step
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            fmid = np.asarray(space.gauge(X[ci] - unit(mid))) - eps
+            same = (fmid < 0.0) == (flo < 0.0)
+            lo, flo = np.where(same, mid, lo), np.where(same, fmid, flo)
+            hi = np.where(same, hi, mid)
+        ends = np.where(flo >= 0.0, lo, hi) if geq else 0.5 * (lo + hi)
+        rows = np.concatenate([oi, ci])
+        Y = np.concatenate([grid.vectors[oj], unit(ends)])
+        vals = 1.0 - np.asarray(space.gauge(X[rows] + Y)) / 2.0
+        order = np.lexsort((np.arange(rows.size), vals, rows))
+        first = order[np.unique(rows[order], return_index=True)[1]]
+        best = np.full(len(angles), np.inf)
+        best[rows[first]] = vals[first]
+        witness = np.full((len(angles), 2), np.nan)
+        witness[rows[first]] = Y[first]
+        return best, witness, rows.size
+
+    chunk = max(1, _CHUNK_PAIRS // n)
+    stage = [row_values(thetas[i0:i0 + chunk]) for i0 in range(0, n, chunk)]
+    row_vals = np.concatenate([s[0] for s in stage])
+    evaluations = sum(s[2] for s in stage)
+    feasible = int(np.isfinite(row_vals).sum())
+    if feasible == 0:
         raise ValueError(f"no unit pair satisfies ||x-y|| = {eps} on the grid")
-    row_vals = np.full(n, math.inf)
-    coarse = np.where(on_mask, 1.0 - A / 2.0, np.inf).min(axis=1)
-    for i in feasible_rows:
-        row_vals[i] = row_value(float(thetas[i]))
-    evaluations = int(on_mask.sum() + cross_mask.sum())
 
-    order = np.lexsort((np.arange(n), row_vals))
-    starts = order[:min(cfg.multistart, int(np.isfinite(row_vals).sum()))]
+    starts = np.lexsort((np.arange(n), row_vals))[:min(cfg.multistart, feasible)]
     polish_cfg = replace(cfg, refine_iters=min(cfg.refine_iters, 12))
     counter = [0]
 
-    def g(params):
-        counter[0] += 1
-        return row_value(float(params[0]))
+    def g(params, rows=None):
+        counter[0] += len(params)
+        return row_values(params[:, 0])[0]
 
-    results = []
-    for i in starts:
-        p0 = np.array([thetas[i]])
-        p, val, conv = _polish(g, p0, float(row_vals[i]), grid.step, -1.0,
+    p, _, conv = _polish_batch(g, thetas[starts, None], row_vals[starts], grid.step, -1.0,
                                polish_cfg, [np.array([1.0])], counter)
-        p = np.mod(p, 2.0 * np.pi)
-        results.append((g(p), float(p[0]), conv))
-    results.sort(key=lambda r: (r[0], r[1]))
-    val, theta, conv = results[0]
-
-    # Recover the witness second point for the winning first point.
-    x = _params_to_vector(space, np.array([theta]))
-    bvals = np.asarray(space.gauge(x[None, :] - grid.vectors)) - eps
-    best_pair = (math.inf, None)
-    for j in np.flatnonzero(np.abs(bvals) <= _EQ_ROOT_TOL):
-        v = 1.0 - float(space.gauge(x + grid.vectors[j])) / 2.0
-        if v < best_pair[0]:
-            best_pair = (v, grid.vectors[j])
-    nxt = np.roll(bvals, -1)
-    for j in np.flatnonzero(bvals * nxt < 0.0):
-        lo, hi, flo = thetas[j], thetas[j] + grid.step, bvals[j]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            y = _params_to_vector(space, np.array([mid]))
-            fmid = float(space.gauge(x - y)) - eps
-            if (fmid < 0.0) == (flo < 0.0):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
-        y = _params_to_vector(space, np.array([0.5 * (lo + hi)]))
-        v = 1.0 - float(space.gauge(x + y)) / 2.0
-        if v < best_pair[0]:
-            best_pair = (v, y)
-    y = best_pair[1]
+    p = np.mod(p[:, 0], 2.0 * np.pi)
+    counter[0] += len(p)
+    vals, witness, _ = row_values(p)
+    k = np.lexsort((p, vals))[0]
     return ConstantEstimate(
-        value=float(val), x=x, y=y, mode="inf", converged=conv,
-        evaluations=evaluations + counter[0], config=cfg)
+        value=float(vals[k]), x=unit(p[k:k + 1])[0], y=witness[k], mode="inf",
+        converged=bool(conv[k]), evaluations=evaluations + counter[0], config=cfg)
 
 
 def _delta_eq_highdim(space: Space, eps: float, cfg: SearchConfig) -> ConstantEstimate:

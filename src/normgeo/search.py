@@ -168,6 +168,15 @@ def _params_to_vector(space: Space, params: np.ndarray) -> np.ndarray | None:
     return direction / float(space.gauge(direction))
 
 
+def _params_to_vectors(space: Space, params: np.ndarray) -> np.ndarray:
+    """Row-wise _params_to_vector for directions known to be nonzero."""
+    if space.dim == 2 and params.shape[1] == 1:
+        direction = np.stack([np.cos(params[:, 0]), np.sin(params[:, 0])], axis=1)
+    else:
+        direction = params
+    return direction / np.asarray(space.gauge(direction))[:, None]
+
+
 def _split_params(space: Space, params: np.ndarray):
     half = 1 if space.dim == 2 else space.dim
     return params[:half], params[half:]
@@ -278,6 +287,65 @@ def _polish(f, p0, f0, step, sign, cfg: SearchConfig, directions, counter):
             converged = True
             break
     return p, val, converged
+
+
+def _polish_batch(f, p0, f0, step, sign, cfg: SearchConfig, directions, counter):
+    """_polish over B starts in lockstep, bit for bit per start: returns the
+    (B, k) points, values and converged flags.  Each golden-section step is
+    one call f(params, rows) on the active starts numbered rows."""
+    p = np.array(p0, dtype=float)
+    val = np.array(f0, dtype=float)
+    converged = np.zeros(len(val), dtype=bool)
+    active = np.full(len(val), cfg.refine_iters > 0)
+    widths = list(step) if np.ndim(step) else [step] * len(directions)
+    it = 0
+    while it < cfg.refine_iters and active.any():
+        cycle_val = val.copy()
+        for k, dvec in enumerate(directions):
+            if it >= cfg.refine_iters:
+                break
+            rows = np.flatnonzero(active)
+            p[rows], val[rows] = _golden_batch(f, p[rows], rows, dvec, widths[k], sign,
+                                               val[rows], counter)
+            widths[k] *= 0.5
+            it += 1
+        else:   # a full cycle: test convergence
+            with np.errstate(invalid="ignore"):   # inf - inf never converges
+                done = active & (sign * (val - cycle_val) <= cfg.tol)
+            converged |= done
+            active &= ~done
+    return p, val, converged
+
+
+def _golden_batch(f, p, rows, dvec, w, sign, best, counter):
+    """_golden_line for the starts numbered rows; compares sign * f (exact)."""
+    a = np.full(len(rows), -w)
+    b = np.full(len(rows), w)
+    best_p, best = p, sign * best
+
+    def probe(s):
+        nonlocal best_p, best
+        pts = p + s[:, None] * dvec
+        val = sign * np.asarray(f(pts, rows), dtype=float)
+        counter[0] += len(rows)
+        better = val > best
+        best_p = np.where(better[:, None], pts, best_p)
+        best = np.where(better, val, best)
+        return val
+
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc = probe(c)
+    fd = probe(d)
+    for _ in range(_LINE_EVALS - 2):
+        left = fc >= fd                      # keep [a, d]; else keep [c, b]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        t = _INVPHI * (b - a)
+        s = np.where(left, b - t, a + t)
+        fs = probe(s)
+        c, d, fc, fd = (np.where(left, s, d), np.where(left, c, s),
+                        np.where(left, fs, fd), np.where(left, fc, fs))
+    return best_p, sign * best
 
 
 def _direction_set(space: Space) -> list[np.ndarray]:
@@ -516,6 +584,7 @@ def minimize_pair(space: Space, objective, cfg: SearchConfig | None = None,
 # --------------------------------------------------------------------------
 
 _INNER_BUDGET = 12       # line searches per inner sup re-solve
+_PLUS_MINUS = np.array([1.0, -1.0])
 _OUTER_BUDGET = 48       # cap on outer line searches (each one re-solves)
 
 
@@ -527,121 +596,122 @@ def infsup_pair(space: Space, objective, cfg: SearchConfig | None = None,
     Stage 1 takes the exact inner sup on the grid; stage 2 polishes the outer
     point, re-solving the inner problem (grid scan + short golden-section
     polish) at every outer evaluation.
+
+    2D pair-norm objectives with a scalar gauge polish on plain floats, one
+    start at a time.  Otherwise the outer starts run in lockstep: each outer
+    probe scans the grid rows of all active starts in one gauge call, then
+    polishes their inner sups in lockstep (_polish_batch).
     """
     cfg = cfg or SearchConfig.for_dim(space.dim)
     is_pairnorm = isinstance(objective, PairNormObjective)
     eta = cfg.eta
 
-    if cache is not None:
-        table: PairTable | None = cache
-        grid = cache.grid
-    else:
-        grid = sphere_grid(space, cfg.grid_per_dim)
-        table = _table_from_grid(space, grid) if (
-            is_pairnorm and len(grid.vectors) ** 2 <= _STORED_PAIR_LIMIT) else None
+    grid = cache.grid if cache is not None else sphere_grid(space, cfg.grid_per_dim)
     n = len(grid.vectors)
     counter = [0]
 
-    def inner_values(x_vec):
-        if is_pairnorm:
-            plus = np.asarray(space.gauge(x_vec[None, :] + grid.vectors))
-            minus = np.asarray(space.gauge(x_vec[None, :] - grid.vectors))
-            vals = np.asarray(objective(plus, minus), dtype=float)
-        else:
-            vals = np.asarray(objective(x_vec[None, :], grid.vectors), dtype=float)
+    def pair_values(xs, ys):
+        """Objective at the broadcast pairs, and the mask of excluded/NaN pairs."""
+        if is_pairnorm or exclude_degenerate:
+            # x + (-1 * y) is exactly x - y: one gauge call for both norms.
+            signs = _PLUS_MINUS.reshape((2,) + (1,) * max(np.ndim(xs), np.ndim(ys)))
+            plus, minus = np.asarray(space.gauge(xs + signs * ys))
+        vals = np.asarray(objective(plus, minus) if is_pairnorm else objective(xs, ys),
+                          dtype=float)
         bad = np.isnan(vals)
         if exclude_degenerate:
-            if not is_pairnorm:
-                plus = np.asarray(space.gauge(x_vec[None, :] + grid.vectors))
-                minus = np.asarray(space.gauge(x_vec[None, :] - grid.vectors))
             bad |= (plus < eta) | (minus < eta)
+        return vals, bad
+
+    def inner_values(X):
+        vals, bad = pair_values(X[:, None, :], grid.vectors)
         counter[0] += vals.size - int(bad.sum())
         return np.where(bad, -np.inf, vals)
 
     inner_cfg = replace(cfg, refine_iters=_INNER_BUDGET)
-    y_dirs = [np.array([1.0])] if space.dim == 2 \
+    outer_cfg = replace(cfg, refine_iters=min(cfg.refine_iters, _OUTER_BUDGET))
+    dirs = [np.array([1.0])] if space.dim == 2 \
         else [np.eye(space.dim)[i] for i in range(space.dim)]
+    sg = space.scalar_gauge if space.dim == 2 and is_pairnorm else None
+    sfn = (objective.scalar_fn or objective.fn) if sg is not None else None
 
-    sg = space.scalar_gauge if space.dim == 2 else None
-    sfn = (objective.scalar_fn or objective.fn) if is_pairnorm else None
+    def scalar_fy(x_vec):
+        x0, x1 = float(x_vec[0]), float(x_vec[1])
 
-    def inner_sup(x_vec):
-        vals = inner_values(x_vec)
-        j = int(vals.argmax())
+        def fy(yp):
+            c, s = math.cos(yp[0]), math.sin(yp[0])
+            g = sg(c, s)
+            y0, y1 = c / g, s / g
+            a = sg(x0 + y0, x1 + y1)
+            b = sg(x0 - y0, x1 - y1)
+            if exclude_degenerate and (a < eta or b < eta):
+                return -math.inf
+            v = float(sfn(a, b))
+            return -math.inf if math.isnan(v) else v
 
-        if sg is not None and is_pairnorm:
-            x0, x1 = float(x_vec[0]), float(x_vec[1])
+        return fy
 
-            def fy(yp):
-                c, s = math.cos(yp[0]), math.sin(yp[0])
-                g = sg(c, s)
-                y0, y1 = c / g, s / g
-                a = sg(x0 + y0, x1 + y1)
-                b = sg(x0 - y0, x1 - y1)
-                if exclude_degenerate and (a < eta or b < eta):
-                    return -math.inf
-                v = float(sfn(a, b))
-                return -math.inf if math.isnan(v) else v
+    def inner_sup(X):
+        """sup over y for each row x of X: values and polished y parameters."""
+        vals = inner_values(X)
+        j = vals.argmax(axis=1)
+        y0 = grid.params[j].astype(float)
+        v0 = vals[np.arange(len(X)), j]
+        if sg is not None:
+            yp, vy, _ = map(np.array, zip(*[
+                _polish(scalar_fy(x), p, float(v), grid.step, 1.0, inner_cfg, dirs, counter)
+                for x, p, v in zip(X, y0, v0)]))
         else:
-            def fy(yp):
-                y = _params_to_vector(space, yp)
-                if y is None:
-                    return -math.inf
-                if is_pairnorm or exclude_degenerate:
-                    a = float(space.gauge(x_vec + y))
-                    b = float(space.gauge(x_vec - y))
-                    if exclude_degenerate and (a < eta or b < eta):
-                        return -math.inf
-                    v = float(objective(a, b)) if is_pairnorm else float(objective(x_vec, y))
-                else:
-                    v = float(objective(x_vec, y))
-                return -math.inf if math.isnan(v) else v
+            def fy(yp, rows):
+                vals, bad = pair_values(X[rows], _params_to_vectors(space, yp))
+                return np.where(bad, -np.inf, vals)
 
-        yp, vy, _ = _polish(fy, grid.params[j].astype(float), float(vals[j]), grid.step,
-                            1.0, inner_cfg, y_dirs, counter)
+            yp, vy, _ = _polish_batch(fy, y0, v0, grid.step, 1.0, inner_cfg, dirs, counter)
         return vy, _wrap_params(space, yp)
 
-    # Stage 1: exact grid inf-sup.
-    if table is not None and is_pairnorm:
-        vals = np.asarray(objective(table.plus, table.minus), dtype=float)
+    # Stage 1: exact grid inf-sup, from the shared table when there is one.
+    if cache is not None and is_pairnorm:
+        vals = np.asarray(objective(cache.plus, cache.minus), dtype=float)
         bad = np.isnan(vals)
         if exclude_degenerate:
-            bad |= (table.plus < eta) | (table.minus < eta)
+            bad |= (cache.plus < eta) | (cache.minus < eta)
         counter[0] += vals.size - int(bad.sum())
         row_sup = np.where(bad, -np.inf, vals).max(axis=1)
+        del vals, bad   # full-table temporaries; stage 2 needs the memory
     else:
-        row_sup = np.empty(n)
-        for i in range(n):
-            row_sup[i] = inner_values(grid.vectors[i]).max()
+        chunk = max(1, _CHUNK_PAIRS // n)
+        row_sup = np.concatenate([inner_values(grid.vectors[i0:i0 + chunk]).max(axis=1)
+                                  for i0 in range(0, n, chunk)])
 
     order = np.lexsort((np.arange(n), row_sup))
     start_rows = order[:min(cfg.multistart, n)]
+    p0 = grid.params[start_rows].astype(float)
 
-    outer_cfg = replace(cfg, refine_iters=min(cfg.refine_iters, _OUTER_BUDGET))
-    x_dirs = [np.array([1.0])] if space.dim == 2 \
-        else [np.eye(space.dim)[i] for i in range(space.dim)]
+    # Stage 2: outer polish.  Widths halve, so in dim >= 3 a polish moves each
+    # coordinate of its cube-surface start by under two grid steps in total,
+    # 4/grid_per_dim <= 1/2: no direction it probes is degenerate.
+    if sg is not None:
+        def g(x_params):
+            return float(inner_sup(_params_to_vector(space, x_params)[None, :])[0][0])
 
-    def g(x_params):
-        x = _params_to_vector(space, x_params)
-        if x is None:
-            return math.inf
-        return inner_sup(x)[0]
+        P, _, flags = zip(*[_polish(g, p, float(v), grid.step, -1.0, outer_cfg, dirs, [0])
+                            for p, v in zip(p0, row_sup[start_rows])])
+    else:
+        def g_batch(xp, rows=None):
+            return inner_sup(_params_to_vectors(space, xp))[0]
 
-    results = []
-    for i in start_rows:
-        p0 = grid.params[i].astype(float)
-        p, val, converged = _polish(g, p0, float(row_sup[i]), grid.step, -1.0,
-                                    outer_cfg, x_dirs, [0])
-        p = _wrap_params(space, p)
-        results.append((g(p), tuple(p), converged))
-    results.sort(key=lambda r: (r[0], r[1]))
+        P, _, flags = _polish_batch(g_batch, p0, row_sup[start_rows], grid.step, -1.0,
+                                    outer_cfg, dirs, [0])
+    P = _wrap_params(space, np.array(P))
+    finals = [g(p) for p in P] if sg is not None else g_batch(P)
+    results = sorted(zip(finals, map(tuple, P), flags), key=lambda r: (r[0], r[1]))
     val, ptuple, converged = results[0]
     x = _params_to_vector(space, np.asarray(ptuple))
-    _, y_params = inner_sup(x)
-    y = _params_to_vector(space, y_params)
+    _, y_params = inner_sup(x[None, :])
+    y = _params_to_vector(space, y_params[0])
     a = float(space.gauge(x + y))
     b = float(space.gauge(x - y))
     return ConstantEstimate(
-        value=float(val), x=x, y=y, mode="infsup", converged=converged,
+        value=float(val), x=x, y=y, mode="infsup", converged=bool(converged),
         evaluations=counter[0], config=cfg,
         near_exclusion=(a < 10.0 * cfg.eta or b < 10.0 * cfg.eta))

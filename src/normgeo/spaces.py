@@ -74,8 +74,8 @@ class NormSpec:
         if self.family == "lp":
             if self.p is None:
                 raise ValueError("lp spec is missing p")
-            if not (self.p >= 1.0):
-                raise ValueError(f"lp requires p >= 1, got p={self.p}")
+            if not (1.0 <= self.p < math.inf):
+                raise ValueError(f"lp requires a finite p >= 1, got p={self.p}")
             if self.dim < 2:
                 raise ValueError(f"dim must be >= 2, got {self.dim}")
         elif self.family == "linf":
@@ -84,8 +84,8 @@ class NormSpec:
         elif self.family == "weighted-lp":
             if self.p is None:
                 raise ValueError("weighted-lp spec is missing p")
-            if not (self.p >= 1.0):
-                raise ValueError(f"weighted-lp requires p >= 1, got p={self.p}")
+            if not (1.0 <= self.p < math.inf):
+                raise ValueError(f"weighted-lp requires a finite p >= 1, got p={self.p}")
             if not self.weights:
                 raise ValueError("weighted-lp requires a nonempty weight vector")
             if any(not (w > 0.0) for w in self.weights):
@@ -141,19 +141,20 @@ class NormSpec:
         )
 
     def to_string(self) -> str:
-        """Render in the CLI grammar, inverse of parse_space_spec."""
+        """Render in the CLI grammar, inverse of parse_space_spec.  Floats
+        are written with repr, so parsing the result gives back an equal spec."""
         token = _TOKEN_OF_FAMILY[self.family]
         if self.family == "lp":
-            return f"{token}:p={self.p:g},dim={self.dim}"
+            return f"{token}:p={float(self.p)!r},dim={self.dim}"
         if self.family == "linf":
             return f"{token}:dim={self.dim}"
         if self.family == "weighted-lp":
-            w = "[" + ",".join(f"{x:g}" for x in self.weights) + "]"
-            return f"{token}:p={self.p:g},w={w}"
+            w = "[" + ",".join(repr(x) for x in self.weights) + "]"
+            return f"{token}:p={float(self.p)!r},w={w}"
         if self.family == "poly-functionals":
-            f = "[" + ",".join("[" + ",".join(f"{c:g}" for c in row) + "]" for row in self.functionals) + "]"
+            f = "[" + ",".join("[" + ",".join(repr(c) for c in row) + "]" for row in self.functionals) + "]"
             return f"{token}:f={f}"
-        v = "[" + ",".join("[" + ",".join(f"{c:g}" for c in row) + "]" for row in self.vertices) + "]"
+        v = "[" + ",".join("[" + ",".join(repr(c) for c in row) + "]" for row in self.vertices) + "]"
         return f"{token}:v={v}"
 
 
@@ -274,6 +275,9 @@ def polygon_facet_functionals(vertices) -> np.ndarray:
 # Space
 # --------------------------------------------------------------------------
 
+_SAFE_LO, _SAFE_HI = 2.0 ** -64, 2.0 ** 64   # p-th powers stay normal for p < 15
+
+
 @dataclass(frozen=True)
 class Space:
     """A realized normed space: dimension plus vectorized gauge.
@@ -291,7 +295,12 @@ class Space:
     scalar_gauge: Callable[[float, float], float] | None = None
 
     def norm(self, v) -> float:
-        return float(self.gauge(np.asarray(v, dtype=float)))
+        """Norm of one vector; one outside 2^+-64 is first scaled by an exact
+        power of two, so the gauge's p-th powers stay normal."""
+        v = np.asarray(v, dtype=float)
+        big = float(np.abs(v).max())
+        k = 0 if big == 0.0 or _SAFE_LO <= big <= _SAFE_HI else -math.frexp(big)[1]
+        return math.ldexp(float(self.gauge(np.ldexp(v, k))), -k)
 
     def __repr__(self):  # keep dataclass repr from dumping the closure
         return f"Space({self.name or self.spec or self.dim})"

@@ -101,6 +101,12 @@ def test_constants_bad_space_exit_2(capsys):
     assert "p >= 1" in err
 
 
+def test_constants_nonfinite_p_exit_2(capsys):
+    code, out, err = run_cli(capsys, "constants", "--space", "lp:p=inf,dim=2")
+    assert code == 2 and out == ""
+    assert "finite p >= 1" in err
+
+
 # --------------------------------------------------------------------------
 # sweep
 # --------------------------------------------------------------------------

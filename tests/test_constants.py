@@ -169,6 +169,13 @@ class TestPairConstantValues:
         # the inner supremum tops out near 1.2837.
         assert all_consts["l15"]["t"].value == pytest.approx(1.2836760322, abs=1e-6)
 
+    def test_t_and_T_euclidean_3d(self, l2_3d):
+        # dim 3 runs the inf-sup polish in lockstep; every inner sup of the
+        # Euclidean ball is sqrt(2).
+        t, T = con.t_and_T(l2_3d, SearchConfig(grid_per_dim=12))
+        assert t.value == pytest.approx(SQRT2, abs=1e-9)
+        assert T.value == pytest.approx(SQRT2, abs=1e-9)
+
     def test_t_and_T_universal_bounds(self, all_consts):
         # Decomposing 2x as (x+y) + (x-y) forces max(a, b) >= 1 wherever
         # a = b, so the inner sup never drops below 1; the sqrt(2) floor
@@ -334,6 +341,13 @@ class TestDelta:
         assert con.delta(l15, 0.5).value == pytest.approx(0.015878505546, abs=1e-6)
         assert con.delta(l15, 1.0).value == pytest.approx(0.067122610329, abs=1e-6)
         assert con.delta(l15, 1.5).value == pytest.approx(0.173757880699, abs=1e-6)
+
+    def test_hexagon_witness_feasible(self, hexagon):
+        # delta(1.5) = 1/4 on the regular hexagon; the boundary solve must
+        # not undercut it with a pair just inside ||x-y|| >= 1.5.
+        est = con.delta(hexagon, 1.5)
+        assert est.value == pytest.approx(0.25, abs=1e-12)
+        assert hexagon.norm(est.x - est.y) >= 1.5 - 1e-12
 
     def test_hexagon_flat_until_characteristic(self, hexagon):
         assert abs(con.delta(hexagon, 0.5).value) <= 1e-9

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from normgeo import search
+from normgeo.constants import delta
 from normgeo.search import (ConstantEstimate, PairNormObjective, SearchConfig,
                             infsup_pair, maximize_pair, minimize_pair, pair_table,
-                            sphere_grid, sphere_point)
+                            sphere_grid, sphere_point, _polish, _polish_batch)
 from normgeo.spaces import build_space, parse_space_spec
 
 TWO_PI = 2.0 * math.pi
@@ -188,3 +192,65 @@ def test_config_for_dim_defaults():
     cfg = SearchConfig.for_dim(2)
     assert (cfg.refine_iters, cfg.multistart, cfg.tol, cfg.eta, cfg.seed) == \
         (200, 16, 1e-9, 1e-6, 42)
+
+
+def test_streaming_scan_matches_stored(l15, monkeypatch):
+    """Grids above the stored-table limit take the chunked scan, with the
+    same answers."""
+    cfg = SearchConfig(grid_per_dim=96, refine_iters=40, multistart=4)
+    objectives = [(maximize_pair, PairNormObjective(lambda a, b: np.minimum(a, b),
+                                                    scalar_fn=lambda a, b: a if a < b else b)),
+                  (minimize_pair, PairNormObjective(lambda a, b: np.maximum(a, b),
+                                                    scalar_fn=lambda a, b: a if a > b else b)),
+                  (maximize_pair, scaled_inner_product)]
+    stored = [fn(l15, obj, cfg) for fn, obj in objectives]
+    delta_stored = delta(l15, 1.0, cfg, cache=pair_table(l15, cfg))
+    monkeypatch.setattr(search, "_STORED_PAIR_LIMIT", 100)
+    assert pair_table(l15, cfg) is None
+    for (fn, obj), ref in zip(objectives, stored):
+        est = fn(l15, obj, cfg)
+        assert est.value == pytest.approx(ref.value, abs=1e-12)
+    # The boundary solve of delta needs no stored table either.
+    assert delta(l15, 1.0, cfg).value == pytest.approx(delta_stored.value, abs=1e-12)
+
+
+# --------------------------------------------------------------------------
+# Lockstep polish
+# --------------------------------------------------------------------------
+
+def _bowl(p):
+    """Concave quadratic on (m, 2) points, flat for p0 > 3."""
+    x, y = p[:, 0], p[:, 1]
+    return np.where(x > 3.0, 0.0, -(x - 0.3) ** 2 - 2.0 * (y + 0.1) ** 2 + 0.5 * x * y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.floats(-4.0, 2.5), st.floats(-4.0, 4.0)), max_size=5),
+       st.floats(0.05, 1.0), st.integers(0, 11), st.sampled_from([1.0, -1.0]))
+def test_polish_batch_matches_polish(extra, step, budget, sign):
+    # Start 0 sits on the plateau and converges after one cycle; start 1
+    # climbs a steep slope with a tiny bracket, so only the budget stops it.
+    starts = np.array([(5.0, 0.0), (-3.0, 3.0)] + list(extra))
+    cfg = SearchConfig(refine_iters=budget, tol=1e-6)
+    directions = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, -1.0])]
+    widths = [step, 0.5 * step, 1e-3 if sign > 0 else step]
+    f0 = _bowl(starts)
+    counts = np.zeros(len(starts), dtype=int)
+
+    def f_batch(pts, rows):
+        np.add.at(counts, rows, 1)
+        return _bowl(pts)
+
+    total = [0]
+    p, val, conv = _polish_batch(f_batch, starts, f0, widths, sign, cfg, directions, total)
+    assert total[0] == counts.sum()
+    for i, start in enumerate(starts):
+        own = [0]
+        pi, vi, ci = _polish(lambda q: float(_bowl(q[None, :])[0]), start, float(f0[i]),
+                             widths, sign, cfg, directions, own)
+        assert np.array_equal(p[i], pi)
+        assert val[i] == vi and conv[i] == ci and counts[i] == own[0]
+    if budget >= len(directions):
+        assert conv[0] and counts[0] == 24 * len(directions)
+    if sign > 0:
+        assert not conv[1] and counts[1] == 24 * budget

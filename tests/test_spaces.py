@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normgeo.spaces import (NormSpec, battery_specs, build_space, parse_space_spec,
@@ -123,7 +123,10 @@ def test_validate_space_catches_broken_gauge():
     ("wlp:p=1,w=[1,2,3]", "weighted-lp", 3),
     ("polyf:f=[[1,0],[0,1],[1,1]]", "poly-functionals", 2),
     ("polyv:v=[[1,0],[0.6,0.8],[0,1]]", "poly-vertices", 2),
-])
+    ("lp:p=1.2345678,dim=2", "lp", 2),
+] + [pytest.param("polyv:v=[" + ",".join(f"[{x!r},{y!r}]" for x, y in spec.vertices) + "]",
+                  "poly-vertices", 2, id=f"battery7-{i}")
+     for i, spec in enumerate(battery_specs(7, 20))])
 def test_parse_roundtrip(text, family, dim):
     spec = parse_space_spec(text)
     assert spec.family == family
@@ -206,6 +209,7 @@ def test_homogeneity_exact_for_powers_of_two(x0, x1, c, text):
 @settings(max_examples=60, deadline=None)
 @given(x0=st.floats(-10, 10), x1=st.floats(-10, 10),
        c=st.floats(0.1, 8.0))
+@example(x0=0.0, x1=2.2817948777563787e-212, c=2.0)   # p-th powers go subnormal
 def test_homogeneity_general_p(x0, x1, c):
     sp = build_space(parse_space_spec("lp:p=1.5,dim=2"))
     v = np.array([x0, x1])
