@@ -275,9 +275,6 @@ def polygon_facet_functionals(vertices) -> np.ndarray:
 # Space
 # --------------------------------------------------------------------------
 
-_SAFE_LO, _SAFE_HI = 2.0 ** -64, 2.0 ** 64   # p-th powers stay normal for p < 15
-
-
 @dataclass(frozen=True)
 class Space:
     """A realized normed space: dimension plus vectorized gauge.
@@ -295,12 +292,7 @@ class Space:
     scalar_gauge: Callable[[float, float], float] | None = None
 
     def norm(self, v) -> float:
-        """Norm of one vector; one outside 2^+-64 is first scaled by an exact
-        power of two, so the gauge's p-th powers stay normal."""
-        v = np.asarray(v, dtype=float)
-        big = float(np.abs(v).max())
-        k = 0 if big == 0.0 or _SAFE_LO <= big <= _SAFE_HI else -math.frexp(big)[1]
-        return math.ldexp(float(self.gauge(np.ldexp(v, k))), -k)
+        return float(self.gauge(np.asarray(v, dtype=float)))
 
     def __repr__(self):  # keep dataclass repr from dumping the closure
         return f"Space({self.name or self.spec or self.dim})"
