@@ -46,7 +46,6 @@ def _cfg_dict(cfg: SearchConfig) -> dict:
         "multistart": cfg.multistart,
         "tol": _jnum(cfg.tol),
         "eta": _jnum(cfg.eta),
-        "seed": cfg.seed,
     }
 
 
@@ -88,7 +87,6 @@ def _add_cfg_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--multistart", type=int, help="grid cells polished per extremum")
     p.add_argument("--tol", type=float, help="polish convergence tolerance")
     p.add_argument("--eta", type=float, help="degeneracy exclusion radius")
-    p.add_argument("--seed", type=int, help="seed echoed into reports")
 
 
 def _config_for(dim: int, args) -> SearchConfig:
@@ -96,7 +94,7 @@ def _config_for(dim: int, args) -> SearchConfig:
     updates = {}
     for flag, field_name in (("grid", "grid_per_dim"), ("refine", "refine_iters"),
                              ("multistart", "multistart"), ("tol", "tol"),
-                             ("eta", "eta"), ("seed", "seed")):
+                             ("eta", "eta")):
         v = getattr(args, flag)
         if v is not None:
             updates[field_name] = v

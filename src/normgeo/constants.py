@@ -14,6 +14,7 @@ import numpy as np
 
 from .spaces import Space
 from .search import (
+    CHUNK_PAIRS,
     ConstantEstimate,
     PairNormObjective,
     PairTable,
@@ -22,18 +23,11 @@ from .search import (
     maximize_pair,
     minimize_pair,
     pair_table,
+    refine_pairs,
+    refine_starts,
     sphere_grid,
     sphere_point,
-    _CHUNK_PAIRS,
-    _direction_set,
-    _params_to_vector,
-    _params_to_vectors,
-    _polish,
-    _polish_batch,
-    _scalar_objective,
-    _split_params,
-    _top_cells,
-    _wrap_params,
+    sphere_points,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -160,24 +154,6 @@ def _exact_estimate(space: Space, value: float, cfg: SearchConfig,
                             converged=True, evaluations=0, config=cfg, t=t)
 
 
-def _scaled_pair_objective(space: Space, t: float, combine, scalar_combine):
-    """Objective on unit pairs built from ||x+ty|| and ||x-ty||, with a
-    pure-float twin attached for the polish loop on 2D spaces."""
-
-    def obj(x, y):
-        gp = np.asarray(space.gauge(x + t * y), dtype=float)
-        gm = np.asarray(space.gauge(x - t * y), dtype=float)
-        return combine(gp, gm)
-
-    sg = space.scalar_gauge
-    if space.dim == 2 and sg is not None:
-        def scalar2d(x0, x1, y0, y1):
-            return scalar_combine(sg(x0 + t * y0, x1 + t * y1),
-                                  sg(x0 - t * y0, x1 - t * y1))
-        obj.scalar2d = scalar2d
-    return obj
-
-
 def gamma(space: Space, t: float, cfg: SearchConfig | None = None) -> ConstantEstimate:
     """Smoothness-type modulus: sup of (||x+ty||^2 + ||x-ty||^2)/2 over unit pairs.
 
@@ -188,10 +164,8 @@ def gamma(space: Space, t: float, cfg: SearchConfig | None = None) -> ConstantEs
     cfg = cfg or SearchConfig.for_dim(space.dim)
     if t == 0.0:
         return _exact_estimate(space, 1.0, cfg, "sup")
-    obj = _scaled_pair_objective(space, t,
-                                 lambda gp, gm: (gp * gp + gm * gm) / 2.0,
-                                 lambda a, b: (a * a + b * b) / 2.0)
-    return maximize_pair(space, obj, cfg)
+    return maximize_pair(
+        space, PairNormObjective(lambda a, b: (a * a + b * b) / 2.0, t=t), cfg)
 
 
 def rho(space: Space, t: float, cfg: SearchConfig | None = None) -> ConstantEstimate:
@@ -201,58 +175,25 @@ def rho(space: Space, t: float, cfg: SearchConfig | None = None) -> ConstantEsti
     cfg = cfg or SearchConfig.for_dim(space.dim)
     if t == 0.0:
         return _exact_estimate(space, 0.0, cfg, "sup")
-    obj = _scaled_pair_objective(space, t,
-                                 lambda gp, gm: (gp + gm) / 2.0 - 1.0,
-                                 lambda a, b: (a + b) / 2.0 - 1.0)
-    return maximize_pair(space, obj, cfg)
+    return maximize_pair(
+        space, PairNormObjective(lambda a, b: (a + b) / 2.0 - 1.0, t=t), cfg)
 
 
 def gamma_profile(space: Space, ts, cfg: SearchConfig | None = None) -> list[ConstantEstimate]:
-    """gamma at each t of a grid, sharing one medium-resolution scan.
+    """gamma at each t of a grid, each estimate carrying its t.
 
-    Stage 1 evaluates all t values over a reduced pair grid in one vectorized
-    pass; stage 2 polishes the best cells of each t at full precision.  Used
-    by the verification checks, where a full default-grid scan per t would
-    dominate the runtime; agreement with gamma() is covered by tests.
+    Runs gamma on a reduced pair grid with four starts and a 40-line-search
+    polish.  Used by the verification checks, where a full default-grid scan
+    per t would dominate the runtime; agreement with gamma() is covered by
+    tests.
     """
     cfg = cfg or SearchConfig.for_dim(space.dim)
-    ts = [float(t) for t in ts]
-    if space.dim == 2:
-        grid = sphere_grid(space, min(cfg.grid_per_dim, 180))
-    else:
-        grid = sphere_grid(space, min(cfg.grid_per_dim, 8))
-    V = grid.vectors
-    m = len(V)
-    out: list[ConstantEstimate] = []
-    polish_cfg = replace(cfg, refine_iters=min(cfg.refine_iters, 40))
-    for t in ts:
-        if t == 0.0:
-            out.append(_exact_estimate(space, 1.0, cfg, "sup"))
-            continue
-
-        obj = _scaled_pair_objective(space, t,
-                                     lambda gp, gm: (gp * gp + gm * gm) / 2.0,
-                                     lambda a, b: (a * a + b * b) / 2.0)
-        vals = obj(V[:, None, :], V[None, :, :])
-        starts = _top_cells(vals, 1.0, 4)
-        f = _scalar_objective(space, obj, False, cfg.eta, 1.0)
-        counter = [0]
-        results = []
-        for val0, flat in starts:
-            i, j = divmod(flat, m)
-            p0 = np.concatenate([grid.params[i], grid.params[j]]).astype(float)
-            p, val, conv = _polish(f, p0, val0, grid.step, 1.0, polish_cfg,
-                                   _direction_set(space), counter)
-            p = _wrap_params(space, p)
-            results.append((f(p), tuple(p), conv))
-            counter[0] += 1
-        results.sort(key=lambda r: (-r[0], r[1]))
-        val, ptuple, conv = results[0]
-        xp, yp = _split_params(space, np.asarray(ptuple))
-        out.append(ConstantEstimate(
-            value=float(val), x=_params_to_vector(space, xp),
-            y=_params_to_vector(space, yp), mode="sup", converged=conv,
-            evaluations=vals.size + counter[0], config=cfg, t=t))
+    reduced = replace(cfg, grid_per_dim=min(cfg.grid_per_dim, 180 if space.dim == 2 else 8),
+                      multistart=4, refine_iters=min(cfg.refine_iters, 40))
+    out = []
+    for t in map(float, ts):
+        est = gamma(space, t, reduced)
+        out.append(est if t == 0.0 else replace(est, t=t))
     return out
 
 
@@ -264,7 +205,7 @@ def _scaled_extremum(space: Space, fn, cfg: SearchConfig) -> ConstantEstimate:
     """sup over unit pairs (u, v) and t in [0, 1] of fn(||u+tv||, ||u-tv||, t).
 
     Stage 1 sweeps a t-grid of 101 points over a reduced pair grid in
-    vectorized blocks; stage 2 polishes (u, v, t) jointly.  The reduction to
+    vectorized blocks; stage 2 refines (u, v, t) jointly.  The reduction to
     ||u|| = 1 >= t = ||v||-scale is exact for the quotients used here, which
     are scale-invariant and symmetric in the pair.
     """
@@ -296,66 +237,11 @@ def _scaled_extremum(space: Space, fn, cfg: SearchConfig) -> ConstantEstimate:
     # (x-params, y-params, t) tie-break.
     best.sort(key=lambda c: (-c[0], c[2], c[3], c[1]))
     starts = best[:cfg.multistart]
-
-    k = 1 if space.dim == 2 else space.dim
-    sg = space.scalar_gauge if space.dim == 2 else None
-
-    if sg is not None:
-        def f(params):
-            t = params[2]
-            if not 0.0 <= t <= 1.0:
-                return -math.inf
-            c, s = math.cos(params[0]), math.sin(params[0])
-            g = sg(c, s)
-            x0, x1 = c / g, s / g
-            c, s = math.cos(params[1]), math.sin(params[1])
-            g = sg(c, s)
-            y0, y1 = c / g, s / g
-            a = sg(x0 + t * y0, x1 + t * y1)
-            b = sg(x0 - t * y0, x1 - t * y1)
-            v = float(fn(a, b, t))
-            return -math.inf if math.isnan(v) else v
-    else:
-        def f(params):
-            t = params[-1]
-            if not 0.0 <= t <= 1.0:
-                return -math.inf
-            x = _params_to_vector(space, params[:k])
-            y = _params_to_vector(space, params[k:2 * k])
-            if x is None or y is None:
-                return -math.inf
-            a = float(space.gauge(x + t * y))
-            b = float(space.gauge(x - t * y))
-            v = float(fn(a, b, t))
-            return -math.inf if math.isnan(v) else v
-
-    if space.dim == 2:
-        dirs = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
-                np.array([0.0, 0.0, 1.0]), np.array([1.0, 1.0, 0.0]),
-                np.array([1.0, -1.0, 0.0])]
-    else:
-        dirs = [np.eye(2 * k + 1)[i] for i in range(2 * k + 1)]
-    widths = [grid.step if d[-1] == 0.0 else (ts[1] - ts[0]) for d in dirs]
-
-    counter = [0]
-    results = []
-    for val0, ti, i, j in starts:
-        if not math.isfinite(val0):
-            continue
-        p0 = np.concatenate([grid.params[i], grid.params[j], [ts[ti]]]).astype(float)
-        p, val, conv = _polish(f, p0, val0, widths, 1.0, cfg, dirs, counter)
-        if space.dim == 2:
-            p = np.concatenate([np.mod(p[:2], 2.0 * np.pi), p[2:]])
-        results.append((f(p), tuple(p), conv))
-        counter[0] += 1
-    results.sort(key=lambda r: (-r[0], r[1]))
-    val, ptuple, conv = results[0]
-    params = np.asarray(ptuple)
-    x = _params_to_vector(space, params[:k])
-    y = _params_to_vector(space, params[k:2 * k])
-    return ConstantEstimate(
-        value=float(val), x=x, y=y, mode="sup", converged=conv,
-        evaluations=m * m * _T_GRID + counter[0], config=cfg, t=float(params[-1]))
+    return refine_pairs(
+        space, PairNormObjective(fn, t=None),
+        [np.concatenate([grid.params[i], grid.params[j], [ts[ti]]]) for _, ti, i, j in starts],
+        [v for v, *_ in starts], grid.step, cfg, "sup",
+        evaluations=m * m * _T_GRID, t_step=ts[1] - ts[0])
 
 
 def cnj(space: Space, cfg: SearchConfig | None = None) -> ConstantEstimate:
@@ -450,7 +336,7 @@ def _delta_eq_2d(space: Space, eps: float, cfg: SearchConfig,
     on_low = -_GEQ_SLACK if geq else -_EQ_ROOT_TOL
 
     def unit(angles):
-        return _params_to_vectors(space, angles[:, None])
+        return sphere_points(space, angles[:, None])
 
     def row_values(angles):
         """Per angle: min of 1 - ||x+y||/2 over its roots and the y attaining
@@ -479,7 +365,7 @@ def _delta_eq_2d(space: Space, eps: float, cfg: SearchConfig,
         witness[rows[first]] = Y[first]
         return best, witness, rows.size
 
-    chunk = max(1, _CHUNK_PAIRS // n)
+    chunk = max(1, CHUNK_PAIRS // n)
     stage = [row_values(thetas[i0:i0 + chunk]) for i0 in range(0, n, chunk)]
     row_vals = np.concatenate([s[0] for s in stage])
     evaluations = sum(s[2] for s in stage)
@@ -488,22 +374,14 @@ def _delta_eq_2d(space: Space, eps: float, cfg: SearchConfig,
         raise ValueError(f"no unit pair satisfies ||x-y|| = {eps} on the grid")
 
     starts = np.lexsort((np.arange(n), row_vals))[:min(cfg.multistart, feasible)]
-    polish_cfg = replace(cfg, refine_iters=min(cfg.refine_iters, 12))
-    counter = [0]
-
-    def g(params, rows=None):
-        counter[0] += len(params)
-        return row_values(params[:, 0])[0]
-
-    p, _, conv = _polish_batch(g, thetas[starts, None], row_vals[starts], grid.step, -1.0,
-                               polish_cfg, [np.array([1.0])], counter)
-    p = np.mod(p[:, 0], 2.0 * np.pi)
-    counter[0] += len(p)
-    vals, witness, _ = row_values(p)
-    k = np.lexsort((p, vals))[0]
+    P, vals, conv, k, count = refine_starts(
+        lambda params, rows: row_values(params[:, 0])[0], thetas[starts, None],
+        row_vals[starts], grid.step, [np.array([1.0])], -1.0,
+        replace(cfg, refine_iters=min(cfg.refine_iters, 12)), angles=1)
+    witness = row_values(P[:, 0])[1]   # the engine's last call, repeated for the witness
     return ConstantEstimate(
-        value=float(vals[k]), x=unit(p[k:k + 1])[0], y=witness[k], mode="inf",
-        converged=bool(conv[k]), evaluations=evaluations + counter[0], config=cfg)
+        value=float(vals[k]), x=unit(P[k:k + 1, 0])[0], y=witness[k], mode="inf",
+        converged=bool(conv[k]), evaluations=evaluations + count, config=cfg)
 
 
 def _delta_eq_highdim(space: Space, eps: float, cfg: SearchConfig) -> ConstantEstimate:

@@ -1,10 +1,11 @@
 """Deterministic extremum search over pairs of unit-sphere points.
 
 Strategy: evaluate the objective on a coarse deterministic grid of sphere
-parameters, polish the best cells with golden-section line searches over a
-fixed direction set, and reduce with explicit tie-breaks (extremal value
-first, lexicographically smallest parameter tuple among ties).  No randomness
-enters the search path, so results are reproducible bit-for-bit.
+parameters, then hand the best cells to one multistart engine
+(refine_starts): golden-section line searches over a fixed direction set,
+re-evaluation of the polished points, and one tie-break (extremal value
+first, lexicographically smallest parameter tuple among ties).  No
+randomness enters the search path, so results are reproducible bit-for-bit.
 
 Sphere parameterization: dim 2 uses one angle per point; dim >= 3 uses raw
 direction vectors on the surface lattice of the cube [-1, 1]^dim (coordinates
@@ -25,7 +26,7 @@ from .spaces import Space
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _LINE_EVALS = 24          # golden-section evaluations per line search
 _STORED_PAIR_LIMIT = 40_000_000   # largest nx*ny kept as an in-memory table
-_CHUNK_PAIRS = 2_000_000  # streaming chunk size in pairs
+CHUNK_PAIRS = 2_000_000   # streaming chunk size in pairs
 
 TWO_PI = 2.0 * math.pi
 
@@ -43,7 +44,6 @@ class SearchConfig:
     multistart: int = 16
     tol: float = 1e-9
     eta: float = 1e-6         # degeneracy exclusion radius
-    seed: int = 42            # seeds sampling helpers only; the search is grid-based
 
     def __post_init__(self):
         if self.grid_per_dim < 8:
@@ -92,22 +92,26 @@ class ConstantEstimate:
 
 
 class PairNormObjective:
-    """Objective that depends on the pair only through ||x+y|| and ||x-y||.
+    """Objective that depends on the pair only through ||x+ty|| and ||x-ty||.
 
-    The search engine exploits this: both norms are computed once per grid and
-    shared across objectives, and values are symmetric under swapping x and y,
-    so oversized grids are scanned on half their pairs.
+    t is fixed (1 for the pair constants, the modulus's t for gamma and rho),
+    or None: then t is a third search parameter in [0, 1] and fn takes
+    (a, b, t).  At t = 1 the search engine exploits the form: both norms are
+    computed once per grid and shared across objectives, and values are
+    symmetric under swapping x and y, so oversized grids are scanned on half
+    their pairs.
     """
 
-    def __init__(self, fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                 scalar_fn: Callable[[float, float], float] | None = None):
+    def __init__(self, fn: Callable[..., np.ndarray],
+                 scalar_fn: Callable[..., float] | None = None, t: float | None = 1.0):
         self.fn = fn
-        self.scalar_fn = scalar_fn   # float twin for the polish loop
+        self.scalar_fn = scalar_fn   # float twin for the 2D polish closure
+        self.t = t
 
-    def __call__(self, a, b):
+    def __call__(self, a, b, *t):
         # Degenerate pairs may divide by zero; the scans mask them afterwards.
         with np.errstate(divide="ignore", invalid="ignore"):
-            return self.fn(a, b)
+            return self.fn(a, b, *t)
 
 
 # --------------------------------------------------------------------------
@@ -157,35 +161,13 @@ def sphere_grid(space: Space, grid_per_dim: int) -> SphereGrid:
     return SphereGrid(pts, vectors, 2.0 / k)
 
 
-def _params_to_vector(space: Space, params: np.ndarray) -> np.ndarray | None:
-    """Polish-time variant of sphere_point: returns None on a degenerate direction."""
-    if space.dim == 2 and params.size == 1:
-        direction = np.array([math.cos(params[0]), math.sin(params[0])])
-    else:
-        direction = params
-        if np.abs(direction).max() < 1e-12:
-            return None
-    return direction / float(space.gauge(direction))
-
-
-def _params_to_vectors(space: Space, params: np.ndarray) -> np.ndarray:
-    """Row-wise _params_to_vector for directions known to be nonzero."""
+def sphere_points(space: Space, params: np.ndarray) -> np.ndarray:
+    """Row-wise sphere_point for (n, k) parameter rows known to be nonzero."""
     if space.dim == 2 and params.shape[1] == 1:
         direction = np.stack([np.cos(params[:, 0]), np.sin(params[:, 0])], axis=1)
     else:
         direction = params
     return direction / np.asarray(space.gauge(direction))[:, None]
-
-
-def _split_params(space: Space, params: np.ndarray):
-    half = 1 if space.dim == 2 else space.dim
-    return params[:half], params[half:]
-
-
-def _wrap_params(space: Space, params: np.ndarray) -> np.ndarray:
-    if space.dim == 2:
-        return np.mod(params, TWO_PI)
-    return params
 
 
 # --------------------------------------------------------------------------
@@ -201,25 +183,21 @@ class PairTable:
     minus: np.ndarray   # (n, n)
 
 
-def _table_from_grid(space: Space, grid: SphereGrid) -> PairTable:
+def pair_table(space: Space, cfg: SearchConfig) -> PairTable | None:
+    """Precompute pair norms for reuse across objectives; None if too large."""
+    grid = sphere_grid(space, cfg.grid_per_dim)
     n = len(grid.vectors)
+    if n * n > _STORED_PAIR_LIMIT:
+        return None
     plus = np.empty((n, n))
     minus = np.empty((n, n))
-    rows = max(1, _CHUNK_PAIRS // n)
+    rows = max(1, CHUNK_PAIRS // n)
     for i0 in range(0, n, rows):
         xs = grid.vectors[i0:i0 + rows, None, :]
         ys = grid.vectors[None, :, :]
         plus[i0:i0 + rows] = space.gauge(xs + ys)
         minus[i0:i0 + rows] = space.gauge(xs - ys)
     return PairTable(grid, plus, minus)
-
-
-def pair_table(space: Space, cfg: SearchConfig) -> PairTable | None:
-    """Precompute pair norms for reuse across objectives; None if too large."""
-    grid = sphere_grid(space, cfg.grid_per_dim)
-    if len(grid.vectors) ** 2 > _STORED_PAIR_LIMIT:
-        return None
-    return _table_from_grid(space, grid)
 
 
 # --------------------------------------------------------------------------
@@ -348,86 +326,200 @@ def _golden_batch(f, p, rows, dvec, w, sign, best, counter):
     return best_p, sign * best
 
 
-def _direction_set(space: Space) -> list[np.ndarray]:
-    if space.dim == 2:
-        # Angle pairs: axes plus diagonals; ridges of min/max objectives tend
-        # to run along theta_y - theta_x = const, which the axes alone miss.
-        return [np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-                np.array([1.0, 1.0]), np.array([1.0, -1.0])]
-    k = 2 * space.dim
-    return [np.eye(k)[i] for i in range(k)]
-
-
 # --------------------------------------------------------------------------
-# Pair extremization engine
+# The multistart engine
 # --------------------------------------------------------------------------
 
-def _scalar_objective(space: Space, objective, exclude: bool, eta: float, sign: float):
-    """Wrap the vectorized objective for single-pair polish evaluations.
+def _polish_starts(f, starts, values, widths, directions, sign, cfg: SearchConfig,
+                   scalar=None):
+    """Polish every start: returns the points, values, converged flags and
+    the number of objective evaluations.
 
-    2D spaces with a scalar gauge get a pure-float path; the polish loop makes
-    tens of thousands of single-point calls, where per-call array overhead
-    would dominate the whole search.
+    The engine's one back-end switch.  scalar holds one float closure per
+    start; only _pair_float builds them, for 2D pair-norm objectives on a
+    space with a scalar gauge, and those starts run _polish one at a time on
+    plain floats.  Every other objective runs _polish_batch in lockstep on
+    f(params, rows), rows numbering the starts.
     """
-    is_pairnorm = isinstance(objective, PairNormObjective)
-    bad = -sign * math.inf
-    sg = space.scalar_gauge if space.dim == 2 else None
-    cos, sin, isnan = math.cos, math.sin, math.isnan
+    counter = [0]
+    if scalar is None:
+        out = _polish_batch(f, starts, values, widths, sign, cfg, directions, counter)
+    else:
+        out = map(np.array, zip(*[_polish(fs, p, float(v), widths, sign, cfg, directions,
+                                          counter)
+                                  for fs, p, v in zip(scalar, starts, values)]))
+    return (*out, counter[0])
 
-    if sg is not None and is_pairnorm:
-        sfn = objective.scalar_fn if objective.scalar_fn is not None else objective.fn
 
-        def f(params):
-            c, s = cos(params[0]), sin(params[0])
-            g = sg(c, s)
-            x0, x1 = c / g, s / g
-            c, s = cos(params[1]), sin(params[1])
-            g = sg(c, s)
-            y0, y1 = c / g, s / g
-            a = sg(x0 + y0, x1 + y1)
-            b = sg(x0 - y0, x1 - y1)
-            if exclude and (a < eta or b < eta):
-                return bad
-            val = float(sfn(a, b))
-            return bad if isnan(val) else val
+def _wrap(params: np.ndarray, angles: int) -> np.ndarray:
+    """Reduce the first `angles` parameter columns into [0, 2pi)."""
+    params[:, :angles] = np.mod(params[:, :angles], TWO_PI)
+    return params
 
-        return f
 
-    scalar2d = getattr(objective, "scalar2d", None)
-    if sg is not None and scalar2d is not None and not exclude:
+def refine_starts(f, starts, values, widths, directions, sign: float, cfg: SearchConfig,
+                  *, angles: int = 0, scalar=None):
+    """Multistart refinement of grid starts: polish each one (_polish_starts),
+    wrap its angle parameters, re-evaluate it, and pick the winner by value
+    (largest for sign +1, smallest for -1), then by the smallest parameter
+    tuple.
 
-        def f(params):
-            c, s = cos(params[0]), sin(params[0])
-            g = sg(c, s)
-            x0, x1 = c / g, s / g
-            c, s = cos(params[1]), sin(params[1])
-            g = sg(c, s)
-            y0, y1 = c / g, s / g
-            val = float(scalar2d(x0, x1, y0, y1))
-            return bad if isnan(val) else val
+    widths holds one initial bracket half-width per direction.  Returns the
+    polished points, their re-evaluated values, the converged flags, the
+    index of the winner and the evaluation count, each evaluation counted
+    once.
+    """
+    P, _, conv, count = _polish_starts(f, starts, values, widths, directions, sign, cfg,
+                                       scalar)
+    P = _wrap(P, angles)
+    vals = np.array([fs(p) for fs, p in zip(scalar, P)] if scalar is not None
+                    else f(P, np.arange(len(P))), dtype=float)
+    best = min(range(len(P)), key=lambda i: (-sign * vals[i], tuple(P[i])))
+    return P, vals, conv, best, count + len(P)
 
-        return f
 
-    def f(params):
-        xp, yp = _split_params(space, params)
-        x = _params_to_vector(space, xp)
-        y = _params_to_vector(space, yp)
-        if x is None or y is None:
-            return bad
-        if is_pairnorm or exclude:
-            a = float(space.gauge(x + y))
-            b = float(space.gauge(x - y))
-            if exclude and (a < eta or b < eta):
-                return bad
-            val = float(objective(a, b)) if is_pairnorm else float(objective(x, y))
+# --------------------------------------------------------------------------
+# Pair objectives
+# --------------------------------------------------------------------------
+
+_PLUS_MINUS = np.array([1.0, -1.0])
+
+
+def _pair_values(space: Space, objective, xs, ys, exclude: bool, eta: float, t=None):
+    """Objective at the broadcast pairs, and the mask of excluded/NaN pairs.
+    t (one value per row of ys) overrides a PairNormObjective's own t."""
+    pairnorm = isinstance(objective, PairNormObjective)
+    if pairnorm or exclude:
+        if t is not None:
+            ys = t[:, None] * ys
+        elif pairnorm and objective.t != 1.0:
+            ys = objective.t * ys
+        if np.ndim(xs) > 2:   # a block of grid rows: one norm array at a time
+            plus, minus = np.asarray(space.gauge(xs + ys)), np.asarray(space.gauge(xs - ys))
+        else:   # a polish batch: x + (-1 * ty) is exactly x - ty, one gauge call
+            plus, minus = np.asarray(space.gauge(xs + _PLUS_MINUS[:, None, None] * ys))
+    if not pairnorm:
+        vals = objective(xs, ys)
+    else:
+        vals = objective(plus, minus) if t is None else objective(plus, minus, t)
+    vals = np.asarray(vals, dtype=float)
+    bad = np.isnan(vals)
+    if exclude:
+        bad |= (plus < eta) | (minus < eta)
+    return vals, bad
+
+
+def _pair_batch(space: Space, objective, exclude: bool, eta: float, sign: float, X=None):
+    """Lockstep evaluator f(params, rows) over parameter rows (x, y[, t]), or
+    over rows (y,) against the fixed points X[rows].  Excluded, NaN and
+    out-of-range-t pairs score -sign * inf."""
+    k = 1 if space.dim == 2 else space.dim
+    search_t = getattr(objective, "t", 1.0) is None
+
+    def f(params, rows):
+        if X is None:
+            xs, ys = sphere_points(space, params[:, :k]), sphere_points(space, params[:, k:2 * k])
         else:
-            val = float(objective(x, y))
-        if math.isnan(val):
-            return bad
-        return val
+            xs, ys = X[rows], sphere_points(space, params)
+        t = params[:, 2 * k] if search_t else None
+        vals, bad = _pair_values(space, objective, xs, ys, exclude, eta, t)
+        if search_t:
+            bad |= ~((t >= 0.0) & (t <= 1.0))
+        return np.where(bad, -sign * np.inf, vals)
 
     return f
 
+
+def _pair_float(space: Space, objective, exclude: bool, eta: float, sign: float, x=None):
+    """Pure-float twin of _pair_batch for one start, or None.
+
+    Only 2D pair-norm objectives on a space with a scalar gauge have one;
+    the polish makes tens of thousands of single-point calls there, where
+    per-call array overhead would dominate the whole search.  Parameters are
+    (theta_x, theta_y[, t]), or (theta_y,) against the fixed unit point x.
+    """
+    sg = space.scalar_gauge if space.dim == 2 else None
+    if sg is None or not isinstance(objective, PairNormObjective):
+        return None
+    sfn = objective.scalar_fn or objective.fn
+    t_fixed, search_t, fixed_x = objective.t, objective.t is None, x is not None
+    fx0, fx1 = (float(x[0]), float(x[1])) if fixed_x else (0.0, 0.0)
+    iy = 0 if fixed_x else 1
+    bad = -sign * math.inf
+    cos, sin, isnan = math.cos, math.sin, math.isnan
+
+    def f(params):
+        if search_t:
+            t = params[2]
+            if not 0.0 <= t <= 1.0:
+                return bad
+        else:
+            t = t_fixed
+        if fixed_x:
+            x0, x1 = fx0, fx1
+        else:
+            c, s = cos(params[0]), sin(params[0])
+            g = sg(c, s)
+            x0, x1 = c / g, s / g
+        c, s = cos(params[iy]), sin(params[iy])
+        g = sg(c, s)
+        y0, y1 = t * (c / g), t * (s / g)
+        a = sg(x0 + y0, x1 + y1)
+        b = sg(x0 - y0, x1 - y1)
+        if exclude and (a < eta or b < eta):
+            return bad
+        val = float(sfn(a, b, t) if search_t else sfn(a, b))
+        return bad if isnan(val) else val
+
+    return f
+
+
+def _direction_set(space: Space, search_t: bool) -> list[np.ndarray]:
+    """Coordinate axes of the parameters (x, y[, t]); in 2D also the two
+    angle diagonals: ridges of min/max objectives tend to run along
+    theta_y - theta_x = const, which the axes alone miss."""
+    eye = np.eye(2 * (1 if space.dim == 2 else space.dim) + search_t)
+    return list(eye) + ([eye[0] + eye[1], eye[0] - eye[1]] if space.dim == 2 else [])
+
+
+def refine_pairs(space: Space, objective, starts, values, step: float, cfg: SearchConfig,
+                 mode: str, *, evaluations: int = 0, exclude: bool = False,
+                 t_step: float | None = None) -> ConstantEstimate:
+    """Run grid starts (x-params, y-params[, t]) of a pair objective through
+    refine_starts and report the winner.
+
+    Non-finite starts are dropped.  Sphere parameters are bracketed by step
+    and a searched t (objective.t None) by t_step.  evaluations, the scan's
+    count, is added to the engine's.
+    """
+    sign = 1.0 if mode == "sup" else -1.0
+    keep = [i for i, v in enumerate(values) if math.isfinite(v)]
+    if not keep:
+        raise ValueError("no admissible grid pair; eta is too large for this grid")
+    search_t = getattr(objective, "t", 1.0) is None
+    directions = _direction_set(space, search_t)
+    closure = _pair_float(space, objective, exclude, cfg.eta, sign)
+    P, vals, conv, best, count = refine_starts(
+        _pair_batch(space, objective, exclude, cfg.eta, sign),
+        np.asarray(starts, dtype=float)[keep], np.asarray(values, dtype=float)[keep],
+        [t_step if search_t and d[-1] else step for d in directions], directions, sign, cfg,
+        angles=2 if space.dim == 2 else 0,
+        scalar=None if closure is None else [closure] * len(keep))
+    k = 1 if space.dim == 2 else space.dim
+    x = sphere_point(space, P[best, :k])
+    y = sphere_point(space, P[best, k:2 * k])
+    a = float(space.gauge(x + y))
+    b = float(space.gauge(x - y))
+    return ConstantEstimate(
+        value=float(vals[best]), x=x, y=y, mode=mode, converged=bool(conv[best]),
+        evaluations=evaluations + count, config=cfg,
+        t=float(P[best, -1]) if search_t else None,
+        near_exclusion=(a < 10.0 * cfg.eta or b < 10.0 * cfg.eta))
+
+
+# --------------------------------------------------------------------------
+# Pair extremization
+# --------------------------------------------------------------------------
 
 def _top_cells(vals: np.ndarray, sign: float, count: int):
     """Best `count` flat cells ordered by value then flat index.  Row-major
@@ -444,21 +536,21 @@ def _top_cells(vals: np.ndarray, sign: float, count: int):
 
 def _scan_stored(space: Space, objective, grid: SphereGrid, table: PairTable | None,
                  exclude: bool, eta: float, sign: float):
-    """Full stored grid scan; table is required iff the objective or the
-    exclusion rule needs pair norms."""
-    n = len(grid.vectors)
-    if isinstance(objective, PairNormObjective):
+    """Full stored grid scan; the pair norms come from table when one is
+    given (t = 1 pair-norm objectives only)."""
+    if table is not None:
         vals = np.asarray(objective(table.plus, table.minus), dtype=float)
+        bad = np.isnan(vals)
+        if exclude:
+            bad |= (table.plus < eta) | (table.minus < eta)
     else:
-        vals = np.empty((n, n))
-        rows = max(1, _CHUNK_PAIRS // n)
+        n = len(grid.vectors)
+        vals, bad = np.empty((n, n)), np.empty((n, n), dtype=bool)
+        rows = max(1, CHUNK_PAIRS // n)
         for i0 in range(0, n, rows):
-            vals[i0:i0 + rows] = objective(grid.vectors[i0:i0 + rows, None, :],
-                                           grid.vectors[None, :, :])
-        vals = vals.astype(float, copy=False)
-    bad = np.isnan(vals)
-    if exclude:
-        bad |= (table.plus < eta) | (table.minus < eta)
+            vals[i0:i0 + rows], bad[i0:i0 + rows] = _pair_values(
+                space, objective, grid.vectors[i0:i0 + rows, None, :], grid.vectors,
+                exclude, eta)
     evaluations = vals.size - int(bad.sum())
     if evaluations == 0:
         raise ValueError("every grid pair is excluded; eta is too large for this grid")
@@ -469,29 +561,19 @@ def _scan_streaming(space: Space, objective, grid: SphereGrid, exclude: bool,
                     eta: float, sign: float, count: int):
     """Chunked scan for grids too large to store; returns top cells and count.
 
-    PairNormObjective values are symmetric under swapping the pair, so only
-    j >= i is scanned; the representative seen first is the lexicographically
-    smaller one.
+    Values of t = 1 pair-norm objectives are symmetric under swapping the
+    pair, so only j >= i is scanned; the representative seen first is the
+    lexicographically smaller one.
     """
     n = len(grid.vectors)
-    symmetric = isinstance(objective, PairNormObjective)
-    rows = max(1, _CHUNK_PAIRS // n)
+    symmetric = getattr(objective, "t", None) == 1.0
+    rows = max(1, CHUNK_PAIRS // n)
     best: list[tuple[float, int]] = []
     evaluations = 0
     for i0 in range(0, n, rows):
         i1 = min(i0 + rows, n)
-        xs = grid.vectors[i0:i1, None, :]
-        ys = grid.vectors[None, :, :]
-        if symmetric or exclude:
-            plus = np.asarray(space.gauge(xs + ys))
-            minus = np.asarray(space.gauge(xs - ys))
-        if symmetric:
-            vals = np.asarray(objective(plus, minus), dtype=float)
-        else:
-            vals = np.asarray(objective(xs, ys), dtype=float)
-        bad = np.isnan(vals)
-        if exclude:
-            bad |= (plus < eta) | (minus < eta)
+        vals, bad = _pair_values(space, objective, grid.vectors[i0:i1, None, :],
+                                 grid.vectors, exclude, eta)
         if symmetric:
             bad |= np.arange(n)[None, :] < np.arange(i0, i1)[:, None]
         evaluations += vals.size - int(bad.sum())
@@ -508,54 +590,23 @@ def _scan_streaming(space: Space, objective, grid: SphereGrid, exclude: bool,
 def _extremize(space: Space, objective, cfg: SearchConfig, mode: str,
                exclude: bool, cache: PairTable | None) -> ConstantEstimate:
     sign = 1.0 if mode == "sup" else -1.0
-    if cache is not None:
-        grid = cache.grid
-        table: PairTable | None = cache
-    else:
-        grid = sphere_grid(space, cfg.grid_per_dim)
-        table = None
+    grid = cache.grid if cache is not None else sphere_grid(space, cfg.grid_per_dim)
     n = len(grid.vectors)
-    needs_table = isinstance(objective, PairNormObjective) or exclude
-
     if n * n <= _STORED_PAIR_LIMIT:
-        if table is None and needs_table:
-            table = _table_from_grid(space, grid)
+        # A shared table serves t = 1 pair-norm objectives; without one, the
+        # chunked scan needs less memory than building a table for one use.
+        table = cache if getattr(objective, "t", None) == 1.0 else None
         vals, evaluations = _scan_stored(space, objective, grid, table, exclude, cfg.eta, sign)
         starts = _top_cells(vals, sign, cfg.multistart)
         del vals
     else:
         starts, evaluations = _scan_streaming(space, objective, grid, exclude, cfg.eta,
                                               sign, cfg.multistart)
-
-    counter = [0]
-    f = _scalar_objective(space, objective, exclude, cfg.eta, sign)
-    directions = _direction_set(space)
-    results = []
-    for val0, flat in starts:
-        if not math.isfinite(val0):
-            continue
-        i, j = divmod(flat, n)
-        p0 = np.concatenate([grid.params[i], grid.params[j]]).astype(float)
-        p, val, converged = _polish(f, p0, val0, grid.step, sign, cfg, directions, counter)
-        p = _wrap_params(space, p)
-        val = f(p)
-        counter[0] += 1
-        results.append((val, tuple(p), converged))
-    if not results:
-        raise ValueError("no admissible grid pair; eta is too large for this grid")
-
-    results.sort(key=lambda r: (-sign * r[0], r[1]))
-    val, ptuple, converged = results[0]
-    params = np.asarray(ptuple)
-    xp, yp = _split_params(space, params)
-    x = _params_to_vector(space, xp)
-    y = _params_to_vector(space, yp)
-    a = float(space.gauge(x + y))
-    b = float(space.gauge(x - y))
-    return ConstantEstimate(
-        value=float(val), x=x, y=y, mode=mode,
-        converged=converged, evaluations=evaluations + counter[0], config=cfg,
-        near_exclusion=(a < 10.0 * cfg.eta or b < 10.0 * cfg.eta))
+    cells = [divmod(flat, n) for _, flat in starts]
+    return refine_pairs(space, objective,
+                        [np.concatenate([grid.params[i], grid.params[j]]) for i, j in cells],
+                        [v for v, _ in starts], grid.step, cfg, mode,
+                        evaluations=evaluations, exclude=exclude)
 
 
 def maximize_pair(space: Space, objective, cfg: SearchConfig | None = None,
@@ -564,8 +615,9 @@ def maximize_pair(space: Space, objective, cfg: SearchConfig | None = None,
     """sup of objective(x, y) over unit-sphere pairs.
 
     objective is either a vectorized callable(x, y) on arrays of shape
-    (..., dim), or a PairNormObjective of the pair norms.  With
-    exclude_degenerate, pairs with ||x+y|| < eta or ||x-y|| < eta are skipped.
+    (..., dim), or a PairNormObjective with a fixed t.  With
+    exclude_degenerate, pairs whose pair norms fall below eta (for t = 1:
+    ||x+y|| < eta or ||x-y|| < eta) are skipped.
     """
     cfg = cfg or SearchConfig.for_dim(space.dim)
     return _extremize(space, objective, cfg, "sup", exclude_degenerate, cache)
@@ -584,7 +636,6 @@ def minimize_pair(space: Space, objective, cfg: SearchConfig | None = None,
 # --------------------------------------------------------------------------
 
 _INNER_BUDGET = 12       # line searches per inner sup re-solve
-_PLUS_MINUS = np.array([1.0, -1.0])
 _OUTER_BUDGET = 48       # cap on outer line searches (each one re-solves)
 
 
@@ -593,125 +644,73 @@ def infsup_pair(space: Space, objective, cfg: SearchConfig | None = None,
                 cache: PairTable | None = None) -> ConstantEstimate:
     """inf over x of sup over y of objective(x, y) on the unit sphere.
 
-    Stage 1 takes the exact inner sup on the grid; stage 2 polishes the outer
-    point, re-solving the inner problem (grid scan + short golden-section
-    polish) at every outer evaluation.
-
-    2D pair-norm objectives with a scalar gauge polish on plain floats, one
-    start at a time.  Otherwise the outer starts run in lockstep: each outer
-    probe scans the grid rows of all active starts in one gauge call, then
-    polishes their inner sups in lockstep (_polish_batch).
+    Stage 1 takes the exact inner sup on the grid; stage 2 refines the outer
+    starts with the engine, re-solving the inner problem (grid scan + short
+    golden-section polish of each row) at every outer evaluation.  Where the
+    engine runs lockstep, each outer probe scans the grid rows of all active
+    starts at once, then polishes their inner sups together.
     """
     cfg = cfg or SearchConfig.for_dim(space.dim)
-    is_pairnorm = isinstance(objective, PairNormObjective)
-    eta = cfg.eta
-
+    eta, exclude = cfg.eta, exclude_degenerate
     grid = cache.grid if cache is not None else sphere_grid(space, cfg.grid_per_dim)
     n = len(grid.vectors)
-    counter = [0]
-
-    def pair_values(xs, ys):
-        """Objective at the broadcast pairs, and the mask of excluded/NaN pairs."""
-        if is_pairnorm or exclude_degenerate:
-            # x + (-1 * y) is exactly x - y: one gauge call for both norms.
-            signs = _PLUS_MINUS.reshape((2,) + (1,) * max(np.ndim(xs), np.ndim(ys)))
-            plus, minus = np.asarray(space.gauge(xs + signs * ys))
-        vals = np.asarray(objective(plus, minus) if is_pairnorm else objective(xs, ys),
-                          dtype=float)
-        bad = np.isnan(vals)
-        if exclude_degenerate:
-            bad |= (plus < eta) | (minus < eta)
-        return vals, bad
-
-    def inner_values(X):
-        vals, bad = pair_values(X[:, None, :], grid.vectors)
-        counter[0] += vals.size - int(bad.sum())
-        return np.where(bad, -np.inf, vals)
-
+    evaluations = 0
     inner_cfg = replace(cfg, refine_iters=_INNER_BUDGET)
     outer_cfg = replace(cfg, refine_iters=min(cfg.refine_iters, _OUTER_BUDGET))
-    dirs = [np.array([1.0])] if space.dim == 2 \
-        else [np.eye(space.dim)[i] for i in range(space.dim)]
-    sg = space.scalar_gauge if space.dim == 2 and is_pairnorm else None
-    sfn = (objective.scalar_fn or objective.fn) if sg is not None else None
+    dirs = list(np.eye(1 if space.dim == 2 else space.dim))
+    angles = 1 if space.dim == 2 else 0
+    floats = _pair_float(space, objective, exclude, eta, 1.0) is not None
 
-    def scalar_fy(x_vec):
-        x0, x1 = float(x_vec[0]), float(x_vec[1])
-
-        def fy(yp):
-            c, s = math.cos(yp[0]), math.sin(yp[0])
-            g = sg(c, s)
-            y0, y1 = c / g, s / g
-            a = sg(x0 + y0, x1 + y1)
-            b = sg(x0 - y0, x1 - y1)
-            if exclude_degenerate and (a < eta or b < eta):
-                return -math.inf
-            v = float(sfn(a, b))
-            return -math.inf if math.isnan(v) else v
-
-        return fy
+    def inner_values(X):
+        nonlocal evaluations
+        vals, bad = _pair_values(space, objective, X[:, None, :], grid.vectors, exclude, eta)
+        evaluations += vals.size - int(bad.sum())
+        return np.where(bad, -np.inf, vals)
 
     def inner_sup(X):
         """sup over y for each row x of X: values and polished y parameters."""
+        nonlocal evaluations
         vals = inner_values(X)
         j = vals.argmax(axis=1)
-        y0 = grid.params[j].astype(float)
-        v0 = vals[np.arange(len(X)), j]
-        if sg is not None:
-            yp, vy, _ = map(np.array, zip(*[
-                _polish(scalar_fy(x), p, float(v), grid.step, 1.0, inner_cfg, dirs, counter)
-                for x, p, v in zip(X, y0, v0)]))
-        else:
-            def fy(yp, rows):
-                vals, bad = pair_values(X[rows], _params_to_vectors(space, yp))
-                return np.where(bad, -np.inf, vals)
-
-            yp, vy, _ = _polish_batch(fy, y0, v0, grid.step, 1.0, inner_cfg, dirs, counter)
-        return vy, _wrap_params(space, yp)
+        yp, vy, _, count = _polish_starts(
+            _pair_batch(space, objective, exclude, eta, 1.0, X=X),
+            grid.params[j].astype(float), vals[np.arange(len(X)), j], grid.step, dirs, 1.0,
+            inner_cfg, [_pair_float(space, objective, exclude, eta, 1.0, x=x) for x in X]
+            if floats else None)
+        evaluations += count
+        return vy, _wrap(yp, angles)
 
     # Stage 1: exact grid inf-sup, from the shared table when there is one.
-    if cache is not None and is_pairnorm:
-        vals = np.asarray(objective(cache.plus, cache.minus), dtype=float)
-        bad = np.isnan(vals)
-        if exclude_degenerate:
-            bad |= (cache.plus < eta) | (cache.minus < eta)
-        counter[0] += vals.size - int(bad.sum())
-        row_sup = np.where(bad, -np.inf, vals).max(axis=1)
-        del vals, bad   # full-table temporaries; stage 2 needs the memory
+    if cache is not None and getattr(objective, "t", None) == 1.0:
+        vals, evaluations = _scan_stored(space, objective, grid, cache, exclude, eta, 1.0)
+        row_sup = vals.max(axis=1)
+        del vals   # a full-table temporary; stage 2 needs the memory
     else:
-        chunk = max(1, _CHUNK_PAIRS // n)
+        chunk = max(1, CHUNK_PAIRS // n)
         row_sup = np.concatenate([inner_values(grid.vectors[i0:i0 + chunk]).max(axis=1)
                                   for i0 in range(0, n, chunk)])
 
     order = np.lexsort((np.arange(n), row_sup))
     start_rows = order[:min(cfg.multistart, n)]
-    p0 = grid.params[start_rows].astype(float)
 
-    # Stage 2: outer polish.  Widths halve, so in dim >= 3 a polish moves each
-    # coordinate of its cube-surface start by under two grid steps in total,
-    # 4/grid_per_dim <= 1/2: no direction it probes is degenerate.
-    if sg is not None:
-        def g(x_params):
-            return float(inner_sup(_params_to_vector(space, x_params)[None, :])[0][0])
+    # Stage 2: outer refinement.  Its own count is left out: each outer
+    # evaluation is an inner solve, whose pair evaluations are counted above.
+    # Widths halve, so in dim >= 3 a polish moves each coordinate of its
+    # cube-surface start by under two grid steps in total, 4/grid_per_dim <=
+    # 1/2: no direction it probes is degenerate.
+    def g(p):
+        return float(inner_sup(sphere_point(space, p)[None, :])[0][0])
 
-        P, _, flags = zip(*[_polish(g, p, float(v), grid.step, -1.0, outer_cfg, dirs, [0])
-                            for p, v in zip(p0, row_sup[start_rows])])
-    else:
-        def g_batch(xp, rows=None):
-            return inner_sup(_params_to_vectors(space, xp))[0]
-
-        P, _, flags = _polish_batch(g_batch, p0, row_sup[start_rows], grid.step, -1.0,
-                                    outer_cfg, dirs, [0])
-    P = _wrap_params(space, np.array(P))
-    finals = [g(p) for p in P] if sg is not None else g_batch(P)
-    results = sorted(zip(finals, map(tuple, P), flags), key=lambda r: (r[0], r[1]))
-    val, ptuple, converged = results[0]
-    x = _params_to_vector(space, np.asarray(ptuple))
+    P, vals, conv, best, _ = refine_starts(
+        lambda params, rows: inner_sup(sphere_points(space, params))[0],
+        grid.params[start_rows].astype(float), row_sup[start_rows], grid.step, dirs, -1.0,
+        outer_cfg, angles=angles, scalar=[g] * len(start_rows) if floats else None)
+    x = sphere_point(space, P[best])
     _, y_params = inner_sup(x[None, :])
-    y = _params_to_vector(space, y_params[0])
+    y = sphere_point(space, y_params[0])
     a = float(space.gauge(x + y))
     b = float(space.gauge(x - y))
     return ConstantEstimate(
-        value=float(val), x=x, y=y, mode="infsup", converged=bool(converged),
-        evaluations=counter[0], config=cfg,
+        value=float(vals[best]), x=x, y=y, mode="infsup", converged=bool(conv[best]),
+        evaluations=evaluations, config=cfg,
         near_exclusion=(a < 10.0 * cfg.eta or b < 10.0 * cfg.eta))

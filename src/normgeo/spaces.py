@@ -223,7 +223,12 @@ def _scalar_functional2(functionals: np.ndarray):
 
 def _functional_gauge(functionals: np.ndarray) -> Gauge:
     mat_t = np.ascontiguousarray(functionals.T)  # (dim, m)
-    return lambda z: np.abs(np.asarray(z, dtype=float) @ mat_t).max(axis=-1)
+
+    def gauge(z):
+        values = np.asarray(z, dtype=float) @ mat_t
+        return np.abs(values, out=values).max(axis=-1)   # in place: one N x m temporary
+
+    return gauge
 
 
 def _convex_hull_2d(points: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ exact expression so the intent stays visible.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -382,6 +383,14 @@ class TestDelta:
                     print(f"delta mode gap on {space.name} at eps={eps}: "
                           f"geq={geq:.9f} eq={eq:.9f}")
 
+    def test_boundary_polish_counts_each_probe_once(self, l15):
+        # One line search is 24 golden-section probes per start, and each
+        # probe is one evaluation of the boundary objective.
+        base = SearchConfig(grid_per_dim=64, refine_iters=0, multistart=4)
+        none = con.delta(l15, 1.0, base, mode="eq").evaluations
+        one = con.delta(l15, 1.0, replace(base, refine_iters=1), mode="eq").evaluations
+        assert one - none == 24 * base.multistart
+
     def test_eps_range_validation(self, l2):
         with pytest.raises(ValueError):
             con.delta(l2, -0.1)
@@ -404,6 +413,34 @@ class TestEps0:
     def test_hexagon_exactly_one(self, all_consts):
         # The flat zone ends at 1, which the bisection probes directly.
         assert all_consts["hex"]["eps0"].value == pytest.approx(1.0, abs=1e-9)
+
+
+# --------------------------------------------------------------------------
+# dim 3: the lockstep polish of every constant
+# --------------------------------------------------------------------------
+
+class TestEuclidean3D:
+    """Closed forms on lp:p=2,dim=3, where no float closure exists and every
+    multistart polish runs in lockstep."""
+
+    cfg = SearchConfig(grid_per_dim=8)
+
+    def test_cnj_and_zbaganu_are_one(self, l2_3d):
+        assert con.cnj(l2_3d, self.cfg).value == pytest.approx(1.0, abs=1e-6)
+        assert con.zbaganu(l2_3d, self.cfg).value == pytest.approx(1.0, abs=1e-6)
+
+    def test_gamma_closed_form(self, l2_3d):
+        assert con.gamma(l2_3d, 0.5, self.cfg).value == pytest.approx(1.25, abs=1e-6)
+        ts = (0.25, 0.5, 1.0)
+        for t, est in zip(ts, con.gamma_profile(l2_3d, ts, self.cfg)):
+            assert est.t == t
+            assert est.value == pytest.approx(1.0 + t * t, abs=1e-6)
+
+    def test_rho_closed_form(self, l2_3d):
+        assert con.rho(l2_3d, 1.0, self.cfg).value == pytest.approx(SQRT2 - 1.0, abs=1e-6)
+
+    def test_eps0_near_zero(self, l2_3d):
+        assert abs(con.eps0(l2_3d, self.cfg).value) <= 1e-2
 
 
 # --------------------------------------------------------------------------

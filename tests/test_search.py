@@ -190,8 +190,8 @@ def test_config_for_dim_defaults():
     assert SearchConfig.for_dim(2).grid_per_dim == 720
     assert SearchConfig.for_dim(3).grid_per_dim == 24
     cfg = SearchConfig.for_dim(2)
-    assert (cfg.refine_iters, cfg.multistart, cfg.tol, cfg.eta, cfg.seed) == \
-        (200, 16, 1e-9, 1e-6, 42)
+    assert (cfg.refine_iters, cfg.multistart, cfg.tol, cfg.eta) == \
+        (200, 16, 1e-9, 1e-6)
 
 
 def test_streaming_scan_matches_stored(l15, monkeypatch):
