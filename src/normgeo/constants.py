@@ -28,6 +28,7 @@ from .search import (
     sphere_grid,
     sphere_point,
     sphere_points,
+    top_cells,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -217,7 +218,7 @@ def _scaled_extremum(space: Space, fn, cfg: SearchConfig) -> ConstantEstimate:
     m = len(V)
     ts = np.linspace(0.0, 1.0, _T_GRID)
 
-    best: list[tuple[float, int, int, int]] = []   # (value, ti, i, j)
+    cells, values = [], []
     block = max(1, 400_000 // (m * m))
     for t0 in range(0, _T_GRID, block):
         tb = ts[t0:t0 + block]
@@ -226,22 +227,20 @@ def _scaled_extremum(space: Space, fn, cfg: SearchConfig) -> ConstantEstimate:
         a = np.asarray(space.gauge(xs + ys), dtype=float)
         b = np.asarray(space.gauge(xs - ys), dtype=float)
         vals = np.asarray(fn(a, b, tb[:, None, None]), dtype=float)
-        flat = vals.reshape(len(tb), -1)
-        take = min(4, flat.shape[1])
-        idx = np.argpartition(-flat, take - 1, axis=1)[:, :take]
         for bi in range(len(tb)):
-            for fi in idx[bi]:
-                i, j = divmod(int(fi), m)
-                best.append((float(flat[bi, fi]), t0 + bi, i, j))
-    # Order candidates by value, then (i, j, ti) to match the parameter tuple
-    # (x-params, y-params, t) tie-break.
-    best.sort(key=lambda c: (-c[0], c[2], c[3], c[1]))
-    starts = best[:cfg.multistart]
+            idx = top_cells(vals[bi], 1.0, 4)
+            # Index (i, j, ti) in row-major order, so that ties go to the
+            # smallest parameter tuple (x-params, y-params, t).
+            cells.append(idx * _T_GRID + t0 + bi)
+            values.append(vals[bi].ravel()[idx])
+    cells, values = np.concatenate(cells), np.concatenate(values)
+    best = top_cells(values, 1.0, cfg.multistart, cells)
+    ij, ti = np.divmod(cells[best], _T_GRID)
+    i, j = np.divmod(ij, m)
     return refine_pairs(
         space, PairNormObjective(fn, t=None),
-        [np.concatenate([grid.params[i], grid.params[j], [ts[ti]]]) for _, ti, i, j in starts],
-        [v for v, *_ in starts], grid.step, cfg, "sup",
-        evaluations=m * m * _T_GRID, t_step=ts[1] - ts[0])
+        np.hstack([grid.params[i], grid.params[j], ts[ti, None]]), values[best], grid.step,
+        cfg, "sup", evaluations=m * m * _T_GRID, t_step=ts[1] - ts[0])
 
 
 def cnj(space: Space, cfg: SearchConfig | None = None) -> ConstantEstimate:
@@ -373,7 +372,7 @@ def _delta_eq_2d(space: Space, eps: float, cfg: SearchConfig,
     if feasible == 0:
         raise ValueError(f"no unit pair satisfies ||x-y|| = {eps} on the grid")
 
-    starts = np.lexsort((np.arange(n), row_vals))[:min(cfg.multistart, feasible)]
+    starts = top_cells(row_vals, -1.0, min(cfg.multistart, feasible))
     P, vals, conv, k, count = refine_starts(
         lambda params, rows: row_values(params[:, 0])[0], thetas[starts, None],
         row_vals[starts], grid.step, [np.array([1.0])], -1.0,

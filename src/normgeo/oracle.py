@@ -39,20 +39,28 @@ def _unit_circle_points(space: Space, grid_size: int) -> np.ndarray:
     return dirs / np.asarray(space.gauge(dirs))[:, None]
 
 
-def _scan(space: Space, pts: np.ndarray, combine, eta: float):
-    """Yield (a, b, values-mask applied) chunk rows; combine(a, b, X, Y)."""
+def _scan(space: Space, pts: np.ndarray, eta: float, upper: bool = False):
+    """Yield (i0, j0, xs, ys, a, b, excluded) over row chunks of the grid pairs:
+    first points xs = pts[i0:i1] as (rows, 1, 2), second points ys = pts[j0:]
+    as (1, m, 2), a = ||x+y||, b = ||x-y||, and the pairs with a or b below
+    eta (none at eta 0, as norms are never negative).  j0 is 0, or i0 with
+    upper, which pairs each chunk only with the points from its own first
+    row onward."""
     n = len(pts)
-    rows = max(1, _CHUNK_PAIRS // n)
-    for i0 in range(0, n, rows):
+    i0 = 0
+    while i0 < n:
+        j0 = i0 if upper else 0
+        rows = max(1, _CHUNK_PAIRS // (n - j0))
         xs = pts[i0:i0 + rows, None, :]
-        ys = pts[None, :, :]
+        ys = pts[None, j0:, :]
         a = np.asarray(space.gauge(xs + ys))
         b = np.asarray(space.gauge(xs - ys))
-        vals = _quiet_eval(combine, a, b, xs, ys)
-        bad = np.isnan(vals)
-        if eta > 0.0:
-            bad |= (a < eta) | (b < eta)
-        yield i0, vals, bad
+        yield i0, j0, xs, ys, a, b, (a < eta) | (b < eta)
+        i0 += rows
+
+
+def _masked(vals: np.ndarray, excluded: np.ndarray) -> np.ndarray:
+    return np.where(np.isnan(vals) | excluded, -np.inf, vals)
 
 
 def oracle_pair_extremum(space: Space, objective, mode: str = "sup",
@@ -72,8 +80,8 @@ def oracle_pair_extremum(space: Space, objective, mode: str = "sup",
     best = -np.inf
     best_flat = -1
     n = grid_size
-    for i0, vals, bad in _scan(space, pts, lambda a, b, xs, ys: objective(xs, ys), eta):
-        v = np.where(bad, -np.inf, sign * vals)
+    for i0, _, xs, ys, _, _, excl in _scan(space, pts, eta):
+        v = _masked(sign * _quiet_eval(objective, xs, ys), excl)
         flat = int(v.argmax())
         if v.ravel()[flat] > best:
             best = v.ravel()[flat]
@@ -104,28 +112,14 @@ def oracle_pair_norm_extrema(space: Space, combines: dict[str, tuple[Callable, s
     pts = _unit_circle_points(space, grid_size)
     n = grid_size
     state = {name: (-np.inf, -1) for name in combines}
-    i0 = 0
-    while i0 < n:
-        rows = max(1, _CHUNK_PAIRS // (n - i0))
-        xs = pts[i0:i0 + rows, None, :]
-        ys = pts[None, i0:, :]
-        a = np.asarray(space.gauge(xs + ys))
-        b = np.asarray(space.gauge(xs - ys))
-        excl = (a < eta) | (b < eta) if eta > 0.0 else None
-        m = a.shape[1]
+    for i0, j0, _, _, a, b, excl in _scan(space, pts, eta, upper=True):
         for name, (fn, mode) in combines.items():
             sign = 1.0 if mode == "sup" else -1.0
-            vals = sign * _quiet_eval(fn, a, b)
-            bad = np.isnan(vals)
-            if excl is not None:
-                bad |= excl
-            v = np.where(bad, -np.inf, vals)
+            v = _masked(sign * _quiet_eval(fn, a, b), excl)
             flat = int(v.argmax())
-            cur_best, _ = state[name]
-            if v.ravel()[flat] > cur_best:
-                ri, ci = divmod(flat, m)
-                state[name] = (v.ravel()[flat], (i0 + ri) * n + (i0 + ci))
-        i0 += rows
+            if v.ravel()[flat] > state[name][0]:
+                ri, ci = divmod(flat, a.shape[1])
+                state[name] = (v.ravel()[flat], (i0 + ri) * n + (j0 + ci))
     out = {}
     for name, (fn, mode) in combines.items():
         sign = 1.0 if mode == "sup" else -1.0
@@ -146,17 +140,8 @@ def oracle_infsup(space: Space, fn, grid_size: int = 3600, eta: float = 0.0) -> 
     n = grid_size
     row_sup = np.empty(n)
     row_arg = np.empty(n, dtype=int)
-    rows = max(1, _CHUNK_PAIRS // n)
-    for i0 in range(0, n, rows):
-        xs = pts[i0:i0 + rows, None, :]
-        ys = pts[None, :, :]
-        a = np.asarray(space.gauge(xs + ys))
-        b = np.asarray(space.gauge(xs - ys))
-        vals = _quiet_eval(fn, a, b)
-        bad = np.isnan(vals)
-        if eta > 0.0:
-            bad |= (a < eta) | (b < eta)
-        vals = np.where(bad, -np.inf, vals)
+    for i0, _, _, _, a, b, excl in _scan(space, pts, eta):
+        vals = _masked(_quiet_eval(fn, a, b), excl)
         row_sup[i0:i0 + len(vals)] = vals.max(axis=1)
         row_arg[i0:i0 + len(vals)] = vals.argmax(axis=1)
     i = int(row_sup.argmin())

@@ -5,7 +5,11 @@ parameters, then hand the best cells to one multistart engine
 (refine_starts): golden-section line searches over a fixed direction set,
 re-evaluation of the polished points, and one tie-break (extremal value
 first, lexicographically smallest parameter tuple among ties).  No
-randomness enters the search path, so results are reproducible bit-for-bit.
+randomness enters the search path, and ties between grid cells go to the
+lowest index (top_cells), so the same machine and numpy build reproduce
+results bit for bit.  Across numpy's CPU dispatch levels a gauge may round
+differently in the last bits (lp's power kernel is dispatched), and then
+so may the results.
 
 Sphere parameterization: dim 2 uses one angle per point; dim >= 3 uses raw
 direction vectors on the surface lattice of the cube [-1, 1]^dim (coordinates
@@ -26,7 +30,7 @@ from .spaces import Space
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _LINE_EVALS = 24          # golden-section evaluations per line search
 _STORED_PAIR_LIMIT = 40_000_000   # largest nx*ny kept as an in-memory table
-CHUNK_PAIRS = 2_000_000   # streaming chunk size in pairs
+CHUNK_PAIRS = 2_000_000   # pairs per block of a grid scan
 
 TWO_PI = 2.0 * math.pi
 
@@ -97,9 +101,7 @@ class PairNormObjective:
     t is fixed (1 for the pair constants, the modulus's t for gamma and rho),
     or None: then t is a third search parameter in [0, 1] and fn takes
     (a, b, t).  At t = 1 the search engine exploits the form: both norms are
-    computed once per grid and shared across objectives, and values are
-    symmetric under swapping x and y, so oversized grids are scanned on half
-    their pairs.
+    computed once per grid and shared across objectives.
     """
 
     def __init__(self, fn: Callable[..., np.ndarray],
@@ -268,9 +270,12 @@ def _polish(f, p0, f0, step, sign, cfg: SearchConfig, directions, counter):
 
 
 def _polish_batch(f, p0, f0, step, sign, cfg: SearchConfig, directions, counter):
-    """_polish over B starts in lockstep, bit for bit per start: returns the
-    (B, k) points, values and converged flags.  Each golden-section step is
-    one call f(params, rows) on the active starts numbered rows."""
+    """_polish over B starts in lockstep: returns the (B, k) points, values
+    and converged flags.  Each golden-section step is one call f(params,
+    rows) on the active starts numbered rows.  Each start follows _polish bit
+    for bit when f rounds a row the same in any batch, as element-wise
+    gauges such as lp do; the polygon gauge's matrix product can round a row
+    differently depending on how many rows share the call."""
     p = np.array(p0, dtype=float)
     val = np.array(f0, dtype=float)
     converged = np.zeros(len(val), dtype=bool)
@@ -385,11 +390,16 @@ def refine_starts(f, starts, values, widths, directions, sign: float, cfg: Searc
 _PLUS_MINUS = np.array([1.0, -1.0])
 
 
-def _pair_values(space: Space, objective, xs, ys, exclude: bool, eta: float, t=None):
-    """Objective at the broadcast pairs, and the mask of excluded/NaN pairs.
-    t (one value per row of ys) overrides a PairNormObjective's own t."""
+def _pair_values(space: Space, objective, xs, ys, exclude: bool, eta: float, sign: float,
+                 t=None, norms=None):
+    """Objective at the broadcast pairs, with excluded and NaN pairs scored
+    -sign * inf, and the number of the other pairs.  t (one value per row of
+    ys) overrides a PairNormObjective's own t; norms, the pair norms
+    (||x+y||, ||x-y||) when they are already known, replaces the gauge."""
     pairnorm = isinstance(objective, PairNormObjective)
-    if pairnorm or exclude:
+    if norms is not None:
+        plus, minus = norms
+    elif pairnorm or exclude:
         if t is not None:
             ys = t[:, None] * ys
         elif pairnorm and objective.t != 1.0:
@@ -406,7 +416,7 @@ def _pair_values(space: Space, objective, xs, ys, exclude: bool, eta: float, t=N
     bad = np.isnan(vals)
     if exclude:
         bad |= (plus < eta) | (minus < eta)
-    return vals, bad
+    return np.where(bad, -sign * np.inf, vals), vals.size - int(bad.sum())
 
 
 def _pair_batch(space: Space, objective, exclude: bool, eta: float, sign: float, X=None):
@@ -422,10 +432,8 @@ def _pair_batch(space: Space, objective, exclude: bool, eta: float, sign: float,
         else:
             xs, ys = X[rows], sphere_points(space, params)
         t = params[:, 2 * k] if search_t else None
-        vals, bad = _pair_values(space, objective, xs, ys, exclude, eta, t)
-        if search_t:
-            bad |= ~((t >= 0.0) & (t <= 1.0))
-        return np.where(bad, -sign * np.inf, vals)
+        vals = _pair_values(space, objective, xs, ys, exclude, eta, sign, t)[0]
+        return np.where((t >= 0.0) & (t <= 1.0), vals, -sign * np.inf) if search_t else vals
 
     return f
 
@@ -521,70 +529,48 @@ def refine_pairs(space: Space, objective, starts, values, step: float, cfg: Sear
 # Pair extremization
 # --------------------------------------------------------------------------
 
-def _top_cells(vals: np.ndarray, sign: float, count: int):
-    """Best `count` flat cells ordered by value then flat index.  Row-major
-    flat order makes the index order lexicographic in (i, j)."""
-    flat = vals.ravel()
-    count = min(count, flat.size)
-    if count >= flat.size:
-        idx = np.arange(flat.size)
-    else:
-        idx = np.argpartition(-sign * flat, count - 1)[:count]
-    order = np.lexsort((idx, -sign * flat[idx]))
-    return [(float(flat[i]), int(i)) for i in idx[order]]
+def top_cells(vals: np.ndarray, sign: float, count: int, cells=None) -> np.ndarray:
+    """Flat indices of the first `count` cells of vals (which holds no NaN)
+    by value, largest first for sign +1 and smallest first for -1, then by
+    flat index.  Row-major flat order makes the index order lexicographic in
+    (i, j).
+
+    Exact under any ties: every cell strictly better than the count-th value
+    is taken, and the remaining places go to the lowest-index cells at that
+    value, so the choice depends on the values alone.  cells, when given,
+    holds the index of each value in a larger array (candidates merged from
+    several scans) and takes the place of the flat index in the order.
+    """
+    if cells is not None:
+        order = np.argsort(cells)
+        return order[top_cells(np.ravel(vals)[order], sign, count)]
+    key = -sign * np.ravel(vals)
+    count = min(count, key.size)
+    if count == 0:
+        return np.empty(0, dtype=np.intp)
+    kth = np.partition(key, count - 1)[count - 1]
+    better = np.flatnonzero(key < kth)
+    idx = np.concatenate([better, np.flatnonzero(key == kth)[:count - better.size]])
+    return idx[np.lexsort((idx, key[idx]))]
 
 
-def _scan_stored(space: Space, objective, grid: SphereGrid, table: PairTable | None,
-                 exclude: bool, eta: float, sign: float):
-    """Full stored grid scan; the pair norms come from table when one is
-    given (t = 1 pair-norm objectives only)."""
-    if table is not None:
-        vals = np.asarray(objective(table.plus, table.minus), dtype=float)
-        bad = np.isnan(vals)
-        if exclude:
-            bad |= (table.plus < eta) | (table.minus < eta)
-    else:
-        n = len(grid.vectors)
-        vals, bad = np.empty((n, n)), np.empty((n, n), dtype=bool)
-        rows = max(1, CHUNK_PAIRS // n)
-        for i0 in range(0, n, rows):
-            vals[i0:i0 + rows], bad[i0:i0 + rows] = _pair_values(
-                space, objective, grid.vectors[i0:i0 + rows, None, :], grid.vectors,
-                exclude, eta)
-    evaluations = vals.size - int(bad.sum())
-    if evaluations == 0:
-        raise ValueError("every grid pair is excluded; eta is too large for this grid")
-    return np.where(bad, -sign * np.inf, vals), evaluations
+def _scan(space: Space, objective, grid: SphereGrid, cache: PairTable | None,
+          exclude: bool, eta: float, sign: float):
+    """Walk the grid pairs in blocks of whole rows, CHUNK_PAIRS pairs at
+    most: yield each block's first row, its (rows, n) values (excluded and
+    NaN pairs scored -sign * inf) and its evaluation count.
 
-
-def _scan_streaming(space: Space, objective, grid: SphereGrid, exclude: bool,
-                    eta: float, sign: float, count: int):
-    """Chunked scan for grids too large to store; returns top cells and count.
-
-    Values of t = 1 pair-norm objectives are symmetric under swapping the
-    pair, so only j >= i is scanned; the representative seen first is the
-    lexicographically smaller one.
+    The pair norms of a t = 1 pair-norm objective come from the rows of the
+    shared table cache when there is one; otherwise from the gauge, which
+    needs less memory than building a table for one use.
     """
     n = len(grid.vectors)
-    symmetric = getattr(objective, "t", None) == 1.0
+    table = cache if getattr(objective, "t", None) == 1.0 else None
     rows = max(1, CHUNK_PAIRS // n)
-    best: list[tuple[float, int]] = []
-    evaluations = 0
     for i0 in range(0, n, rows):
-        i1 = min(i0 + rows, n)
-        vals, bad = _pair_values(space, objective, grid.vectors[i0:i1, None, :],
-                                 grid.vectors, exclude, eta)
-        if symmetric:
-            bad |= np.arange(n)[None, :] < np.arange(i0, i1)[:, None]
-        evaluations += vals.size - int(bad.sum())
-        vals = np.where(bad, -sign * np.inf, vals)
-        for v, fi in _top_cells(vals, sign, count):
-            best.append((v, i0 * n + fi))
-        best.sort(key=lambda c: (-sign * c[0], c[1]))
-        del best[count:]
-    if evaluations == 0:
-        raise ValueError("every grid pair is excluded; eta is too large for this grid")
-    return best, evaluations
+        norms = None if table is None else (table.plus[i0:i0 + rows], table.minus[i0:i0 + rows])
+        yield i0, *_pair_values(space, objective, grid.vectors[i0:i0 + rows, None, :],
+                                grid.vectors, exclude, eta, sign, norms=norms)
 
 
 def _extremize(space: Space, objective, cfg: SearchConfig, mode: str,
@@ -592,20 +578,17 @@ def _extremize(space: Space, objective, cfg: SearchConfig, mode: str,
     sign = 1.0 if mode == "sup" else -1.0
     grid = cache.grid if cache is not None else sphere_grid(space, cfg.grid_per_dim)
     n = len(grid.vectors)
-    if n * n <= _STORED_PAIR_LIMIT:
-        # A shared table serves t = 1 pair-norm objectives; without one, the
-        # chunked scan needs less memory than building a table for one use.
-        table = cache if getattr(objective, "t", None) == 1.0 else None
-        vals, evaluations = _scan_stored(space, objective, grid, table, exclude, cfg.eta, sign)
-        starts = _top_cells(vals, sign, cfg.multistart)
-        del vals
-    else:
-        starts, evaluations = _scan_streaming(space, objective, grid, exclude, cfg.eta,
-                                              sign, cfg.multistart)
-    cells = [divmod(flat, n) for _, flat in starts]
-    return refine_pairs(space, objective,
-                        [np.concatenate([grid.params[i], grid.params[j]]) for i, j in cells],
-                        [v for v, _ in starts], grid.step, cfg, mode,
+    cells, values, evaluations = [], [], 0
+    for i0, vals, count in _scan(space, objective, grid, cache, exclude, cfg.eta, sign):
+        idx = top_cells(vals, sign, cfg.multistart)
+        cells.append(i0 * n + idx)
+        values.append(vals.ravel()[idx])
+        evaluations += count
+    cells, values = np.concatenate(cells), np.concatenate(values)
+    best = top_cells(values, sign, cfg.multistart, cells)
+    i, j = np.divmod(cells[best], n)
+    return refine_pairs(space, objective, np.hstack([grid.params[i], grid.params[j]]),
+                        values[best], grid.step, cfg, mode,
                         evaluations=evaluations, exclude=exclude)
 
 
@@ -661,37 +644,26 @@ def infsup_pair(space: Space, objective, cfg: SearchConfig | None = None,
     angles = 1 if space.dim == 2 else 0
     floats = _pair_float(space, objective, exclude, eta, 1.0) is not None
 
-    def inner_values(X):
-        nonlocal evaluations
-        vals, bad = _pair_values(space, objective, X[:, None, :], grid.vectors, exclude, eta)
-        evaluations += vals.size - int(bad.sum())
-        return np.where(bad, -np.inf, vals)
-
     def inner_sup(X):
         """sup over y for each row x of X: values and polished y parameters."""
         nonlocal evaluations
-        vals = inner_values(X)
+        vals, count = _pair_values(space, objective, X[:, None, :], grid.vectors,
+                                   exclude, eta, 1.0)
         j = vals.argmax(axis=1)
-        yp, vy, _, count = _polish_starts(
+        yp, vy, _, polished = _polish_starts(
             _pair_batch(space, objective, exclude, eta, 1.0, X=X),
             grid.params[j].astype(float), vals[np.arange(len(X)), j], grid.step, dirs, 1.0,
             inner_cfg, [_pair_float(space, objective, exclude, eta, 1.0, x=x) for x in X]
             if floats else None)
-        evaluations += count
+        evaluations += count + polished
         return vy, _wrap(yp, angles)
 
-    # Stage 1: exact grid inf-sup, from the shared table when there is one.
-    if cache is not None and getattr(objective, "t", None) == 1.0:
-        vals, evaluations = _scan_stored(space, objective, grid, cache, exclude, eta, 1.0)
-        row_sup = vals.max(axis=1)
-        del vals   # a full-table temporary; stage 2 needs the memory
-    else:
-        chunk = max(1, CHUNK_PAIRS // n)
-        row_sup = np.concatenate([inner_values(grid.vectors[i0:i0 + chunk]).max(axis=1)
-                                  for i0 in range(0, n, chunk)])
-
-    order = np.lexsort((np.arange(n), row_sup))
-    start_rows = order[:min(cfg.multistart, n)]
+    # Stage 1: exact grid inf-sup.
+    row_sup = np.empty(n)
+    for i0, vals, count in _scan(space, objective, grid, cache, exclude, eta, 1.0):
+        row_sup[i0:i0 + len(vals)] = vals.max(axis=1)
+        evaluations += count
+    start_rows = top_cells(row_sup, -1.0, cfg.multistart)
 
     # Stage 2: outer refinement.  Its own count is left out: each outer
     # evaluation is an inner solve, whose pair evaluations are counted above.

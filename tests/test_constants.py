@@ -442,6 +442,15 @@ class TestEuclidean3D:
     def test_eps0_near_zero(self, l2_3d):
         assert abs(con.eps0(l2_3d, self.cfg).value) <= 1e-2
 
+    def test_delta_eq_closed_form(self, l2_3d):
+        # The dim >= 3 root-finding path of mode "eq".
+        for eps in (1.0, 1.5):
+            est = con.delta(l2_3d, eps, self.cfg, mode="eq")
+            assert est.value == pytest.approx(1.0 - math.sqrt(1.0 - eps * eps / 4.0), abs=1e-9)
+            assert l2_3d.norm(est.x) == pytest.approx(1.0, abs=1e-9)
+            assert l2_3d.norm(est.y) == pytest.approx(1.0, abs=1e-9)
+            assert l2_3d.norm(est.x - est.y) == pytest.approx(eps, abs=1e-8)
+
 
 # --------------------------------------------------------------------------
 # Cross-cutting invariants

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normgeo import search
-from normgeo.constants import delta
+from normgeo.constants import delta, gamma, schaffer, sp_constant, t_and_T
 from normgeo.search import (ConstantEstimate, PairNormObjective, SearchConfig,
                             infsup_pair, maximize_pair, minimize_pair, pair_table,
-                            sphere_grid, sphere_point, _polish, _polish_batch)
+                            sphere_grid, sphere_point, top_cells, _polish, _polish_batch)
 from normgeo.spaces import build_space, parse_space_spec
 
 TWO_PI = 2.0 * math.pi
@@ -194,24 +198,77 @@ def test_config_for_dim_defaults():
         (200, 16, 1e-9, 1e-6)
 
 
-def test_streaming_scan_matches_stored(l15, monkeypatch):
-    """Grids above the stored-table limit take the chunked scan, with the
-    same answers."""
-    cfg = SearchConfig(grid_per_dim=96, refine_iters=40, multistart=4)
-    objectives = [(maximize_pair, PairNormObjective(lambda a, b: np.minimum(a, b),
-                                                    scalar_fn=lambda a, b: a if a < b else b)),
-                  (minimize_pair, PairNormObjective(lambda a, b: np.maximum(a, b),
-                                                    scalar_fn=lambda a, b: a if a > b else b)),
-                  (maximize_pair, scaled_inner_product)]
-    stored = [fn(l15, obj, cfg) for fn, obj in objectives]
-    delta_stored = delta(l15, 1.0, cfg, cache=pair_table(l15, cfg))
-    monkeypatch.setattr(search, "_STORED_PAIR_LIMIT", 100)
-    assert pair_table(l15, cfg) is None
-    for (fn, obj), ref in zip(objectives, stored):
-        est = fn(l15, obj, cfg)
-        assert est.value == pytest.approx(ref.value, abs=1e-12)
-    # The boundary solve of delta needs no stored table either.
-    assert delta(l15, 1.0, cfg).value == pytest.approx(delta_stored.value, abs=1e-12)
+# --------------------------------------------------------------------------
+# Block scan and start selection
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("count", [1, 4, 16])
+def test_top_cells_matches_reference(sign, count):
+    # Few distinct values and infinite cells, so most selections cut
+    # through a tie.
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        shape = (int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+        v = rng.choice([-np.inf, 0.0, 0.5, 1.0, 2.0, np.inf], size=shape,
+                       p=[0.25, 0.2, 0.2, 0.15, 0.1, 0.1])
+        flat = v.ravel()
+        expect = sorted(range(flat.size), key=lambda i: (-sign * flat[i], i))[:count]
+        assert top_cells(v, sign, count).tolist() == expect
+        # Candidates merged from several arrays break ties by their cell index.
+        cells = rng.permutation(10 * flat.size)[:flat.size]
+        expect = sorted(range(flat.size), key=lambda i: (-sign * flat[i], cells[i]))[:count]
+        assert top_cells(flat, sign, count, cells).tolist() == expect
+
+
+def test_scan_independent_of_block_size(monkeypatch):
+    """The grid scan walks its rows in blocks; a block size that divides
+    nothing evenly leaves every value, witness and evaluation count as it is,
+    with and without a shared pair table."""
+    for spec, grid in (("lp:p=1.5,dim=2", 96), ("lp:p=1.5,dim=3", 8)):
+        space = build_space(parse_space_spec(spec))
+        cfg = SearchConfig(grid_per_dim=grid, refine_iters=40, multistart=4)
+
+        def estimates():
+            cache = pair_table(space, cfg)
+            return [sp_constant(space, cfg, cache=cache), schaffer(space, cfg),
+                    *t_and_T(space, cfg), delta(space, 1.0, cfg, cache=cache),
+                    gamma(space, 0.5, cfg)]
+
+        ref = estimates()
+        with monkeypatch.context() as m:
+            m.setattr(search, "CHUNK_PAIRS", 997)
+            blocks = estimates()
+        for a, b in zip(ref, blocks):
+            assert (a.value, a.evaluations) == (b.value, b.evaluations)
+            assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+        # delta needs no stored table.
+        assert delta(space, 1.0, cfg).value == pytest.approx(ref[4].value, abs=1e-12)
+
+
+def test_output_independent_of_numpy_dispatch():
+    """Start selection depends on values alone, and the polygon gauge rounds
+    alike at every numpy dispatch level, so the printed constants do too."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:   # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    features = list(getattr(umath, "__cpu_dispatch__", []))
+    if not features:
+        pytest.skip("numpy exposes no dispatch list")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "normgeo.cli", "constants", "--space",
+            "polyv:v=[[1,0],[0.5,0.8660254037844386],[-0.5,0.8660254037844386]]",
+            "--grid", "180"]
+
+    def run(extra):
+        out = subprocess.run(argv, env={**env, **extra}, capture_output=True, text=True,
+                             check=True).stdout
+        return [line for line in out.splitlines() if "seconds" not in line]
+
+    assert run({}) == run({"NPY_DISABLE_CPU_FEATURES": " ".join(features)})
 
 
 # --------------------------------------------------------------------------
