@@ -663,6 +663,8 @@ def infsup_pair(space: Space, objective, cfg: SearchConfig | None = None,
     for i0, vals, count in _scan(space, objective, grid, cache, exclude, eta, 1.0):
         row_sup[i0:i0 + len(vals)] = vals.max(axis=1)
         evaluations += count
+    if evaluations == 0:
+        raise ValueError("no admissible grid pair; eta is too large for this grid")
     start_rows = top_cells(row_sup, -1.0, cfg.multistart)
 
     # Stage 2: outer refinement.  Its own count is left out: each outer

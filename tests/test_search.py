@@ -160,6 +160,15 @@ def test_eta_too_large_rejected(l2):
         maximize_pair(l2, obj, SearchConfig(eta=10.0), exclude_degenerate=True)
 
 
+@pytest.mark.parametrize("shared", [True, False])
+def test_infsup_all_pairs_masked_rejected(l2, shared):
+    # Every pair scores NaN, so stage 1 has no admissible pair to start from.
+    cfg = SearchConfig(grid_per_dim=90, refine_iters=4, multistart=2)
+    obj = PairNormObjective(lambda a, b: np.full_like(a, np.nan))
+    with pytest.raises(ValueError):
+        infsup_pair(l2, obj, cfg, cache=pair_table(l2, cfg) if shared else None)
+
+
 def test_evaluation_count_positive(l2):
     est = maximize_pair(l2, PairNormObjective(lambda a, b: a))
     assert est.evaluations > 720 * 720 / 2   # at least the half-grid scan
