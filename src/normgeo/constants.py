@@ -21,6 +21,7 @@ from .search import (
     SearchConfig,
     infsup_pair,
     maximize_pair,
+    minimize_cells,
     minimize_pair,
     pair_table,
     refine_pairs,
@@ -202,13 +203,15 @@ def gamma_profile(space: Space, ts, cfg: SearchConfig | None = None) -> list[Con
 # Scaled-pair constants (joint sup over pairs and t)
 # --------------------------------------------------------------------------
 
-def _scaled_extremum(space: Space, fn, cfg: SearchConfig) -> ConstantEstimate:
-    """sup over unit pairs (u, v) and t in [0, 1] of fn(||u+tv||, ||u-tv||, t).
+def _scaled_extremum(space: Space, fns, cfg: SearchConfig) -> list[ConstantEstimate]:
+    """sup over unit pairs (u, v) and t in [0, 1] of fn(||u+tv||, ||u-tv||, t),
+    for each combine fn of fns.
 
     Stage 1 sweeps a t-grid of 101 points over a reduced pair grid in
-    vectorized blocks; stage 2 refines (u, v, t) jointly.  The reduction to
-    ||u|| = 1 >= t = ||v||-scale is exact for the quotients used here, which
-    are scale-invariant and symmetric in the pair.
+    vectorized blocks, computing the pair norms of each block once for all
+    combines; stage 2 refines (u, v, t) jointly, per combine.  The reduction
+    to ||u|| = 1 >= t = ||v||-scale is exact for the quotients used here,
+    which are scale-invariant and symmetric in the pair.
     """
     if space.dim == 2:
         grid = sphere_grid(space, max(48, cfg.grid_per_dim // 8))
@@ -218,7 +221,7 @@ def _scaled_extremum(space: Space, fn, cfg: SearchConfig) -> ConstantEstimate:
     m = len(V)
     ts = np.linspace(0.0, 1.0, _T_GRID)
 
-    cells, values = [], []
+    cells, values = [[] for _ in fns], [[] for _ in fns]
     block = max(1, 400_000 // (m * m))
     for t0 in range(0, _T_GRID, block):
         tb = ts[t0:t0 + block]
@@ -226,21 +229,33 @@ def _scaled_extremum(space: Space, fn, cfg: SearchConfig) -> ConstantEstimate:
         ys = tb[:, None, None, None] * V[None, None, :, :]
         a = np.asarray(space.gauge(xs + ys), dtype=float)
         b = np.asarray(space.gauge(xs - ys), dtype=float)
-        vals = np.asarray(fn(a, b, tb[:, None, None]), dtype=float)
-        for bi in range(len(tb)):
-            idx = top_cells(vals[bi], 1.0, 4)
-            # Index (i, j, ti) in row-major order, so that ties go to the
-            # smallest parameter tuple (x-params, y-params, t).
-            cells.append(idx * _T_GRID + t0 + bi)
-            values.append(vals[bi].ravel()[idx])
-    cells, values = np.concatenate(cells), np.concatenate(values)
-    best = top_cells(values, 1.0, cfg.multistart, cells)
-    ij, ti = np.divmod(cells[best], _T_GRID)
-    i, j = np.divmod(ij, m)
-    return refine_pairs(
-        space, PairNormObjective(fn, t=None),
-        np.hstack([grid.params[i], grid.params[j], ts[ti, None]]), values[best], grid.step,
-        cfg, "sup", evaluations=m * m * _T_GRID, t_step=ts[1] - ts[0])
+        for fn, fn_cells, fn_values in zip(fns, cells, values):
+            vals = np.asarray(fn(a, b, tb[:, None, None]), dtype=float)
+            for bi in range(len(tb)):
+                idx = top_cells(vals[bi], 1.0, 4)
+                # Index (i, j, ti) in row-major order, so that ties go to the
+                # smallest parameter tuple (x-params, y-params, t).
+                fn_cells.append(idx * _T_GRID + t0 + bi)
+                fn_values.append(vals[bi].ravel()[idx])
+    out = []
+    for fn, fn_cells, fn_values in zip(fns, cells, values):
+        fn_cells, fn_values = np.concatenate(fn_cells), np.concatenate(fn_values)
+        best = top_cells(fn_values, 1.0, cfg.multistart, fn_cells)
+        ij, ti = np.divmod(fn_cells[best], _T_GRID)
+        i, j = np.divmod(ij, m)
+        out.append(refine_pairs(
+            space, PairNormObjective(fn, t=None),
+            np.hstack([grid.params[i], grid.params[j], ts[ti, None]]), fn_values[best],
+            grid.step, cfg, "sup", evaluations=m * m * _T_GRID, t_step=ts[1] - ts[0]))
+    return out
+
+
+def _cnj_combine(a, b, t):
+    return (a * a + b * b) / (2.0 * (1.0 + t * t))
+
+
+def _zbaganu_combine(a, b, t):
+    return a * b / (1.0 + t * t)
 
 
 def cnj(space: Space, cfg: SearchConfig | None = None) -> ConstantEstimate:
@@ -250,16 +265,22 @@ def cnj(space: Space, cfg: SearchConfig | None = None) -> ConstantEstimate:
     sup of (||u+tv||^2 + ||u-tv||^2) / (2 (1 + t^2)) over unit u, v and t.
     """
     cfg = cfg or SearchConfig.for_dim(space.dim)
-    return _scaled_extremum(
-        space, lambda a, b, t: (a * a + b * b) / (2.0 * (1.0 + t * t)), cfg)
+    return _scaled_extremum(space, [_cnj_combine], cfg)[0]
 
 
 def zbaganu(space: Space, cfg: SearchConfig | None = None) -> ConstantEstimate:
     """Zbaganu constant: sup of ||u+tv|| ||u-tv|| / (1 + t^2) over unit u, v
     and t in [0, 1]."""
     cfg = cfg or SearchConfig.for_dim(space.dim)
-    return _scaled_extremum(
-        space, lambda a, b, t: a * b / (1.0 + t * t), cfg)
+    return _scaled_extremum(space, [_zbaganu_combine], cfg)[0]
+
+
+def cnj_and_zbaganu(space: Space, cfg: SearchConfig | None = None
+                    ) -> tuple[ConstantEstimate, ConstantEstimate]:
+    """cnj and zbaganu from one t-sweep, bit for bit the separate calls."""
+    cfg = cfg or SearchConfig.for_dim(space.dim)
+    cnj_est, zbaganu_est = _scaled_extremum(space, [_cnj_combine, _zbaganu_combine], cfg)
+    return cnj_est, zbaganu_est
 
 
 # --------------------------------------------------------------------------
@@ -305,16 +326,23 @@ def delta(space: Space, eps: float, cfg: SearchConfig | None = None,
     return _delta_eq_highdim(space, eps, cfg)
 
 
-def _delta_geq(space: Space, eps: float, cfg: SearchConfig,
-               cache: PairTable | None) -> ConstantEstimate:
-    """Raw constrained inf; eps0 bisection uses this directly for speed."""
-    fn = PairNormObjective(
+def _geq_objective(eps: float) -> PairNormObjective:
+    """1 - ||x+y||/2 where ||x-y|| >= eps - _GEQ_SLACK, +inf elsewhere."""
+    return PairNormObjective(
         lambda a, b: np.where(b >= eps - _GEQ_SLACK, 1.0 - a / 2.0, np.inf),
         scalar_fn=lambda a, b: 1.0 - a / 2.0 if b >= eps - _GEQ_SLACK else math.inf)
-    est = minimize_pair(space, fn, cfg, cache=cache)
+
+
+def _feasible(est: ConstantEstimate, eps: float) -> ConstantEstimate:
     if not math.isfinite(est.value):
         raise ValueError(f"no unit pair satisfies ||x-y|| >= {eps}")
     return est
+
+
+def _delta_geq(space: Space, eps: float, cfg: SearchConfig,
+               cache: PairTable | None) -> ConstantEstimate:
+    """Raw constrained inf: the grid + polish alone."""
+    return _feasible(minimize_pair(space, _geq_objective(eps), cfg, cache=cache), eps)
 
 
 def _delta_eq_2d(space: Space, eps: float, cfg: SearchConfig,
@@ -428,44 +456,71 @@ def _delta_eq_highdim(space: Space, eps: float, cfg: SearchConfig) -> ConstantEs
         evaluations=m * m, config=cfg)
 
 
+def _band(table: PairTable, lo: float, hi: float) -> np.ndarray:
+    """Flat indices, as int32, of the table's pairs with lo <= ||x-y|| < hi,
+    collected one block of rows at a time."""
+    n = len(table.minus)
+    rows = max(1, CHUNK_PAIRS // n)
+    out = []
+    for i0 in range(0, n, rows):
+        block = table.minus[i0:i0 + rows]
+        out.append((i0 * n + np.flatnonzero((block >= lo) & (block < hi))).astype(np.int32))
+    return np.concatenate(out)
+
+
 def eps0(space: Space, cfg: SearchConfig | None = None, *,
          cache: PairTable | None = None) -> ConstantEstimate:
     """Largest eps with delta(eps) = 0: sup of the zero set of the modulus of
-    convexity, by bisection against the threshold delta(eps) <= 1e-7."""
+    convexity, by bisection against the threshold delta(eps) <= 1e-7.
+
+    Each probe is the raw geq grid + polish: the boundary refinement could
+    only shift the flat/non-flat call on values within its ~1e-5 correction
+    of the threshold, and the bisection reports at 1e-4 resolution anyway.
+    With a stored table, once a probe comes out non-flat, each later probe
+    inside the bracket [lo, hi] scans only the pairs that can be among its
+    starts: the feasible starts of the last non-flat probe, which are the
+    best pairs with ||x-y|| >= hi - slack, and the band of pairs with
+    lo - slack <= ||x-y|| < hi - slack.  So it picks the same starts as a
+    full scan would.
+    """
     cfg = cfg or SearchConfig.for_dim(space.dim)
     if space.dim > 2 and cache is None:
         cfg = replace(cfg, grid_per_dim=min(cfg.grid_per_dim, 12))
     if cache is None:
         cache = pair_table(space, cfg)
     threshold = 1e-7
+    minus = None if cache is None else cache.minus.ravel()
 
-    def zero_at(e: float) -> tuple[bool, ConstantEstimate]:
-        if e <= 1e-12:
-            est = _exact_estimate(space, 0.0, cfg, "inf")
-        else:
-            # Raw geq probe: the boundary refinement could only shift the
-            # flat/non-flat call on values within its ~1e-5 correction of the
-            # threshold, and the bisection reports at 1e-4 resolution anyway.
-            est = _delta_geq(space, e, cfg, cache)
-        return est.value <= threshold, est
+    def probe(e: float, cells=None) -> tuple[ConstantEstimate, np.ndarray]:
+        """The raw geq estimate at e, and those of its starts feasible at e."""
+        est, starts = minimize_cells(space, _geq_objective(e), cfg, cache, cells)
+        if minus is not None:
+            starts = starts[minus[starts] >= e - _GEQ_SLACK].astype(np.int32)
+        return _feasible(est, e), starts
 
-    at_two, est_two = zero_at(2.0)
-    if at_two:
+    est_two, carried = probe(2.0)
+    if est_two.value <= threshold:
         return ConstantEstimate(value=2.0, x=est_two.x, y=est_two.y, mode="sup",
                                 converged=True, evaluations=est_two.evaluations,
                                 config=cfg)
     lo, hi = 0.0, 2.0
     evaluations = est_two.evaluations
-    witness = None
+    witness = band = None
     while hi - lo > 1e-4:
         mid = 0.5 * (lo + hi)
-        flat, est = zero_at(mid)
+        est, starts = probe(mid, None if band is None else np.concatenate([carried, band]))
         evaluations += est.evaluations
-        if flat:
+        if est.value <= threshold:
             lo = mid
             witness = est
+            if band is not None:
+                band = band[minus[band] >= mid - _GEQ_SLACK]
         else:
-            hi = mid
+            hi, carried = mid, starts
+            if band is not None:
+                band = band[minus[band] < mid - _GEQ_SLACK]
+            elif cache is not None:
+                band = _band(cache, lo - _GEQ_SLACK, mid - _GEQ_SLACK)
     if witness is None:
         witness = delta(space, lo, cfg, cache=cache) if lo > 0.0 else None
     return ConstantEstimate(
@@ -500,9 +555,14 @@ def compute_all(space: Space, cfg: SearchConfig | None = None, *,
 
     compute("sp", lambda: sp_constant(space, cfg, cache=cache))
     compute("james", lambda: james(space, cfg, cache=cache))
-    compute("cnj", lambda: cnj(space, cfg))
+    scaled = {}
+
+    def both_scaled():
+        scaled["cnj"], scaled["zbaganu"] = cnj_and_zbaganu(space, cfg)
+        return scaled["cnj"]
+    compute("cnj", both_scaled)
     compute("cnj_prime", lambda: cnj_prime(space, cfg, cache=cache))
-    compute("zbaganu", lambda: zbaganu(space, cfg))
+    compute("zbaganu", lambda: scaled["zbaganu"])
     compute("schaffer", lambda: schaffer(space, cfg, cache=cache))
     if include_infsup:
         def both():

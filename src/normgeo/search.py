@@ -19,6 +19,7 @@ place, so grids nest.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -340,19 +341,19 @@ def _polish_starts(f, starts, values, widths, directions, sign, cfg: SearchConfi
     """Polish every start: returns the points, values, converged flags and
     the number of objective evaluations.
 
-    The engine's one back-end switch.  scalar holds one float closure per
-    start; only _pair_float builds them, for 2D pair-norm objectives on a
-    space with a scalar gauge, and those starts run _polish one at a time on
-    plain floats.  Every other objective runs _polish_batch in lockstep on
-    f(params, rows), rows numbering the starts.
+    The engine's one back-end switch.  scalar is a float closure of one
+    parameter tuple; only _pair_float builds one, for 2D pair-norm objectives
+    on a space with a scalar gauge, and then the starts run _polish one at a
+    time on plain floats.  Every other objective runs _polish_batch in
+    lockstep on f(params, rows), rows numbering the starts.
     """
     counter = [0]
     if scalar is None:
         out = _polish_batch(f, starts, values, widths, sign, cfg, directions, counter)
     else:
-        out = map(np.array, zip(*[_polish(fs, p, float(v), widths, sign, cfg, directions,
+        out = map(np.array, zip(*[_polish(scalar, p, float(v), widths, sign, cfg, directions,
                                           counter)
-                                  for fs, p, v in zip(scalar, starts, values)]))
+                                  for p, v in zip(starts, values)]))
     return (*out, counter[0])
 
 
@@ -377,7 +378,7 @@ def refine_starts(f, starts, values, widths, directions, sign: float, cfg: Searc
     P, _, conv, count = _polish_starts(f, starts, values, widths, directions, sign, cfg,
                                        scalar)
     P = _wrap(P, angles)
-    vals = np.array([fs(p) for fs, p in zip(scalar, P)] if scalar is not None
+    vals = np.array([scalar(p) for p in P] if scalar is not None
                     else f(P, np.arange(len(P))), dtype=float)
     best = min(range(len(P)), key=lambda i: (-sign * vals[i], tuple(P[i])))
     return P, vals, conv, best, count + len(P)
@@ -419,18 +420,14 @@ def _pair_values(space: Space, objective, xs, ys, exclude: bool, eta: float, sig
     return np.where(bad, -sign * np.inf, vals), vals.size - int(bad.sum())
 
 
-def _pair_batch(space: Space, objective, exclude: bool, eta: float, sign: float, X=None):
-    """Lockstep evaluator f(params, rows) over parameter rows (x, y[, t]), or
-    over rows (y,) against the fixed points X[rows].  Excluded, NaN and
-    out-of-range-t pairs score -sign * inf."""
+def _pair_batch(space: Space, objective, exclude: bool, eta: float, sign: float):
+    """Lockstep evaluator f(params, rows) over parameter rows (x, y[, t]).
+    Excluded, NaN and out-of-range-t pairs score -sign * inf."""
     k = 1 if space.dim == 2 else space.dim
     search_t = getattr(objective, "t", 1.0) is None
 
     def f(params, rows):
-        if X is None:
-            xs, ys = sphere_points(space, params[:, :k]), sphere_points(space, params[:, k:2 * k])
-        else:
-            xs, ys = X[rows], sphere_points(space, params)
+        xs, ys = sphere_points(space, params[:, :k]), sphere_points(space, params[:, k:2 * k])
         t = params[:, 2 * k] if search_t else None
         vals = _pair_values(space, objective, xs, ys, exclude, eta, sign, t)[0]
         return np.where((t >= 0.0) & (t <= 1.0), vals, -sign * np.inf) if search_t else vals
@@ -438,21 +435,19 @@ def _pair_batch(space: Space, objective, exclude: bool, eta: float, sign: float,
     return f
 
 
-def _pair_float(space: Space, objective, exclude: bool, eta: float, sign: float, x=None):
+def _pair_float(space: Space, objective, exclude: bool, eta: float, sign: float):
     """Pure-float twin of _pair_batch for one start, or None.
 
     Only 2D pair-norm objectives on a space with a scalar gauge have one;
     the polish makes tens of thousands of single-point calls there, where
     per-call array overhead would dominate the whole search.  Parameters are
-    (theta_x, theta_y[, t]), or (theta_y,) against the fixed unit point x.
+    (theta_x, theta_y[, t]).
     """
     sg = space.scalar_gauge if space.dim == 2 else None
     if sg is None or not isinstance(objective, PairNormObjective):
         return None
     sfn = objective.scalar_fn or objective.fn
-    t_fixed, search_t, fixed_x = objective.t, objective.t is None, x is not None
-    fx0, fx1 = (float(x[0]), float(x[1])) if fixed_x else (0.0, 0.0)
-    iy = 0 if fixed_x else 1
+    t_fixed, search_t = objective.t, objective.t is None
     bad = -sign * math.inf
     cos, sin, isnan = math.cos, math.sin, math.isnan
 
@@ -463,13 +458,10 @@ def _pair_float(space: Space, objective, exclude: bool, eta: float, sign: float,
                 return bad
         else:
             t = t_fixed
-        if fixed_x:
-            x0, x1 = fx0, fx1
-        else:
-            c, s = cos(params[0]), sin(params[0])
-            g = sg(c, s)
-            x0, x1 = c / g, s / g
-        c, s = cos(params[iy]), sin(params[iy])
+        c, s = cos(params[0]), sin(params[0])
+        g = sg(c, s)
+        x0, x1 = c / g, s / g
+        c, s = cos(params[1]), sin(params[1])
         g = sg(c, s)
         y0, y1 = t * (c / g), t * (s / g)
         a = sg(x0 + y0, x1 + y1)
@@ -506,13 +498,12 @@ def refine_pairs(space: Space, objective, starts, values, step: float, cfg: Sear
         raise ValueError("no admissible grid pair; eta is too large for this grid")
     search_t = getattr(objective, "t", 1.0) is None
     directions = _direction_set(space, search_t)
-    closure = _pair_float(space, objective, exclude, cfg.eta, sign)
     P, vals, conv, best, count = refine_starts(
         _pair_batch(space, objective, exclude, cfg.eta, sign),
         np.asarray(starts, dtype=float)[keep], np.asarray(values, dtype=float)[keep],
         [t_step if search_t and d[-1] else step for d in directions], directions, sign, cfg,
         angles=2 if space.dim == 2 else 0,
-        scalar=None if closure is None else [closure] * len(keep))
+        scalar=_pair_float(space, objective, exclude, cfg.eta, sign))
     k = 1 if space.dim == 2 else space.dim
     x = sphere_point(space, P[best, :k])
     y = sphere_point(space, P[best, k:2 * k])
@@ -573,23 +564,45 @@ def _scan(space: Space, objective, grid: SphereGrid, cache: PairTable | None,
                                 grid.vectors, exclude, eta, sign, norms=norms)
 
 
-def _extremize(space: Space, objective, cfg: SearchConfig, mode: str,
-               exclude: bool, cache: PairTable | None) -> ConstantEstimate:
+def _scan_cells(space: Space, objective, cache: PairTable, exclude: bool, eta: float,
+                sign: float, cells: np.ndarray):
+    """_scan over the pairs numbered cells (flat indices into the table
+    cache) of a t = 1 pair-norm objective, CHUNK_PAIRS at a time: yields each
+    chunk's cells, values and evaluation count."""
+    plus, minus = cache.plus.ravel(), cache.minus.ravel()
+    for c0 in range(0, len(cells), CHUNK_PAIRS):
+        chunk = cells[c0:c0 + CHUNK_PAIRS]
+        yield chunk, *_pair_values(space, objective, None, None, exclude, eta, sign,
+                                   norms=(plus[chunk], minus[chunk]))
+
+
+def _extremize(space: Space, objective, cfg: SearchConfig, mode: str, exclude: bool,
+               cache: PairTable | None, cells: np.ndarray | None = None):
+    """Scan, pick the starts and refine them: returns the estimate and the
+    flat grid indices of its starts.  cells, when given, limits the scan to
+    those pairs of the table cache (see _scan_cells)."""
     sign = 1.0 if mode == "sup" else -1.0
     grid = cache.grid if cache is not None else sphere_grid(space, cfg.grid_per_dim)
     n = len(grid.vectors)
-    cells, values, evaluations = [], [], 0
-    for i0, vals, count in _scan(space, objective, grid, cache, exclude, cfg.eta, sign):
+    if cells is None:
+        blocks = ((i0 * n, vals, count) for i0, vals, count
+                  in _scan(space, objective, grid, cache, exclude, cfg.eta, sign))
+    else:
+        blocks = _scan_cells(space, objective, cache, exclude, cfg.eta, sign, cells)
+    found, values, evaluations = [], [], 0
+    for where, vals, count in blocks:
         idx = top_cells(vals, sign, cfg.multistart)
-        cells.append(i0 * n + idx)
+        found.append(where + idx if cells is None else where[idx])
         values.append(vals.ravel()[idx])
         evaluations += count
-    cells, values = np.concatenate(cells), np.concatenate(values)
-    best = top_cells(values, sign, cfg.multistart, cells)
-    i, j = np.divmod(cells[best], n)
-    return refine_pairs(space, objective, np.hstack([grid.params[i], grid.params[j]]),
-                        values[best], grid.step, cfg, mode,
-                        evaluations=evaluations, exclude=exclude)
+    found, values = np.concatenate(found), np.concatenate(values)
+    best = top_cells(values, sign, cfg.multistart, found)
+    starts = found[best]
+    i, j = np.divmod(starts, n)
+    est = refine_pairs(space, objective, np.hstack([grid.params[i], grid.params[j]]),
+                       values[best], grid.step, cfg, mode,
+                       evaluations=evaluations, exclude=exclude)
+    return est, starts
 
 
 def maximize_pair(space: Space, objective, cfg: SearchConfig | None = None,
@@ -603,7 +616,7 @@ def maximize_pair(space: Space, objective, cfg: SearchConfig | None = None,
     ||x+y|| < eta or ||x-y|| < eta) are skipped.
     """
     cfg = cfg or SearchConfig.for_dim(space.dim)
-    return _extremize(space, objective, cfg, "sup", exclude_degenerate, cache)
+    return _extremize(space, objective, cfg, "sup", exclude_degenerate, cache)[0]
 
 
 def minimize_pair(space: Space, objective, cfg: SearchConfig | None = None,
@@ -611,15 +624,41 @@ def minimize_pair(space: Space, objective, cfg: SearchConfig | None = None,
                   cache: PairTable | None = None) -> ConstantEstimate:
     """inf of objective(x, y) over unit-sphere pairs; see maximize_pair."""
     cfg = cfg or SearchConfig.for_dim(space.dim)
-    return _extremize(space, objective, cfg, "inf", exclude_degenerate, cache)
+    return _extremize(space, objective, cfg, "inf", exclude_degenerate, cache)[0]
+
+
+def minimize_cells(space: Space, objective, cfg: SearchConfig, cache: PairTable | None,
+                   cells: np.ndarray | None = None) -> tuple[ConstantEstimate, np.ndarray]:
+    """minimize_pair for a t = 1 pair-norm objective, scanning only the
+    pairs numbered cells (flat indices into the stored table cache) when
+    cells is given, or every pair.  Returns the estimate and the flat grid
+    indices of its starts: the cfg.multistart best scanned cells, by value
+    and then by index."""
+    return _extremize(space, objective, cfg, "inf", False, cache, cells)
 
 
 # --------------------------------------------------------------------------
 # inf-sup search
 # --------------------------------------------------------------------------
 
-_INNER_BUDGET = 12       # line searches per inner sup re-solve
 _OUTER_BUDGET = 48       # cap on outer line searches (each one re-solves)
+_INNER_STARTS = 4        # best grid cells of each row that the inner zoom refines
+_ZOOM_TOL = 1e-12        # the inner zoom stops once its lattice spacing is below this
+
+
+def _zoom_lattice(dim: int) -> tuple[np.ndarray, float]:
+    """Offsets of the inner zoom, in units of its spacing, and the factor
+    that shrinks the spacing per level: -4..4 on the angle in 2D, the cube
+    {-1, 0, 1}^dim around a direction vector in dim >= 3, both without the
+    centre, which is the incumbent.  Either way the next level's lattice
+    covers the cell of the current best point."""
+    if dim == 2:
+        offsets = np.arange(-4.0, 5.0)[:, None]
+        shrink = 0.25
+    else:
+        offsets = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=dim)))
+        shrink = 0.5
+    return offsets[np.abs(offsets).max(axis=1) > 0.0], shrink
 
 
 def infsup_pair(space: Space, objective, cfg: SearchConfig | None = None,
@@ -627,36 +666,68 @@ def infsup_pair(space: Space, objective, cfg: SearchConfig | None = None,
                 cache: PairTable | None = None) -> ConstantEstimate:
     """inf over x of sup over y of objective(x, y) on the unit sphere.
 
-    Stage 1 takes the exact inner sup on the grid; stage 2 refines the outer
-    starts with the engine, re-solving the inner problem (grid scan + short
-    golden-section polish of each row) at every outer evaluation.  Where the
-    engine runs lockstep, each outer probe scans the grid rows of all active
-    starts at once, then polishes their inner sups together.
+    Stage 1 takes the exact inner sup on the grid.  Stage 2 refines the
+    outer starts with the engine, in lockstep, re-solving the inner problem
+    at every outer probe for all active starts at once: a scan of their grid
+    rows, then a lattice zoom from each row's _INNER_STARTS best cells.  One
+    start per row is not enough, because the objective is usually symmetric
+    under y -> -y, and the mirror cells of a broad basin can crowd out a
+    sharp peak.  Each zoom level evaluates a fixed offset lattice around
+    every start in one call and moves a start only to a strictly better
+    point (the first one in lattice order among equals), shrinking the
+    spacing until it is below _ZOOM_TOL.  The reported value, x and y come
+    from one inner solve.
     """
     cfg = cfg or SearchConfig.for_dim(space.dim)
     eta, exclude = cfg.eta, exclude_degenerate
     grid = cache.grid if cache is not None else sphere_grid(space, cfg.grid_per_dim)
     n = len(grid.vectors)
     evaluations = 0
-    inner_cfg = replace(cfg, refine_iters=_INNER_BUDGET)
     outer_cfg = replace(cfg, refine_iters=min(cfg.refine_iters, _OUTER_BUDGET))
     dirs = list(np.eye(1 if space.dim == 2 else space.dim))
     angles = 1 if space.dim == 2 else 0
-    floats = _pair_float(space, objective, exclude, eta, 1.0) is not None
+    offsets, shrink = _zoom_lattice(space.dim)
+    first_spacing = grid.step / np.abs(offsets).max()   # the first lattice spans +-step
+    # Points of the inner solve are stored coordinate-major: the gauges
+    # reduce over the coordinate axis, which numpy does faster when that axis
+    # is the outermost in memory (the lp gauge about 1.5-2x on these arrays).
+    G = np.asfortranarray(grid.vectors)
+
+    def unit(params):
+        """Unit vectors, (starts, offsets, dim), of the coordinate-major
+        parameters (k, starts, offsets)."""
+        d = np.array([np.cos(params[0]), np.sin(params[0])]) if space.dim == 2 else params
+        d = d.transpose(1, 2, 0)
+        return d / np.asarray(space.gauge(d))[..., None]
 
     def inner_sup(X):
-        """sup over y for each row x of X: values and polished y parameters."""
+        """sup over y for each row x of X: the values and the y vectors."""
         nonlocal evaluations
-        vals, count = _pair_values(space, objective, X[:, None, :], grid.vectors,
-                                   exclude, eta, 1.0)
-        j = vals.argmax(axis=1)
-        yp, vy, _, polished = _polish_starts(
-            _pair_batch(space, objective, exclude, eta, 1.0, X=X),
-            grid.params[j].astype(float), vals[np.arange(len(X)), j], grid.step, dirs, 1.0,
-            inner_cfg, [_pair_float(space, objective, exclude, eta, 1.0, x=x) for x in X]
-            if floats else None)
-        evaluations += count + polished
-        return vy, _wrap(yp, angles)
+        X = np.asfortranarray(X)
+        vals, count = _pair_values(space, objective, X[:, None, :], G, exclude, eta, 1.0)
+        evaluations += count
+        cells = np.concatenate([top_cells(row, 1.0, _INNER_STARTS) for row in vals])
+        rows = np.repeat(np.arange(len(X)), _INNER_STARTS)
+        P = np.ascontiguousarray(grid.params[cells].T)   # (k, starts)
+        Y = G[cells]
+        V = vals[rows, cells]
+        xs = X[rows, None, :]
+        s = np.arange(len(V))
+        h = first_spacing
+        while h >= _ZOOM_TOL:
+            cand = P[:, :, None] + h * offsets.T[:, None, :]
+            ys = unit(cand)
+            v, count = _pair_values(space, objective, xs, ys, exclude, eta, 1.0)
+            evaluations += count
+            j = v.argmax(axis=1)
+            vj = v[s, j]
+            better = vj > V
+            P[:, better] = cand[:, s, j][:, better]
+            Y[better], V[better] = ys[s, j][better], vj[better]
+            h *= shrink
+        V = V.reshape(len(X), _INNER_STARTS)
+        win = np.arange(len(X)) * _INNER_STARTS + V.argmax(axis=1)
+        return V.max(axis=1), Y[win]
 
     # Stage 1: exact grid inf-sup.
     row_sup = np.empty(n)
@@ -671,20 +742,19 @@ def infsup_pair(space: Space, objective, cfg: SearchConfig | None = None,
     # evaluation is an inner solve, whose pair evaluations are counted above.
     # Widths halve, so in dim >= 3 a polish moves each coordinate of its
     # cube-surface start by under two grid steps in total, 4/grid_per_dim <=
-    # 1/2: no direction it probes is degenerate.
-    def g(p):
-        return float(inner_sup(sphere_point(space, p)[None, :])[0][0])
-
+    # 1/2, and so does the inner zoom: no direction either probes is
+    # degenerate.
     P, vals, conv, best, _ = refine_starts(
         lambda params, rows: inner_sup(sphere_points(space, params))[0],
         grid.params[start_rows].astype(float), row_sup[start_rows], grid.step, dirs, -1.0,
-        outer_cfg, angles=angles, scalar=[g] * len(start_rows) if floats else None)
-    x = sphere_point(space, P[best])
-    _, y_params = inner_sup(x[None, :])
-    y = sphere_point(space, y_params[0])
+        outer_cfg, angles=angles)
+    # The engine's last call, repeated for the witnesses.
+    X = sphere_points(space, P)
+    vy, Y = inner_sup(X)
+    x, y = X[best], Y[best]
     a = float(space.gauge(x + y))
     b = float(space.gauge(x - y))
     return ConstantEstimate(
-        value=float(vals[best]), x=x, y=y, mode="infsup", converged=bool(conv[best]),
+        value=float(vy[best]), x=x, y=y, mode="infsup", converged=bool(conv[best]),
         evaluations=evaluations, config=cfg,
         near_exclusion=(a < 10.0 * cfg.eta or b < 10.0 * cfg.eta))

@@ -97,9 +97,14 @@ def run_checks(space: Space, cfg: SearchConfig | None = None) -> VerificationRep
     cache = pair_table(space, cfg)
     sp = compute("sp", lambda: constants.sp_constant(space, cfg, cache=cache)).value
     jc = compute("james", lambda: constants.james(space, cfg, cache=cache)).value
-    cnj = compute("cnj", lambda: constants.cnj(space, cfg)).value
+    scaled = {}
+
+    def both_scaled():
+        scaled["cnj"], scaled["zbaganu"] = constants.cnj_and_zbaganu(space, cfg)
+        return scaled["cnj"]
+    cnj = compute("cnj", both_scaled).value
     cnjp = compute("cnj_prime", lambda: constants.cnj_prime(space, cfg, cache=cache)).value
-    cz = compute("zbaganu", lambda: constants.zbaganu(space, cfg)).value
+    cz = compute("zbaganu", lambda: scaled["zbaganu"]).value
     sk = compute("schaffer", lambda: constants.schaffer(space, cfg, cache=cache)).value
     res = compute("sqrt2_residual",
                   lambda: constants.sqrt2_pair_residual(space, cfg, cache=cache)).value

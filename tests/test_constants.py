@@ -14,11 +14,78 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from normgeo import constants as con
+from normgeo import constants as con, search
 from normgeo.search import SearchConfig, pair_table
 from normgeo.spaces import build_space, parse_space_spec
 
 SQRT2 = math.sqrt(2.0)
+
+
+# Battery polygon #0 (battery_specs(7, 20)[0]) at full precision.
+POLYGON0 = ("polyv:v=[[0.7858313674021201,-0.5921664096036845],"
+            "[0.14413548292338202,-0.8899193478079512],"
+            "[0.13757045672648927,0.8785065645059619],"
+            "[-0.272598308979969,0.8340155750102037],"
+            "[0.681661001281639,-0.6936632744049768],"
+            "[1.0017230951406,0.03323057755708036],"
+            "[0.4436434705169979,-0.9259553524937753],"
+            "[0.3627237032597195,-1.1938642851048182]]")
+HEXAGON = "polyv:v=[[1,0],[0.5,0.8660254037844386],[-0.5,0.8660254037844386]]"
+
+
+def _dense_inner_sup(space, x, starts=24):
+    """sup over unit y of sqrt(||x+y|| ||x-y||), independently of search.py:
+    a 20,000-angle grid in 2D or the surface of a cube grid of 60 in dim 3,
+    then a compass search from each of its best local maxima, on the angle
+    in 2D and in the tangent plane of the start in dim 3."""
+    def value(d):
+        y = d / np.asarray(space.gauge(d))[..., None]
+        return np.sqrt(np.asarray(space.gauge(x + y)) * np.asarray(space.gauge(x - y)))
+
+    if space.dim == 2:
+        theta = 2.0 * np.pi * np.arange(20_000) / 20_000
+        vals = value(np.stack([np.cos(theta), np.sin(theta)], axis=1))
+        peak = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
+        idx = np.flatnonzero(peak)
+        idx = idx[np.argsort(-vals[idx], kind="stable")[:starts]]
+        u = theta[idx][:, None]
+        step = 2.0 * np.pi / 20_000
+
+        def at(u):
+            return value(np.stack([np.cos(u[..., 0]), np.sin(u[..., 0])], axis=-1))
+        moves = np.array([[-1.0], [1.0]])
+    else:
+        k = 60
+        axis = -1.0 + 2.0 * np.arange(k + 1) / k
+        pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        pts = pts[np.abs(pts).max(axis=1) >= 1.0 - 1e-12]
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        vals = value(pts)
+        idx = np.argsort(-vals, kind="stable")[:8 * starts]
+        origin = pts[idx]
+        # Orthonormal tangent frame at each start.
+        e1 = np.cross(origin, np.where(np.abs(origin[:, :1]) < 0.9, [[1.0, 0, 0]], [[0, 1.0, 0]]))
+        e1 /= np.linalg.norm(e1, axis=1)[:, None]
+        e2 = np.cross(origin, e1)
+        u = np.zeros((len(origin), 2))
+        step = 2.0 / k
+
+        def at(u):
+            return value(origin[:, None, :] + u[..., :1] * e1[:, None, :]
+                         + u[..., 1:] * e2[:, None, :])
+        moves = np.array([[a, b] for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)
+                          if a or b])
+    best = at(u[:, None, :])[:, 0]
+    step = np.full(len(u), step)
+    while step.max() > 1e-15:
+        cand = u[:, None, :] + step[:, None, None] * moves
+        v = at(cand)
+        j = v.argmax(axis=1)
+        gain = v[np.arange(len(u)), j] > best
+        u[gain] = cand[gain, j[gain]]
+        best = np.maximum(best, v.max(axis=1))
+        step[~gain] /= 2.0
+    return float(best.max())
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +244,27 @@ class TestPairConstantValues:
         assert t.value == pytest.approx(SQRT2, abs=1e-9)
         assert T.value == pytest.approx(SQRT2, abs=1e-9)
 
+    @pytest.mark.parametrize("spec, grid", [
+        (POLYGON0, None), (HEXAGON, None), ("lp:p=1.5,dim=2", None),
+        ("lp:p=1.5,dim=3", 8)])
+    def test_t_witness_is_the_inner_sup(self, spec, grid):
+        # t is a sup over y at the reported x, so an independent dense inner
+        # sup there may not exceed it.  Polygon #0 has four tied grid peaks in
+        # the inner problem, one of them sharp.
+        space = build_space(parse_space_spec(spec))
+        cfg = SearchConfig.for_dim(space.dim)
+        if grid is not None:
+            cfg = replace(cfg, grid_per_dim=grid)
+        t = search.infsup_pair(space, search.PairNormObjective(con.geom_mean), cfg)
+        assert _dense_inner_sup(space, t.x) <= t.value + 1e-12
+        a, b = space.gauge(np.stack([t.x + t.y, t.x - t.y]))
+        assert math.sqrt(a * b) == pytest.approx(t.value, abs=1e-12)
+
+    def test_t_independent_of_grid_3d(self):
+        space = build_space(parse_space_spec("lp:p=1.5,dim=3"))
+        t8, t12 = (con.t_and_T(space, SearchConfig(grid_per_dim=g))[0].value for g in (8, 12))
+        assert t8 == pytest.approx(t12, abs=1e-10)
+
     def test_t_and_T_universal_bounds(self, all_consts):
         # Decomposing 2x as (x+y) + (x-y) forces max(a, b) >= 1 wherever
         # a = b, so the inner sup never drops below 1; the sqrt(2) floor
@@ -233,6 +321,14 @@ class TestRatioConstants:
     def test_zbaganu_below_cnj(self, all_consts):
         for key, ests in all_consts.items():
             assert ests["zbaganu"].value <= ests["cnj"].value + 1e-6, key
+
+    @pytest.mark.parametrize("spec", ["lp:p=1.5,dim=2", HEXAGON])
+    def test_one_sweep_matches_separate_calls(self, spec):
+        space = build_space(parse_space_spec(spec))
+        pair = con.cnj_and_zbaganu(space)
+        for one, alone in zip(pair, (con.cnj(space), con.zbaganu(space))):
+            assert (one.value, one.t, one.evaluations) == (alone.value, alone.t, alone.evaluations)
+            assert np.array_equal(one.x, alone.x) and np.array_equal(one.y, alone.y)
 
     def test_reduction_matches_direct_oracle(self, l1, l2, hexagon, all_consts):
         # The sphere-pair-and-ratio reduction must reproduce the unreduced
@@ -413,6 +509,30 @@ class TestEps0:
     def test_hexagon_exactly_one(self, all_consts):
         # The flat zone ends at 1, which the bisection probes directly.
         assert all_consts["hex"]["eps0"].value == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("spec", [HEXAGON, POLYGON0, "lp:p=1.5,dim=3"])
+    def test_band_scan_matches_full_rescan(self, spec):
+        # Reference: the same bisection with a full grid scan at every probe.
+        space = build_space(parse_space_spec(spec))
+        cfg = SearchConfig.for_dim(space.dim)
+        if space.dim > 2:
+            cfg = replace(cfg, grid_per_dim=12)
+        cache = pair_table(space, cfg)
+        est = con._delta_geq(space, 2.0, cfg, cache)
+        assert est.value > 1e-7
+        lo, hi, witness, evaluations = 0.0, 2.0, None, est.evaluations
+        while hi - lo > 1e-4:
+            mid = 0.5 * (lo + hi)
+            est = con._delta_geq(space, mid, cfg, cache)
+            evaluations += est.evaluations
+            if est.value <= 1e-7:
+                lo, witness = mid, est
+            else:
+                hi = mid
+        got = con.eps0(space, cfg, cache=cache)
+        assert got.value == lo
+        assert np.array_equal(got.x, witness.x) and np.array_equal(got.y, witness.y)
+        assert got.evaluations < evaluations / 2   # the later probes scan less
 
 
 # --------------------------------------------------------------------------
