@@ -165,52 +165,16 @@ class NormSpec:
 def _lp_gauge(p: float, weights: np.ndarray | None = None) -> Gauge:
     if weights is None:
         if p == 1.0:
-            raw = lambda z: np.abs(z).sum(axis=-1)
-        elif p == 2.0:
-            raw = lambda z: np.sqrt((z ** 2).sum(axis=-1))
-        else:
-            raw = lambda z: (np.abs(z) ** p).sum(axis=-1) ** (1.0 / p)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if p == 1.0:
-            raw = lambda z: (w * np.abs(z)).sum(axis=-1)
-        elif p == 2.0:
-            raw = lambda z: np.sqrt((w * z ** 2).sum(axis=-1))
-        else:
-            raw = lambda z: (w * np.abs(z) ** p).sum(axis=-1) ** (1.0 / p)
-    return _rescale_tiny(raw, p)
-
-
-def _rescale_tiny(raw: Gauge, p: float) -> Gauge:
-    """Guard a power-sum gauge against underflow of its terms.
-
-    Below 2^-1022 the terms w_i |z_i|^p go subnormal or to zero, and the norm
-    loses homogeneity: ||(0, 1e-160)||_2 comes out 0.04% off.  Vectors whose
-    power sum falls under 2^-900 are evaluated again with z scaled by the
-    power of two that brings max |z_i| into [1/2, 1), and the result scaled
-    back.  Both scalings are exact, so for p in {1, 2} this is the value the
-    formula has without exponent limits.  Every other vector keeps the
-    unscaled value bit for bit: there the subnormal terms are below 2^-122
-    ulp of the sum.
-    """
-    tiny = 2.0 ** (-900.0 / p)
-
-    def gauge(z):
-        z = np.asarray(z, dtype=float)
-        r = raw(z)
-        small = r < tiny
-        if not small.any():
-            return r
-        if z.ndim == 1:
-            e = np.frexp(np.abs(z).max())[1]
-            return np.ldexp(raw(np.ldexp(z, -e)), e)
-        rows = np.nonzero(small)
-        zs = z[rows]
-        e = np.frexp(np.abs(zs).max(axis=-1))[1]
-        r[rows] = np.ldexp(raw(np.ldexp(zs, -e[:, None])), e)
-        return r
-
-    return gauge
+            return lambda z: np.abs(z).sum(axis=-1)
+        if p == 2.0:
+            return lambda z: np.sqrt((np.asarray(z, dtype=float) ** 2).sum(axis=-1))
+        return lambda z: (np.abs(z) ** p).sum(axis=-1) ** (1.0 / p)
+    w = np.asarray(weights, dtype=float)
+    if p == 1.0:
+        return lambda z: (w * np.abs(z)).sum(axis=-1)
+    if p == 2.0:
+        return lambda z: np.sqrt((w * np.asarray(z, dtype=float) ** 2).sum(axis=-1))
+    return lambda z: (w * np.abs(z) ** p).sum(axis=-1) ** (1.0 / p)
 
 
 def _linf_gauge() -> Gauge:
