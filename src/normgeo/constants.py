@@ -534,6 +534,28 @@ def eps0(space: Space, cfg: SearchConfig | None = None, *,
 # Everything at once
 # --------------------------------------------------------------------------
 
+def guarded(key: str, fn):
+    """fn(), with any failure re-raised as a RuntimeError naming key."""
+    try:
+        return fn()
+    except Exception as exc:
+        raise RuntimeError(f"computation of {key!r} failed: {exc}") from exc
+
+
+def pair_constants(space: Space, cfg: SearchConfig,
+                   cache: PairTable | None) -> dict[str, ConstantEstimate]:
+    """sp, james, cnj, cnj_prime, zbaganu and schaffer, in this key order:
+    the constants that compute_all and verify.run_checks both report.  C_NJ
+    and C_Z come from one t-sweep; a failure of it names 'cnj'."""
+    out = {"sp": guarded("sp", lambda: sp_constant(space, cfg, cache=cache)),
+           "james": guarded("james", lambda: james(space, cfg, cache=cache))}
+    out["cnj"], zbaganu_est = guarded("cnj", lambda: cnj_and_zbaganu(space, cfg))
+    out["cnj_prime"] = guarded("cnj_prime", lambda: cnj_prime(space, cfg, cache=cache))
+    out["zbaganu"] = zbaganu_est
+    out["schaffer"] = guarded("schaffer", lambda: schaffer(space, cfg, cache=cache))
+    return out
+
+
 def compute_all(space: Space, cfg: SearchConfig | None = None, *,
                 gamma_ts=(), delta_eps=(), rho_ts=(),
                 include_infsup: bool = True,
@@ -545,25 +567,11 @@ def compute_all(space: Space, cfg: SearchConfig | None = None, *,
     """
     cfg = cfg or SearchConfig.for_dim(space.dim)
     cache = pair_table(space, cfg)
-    out: dict[str, ConstantEstimate] = {}
+    out = pair_constants(space, cfg, cache)
 
     def compute(key, fn):
-        try:
-            out[key] = fn()
-        except Exception as exc:
-            raise RuntimeError(f"computation of {key!r} failed: {exc}") from exc
+        out[key] = guarded(key, fn)
 
-    compute("sp", lambda: sp_constant(space, cfg, cache=cache))
-    compute("james", lambda: james(space, cfg, cache=cache))
-    scaled = {}
-
-    def both_scaled():
-        scaled["cnj"], scaled["zbaganu"] = cnj_and_zbaganu(space, cfg)
-        return scaled["cnj"]
-    compute("cnj", both_scaled)
-    compute("cnj_prime", lambda: cnj_prime(space, cfg, cache=cache))
-    compute("zbaganu", lambda: scaled["zbaganu"])
-    compute("schaffer", lambda: schaffer(space, cfg, cache=cache))
     if include_infsup:
         def both():
             lo, hi = t_and_T(space, cfg, cache=cache)

@@ -529,20 +529,22 @@ def top_cells(vals: np.ndarray, sign: float, count: int, cells=None) -> np.ndarr
     Exact under any ties: every cell strictly better than the count-th value
     is taken, and the remaining places go to the lowest-index cells at that
     value, so the choice depends on the values alone.  cells, when given,
-    holds the index of each value in a larger array (candidates merged from
-    several scans) and takes the place of the flat index in the order.
+    holds the index of each value in a larger array (a chunk of given cells,
+    or candidates merged from several scans), distinct and in any order, and
+    takes the place of the flat index in the order.
     """
-    if cells is not None:
-        order = np.argsort(cells)
-        return order[top_cells(np.ravel(vals)[order], sign, count)]
     key = -sign * np.ravel(vals)
     count = min(count, key.size)
     if count == 0:
         return np.empty(0, dtype=np.intp)
     kth = np.partition(key, count - 1)[count - 1]
     better = np.flatnonzero(key < kth)
-    idx = np.concatenate([better, np.flatnonzero(key == kth)[:count - better.size]])
-    return idx[np.lexsort((idx, key[idx]))]
+    ties = np.flatnonzero(key == kth)
+    if cells is not None:
+        cells = np.asarray(cells)
+        ties = ties[np.argsort(cells[ties])]
+    idx = np.concatenate([better, ties[:count - better.size]])
+    return idx[np.lexsort((idx if cells is None else cells[idx], key[idx]))]
 
 
 def _scan(space: Space, objective, grid: SphereGrid, cache: PairTable | None,
@@ -591,7 +593,7 @@ def _extremize(space: Space, objective, cfg: SearchConfig, mode: str, exclude: b
         blocks = _scan_cells(space, objective, cache, exclude, cfg.eta, sign, cells)
     found, values, evaluations = [], [], 0
     for where, vals, count in blocks:
-        idx = top_cells(vals, sign, cfg.multistart)
+        idx = top_cells(vals, sign, cfg.multistart, None if cells is None else where)
         found.append(where + idx if cells is None else where[idx])
         values.append(vals.ravel()[idx])
         evaluations += count

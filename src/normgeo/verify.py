@@ -85,34 +85,16 @@ def _ineq(name: str, ref: str, lhs: float, rhs: float, relation: str,
 def run_checks(space: Space, cfg: SearchConfig | None = None) -> VerificationReport:
     """Compute the constants once, then evaluate every registered check."""
     cfg = cfg or SearchConfig.for_dim(space.dim)
-    est: dict[str, ConstantEstimate] = {}
-
-    def compute(key, fn):
-        try:
-            est[key] = fn()
-        except Exception as exc:
-            raise RuntimeError(f"computation of {key!r} failed: {exc}") from exc
-        return est[key]
-
     cache = pair_table(space, cfg)
-    sp = compute("sp", lambda: constants.sp_constant(space, cfg, cache=cache)).value
-    jc = compute("james", lambda: constants.james(space, cfg, cache=cache)).value
-    scaled = {}
-
-    def both_scaled():
-        scaled["cnj"], scaled["zbaganu"] = constants.cnj_and_zbaganu(space, cfg)
-        return scaled["cnj"]
-    cnj = compute("cnj", both_scaled).value
-    cnjp = compute("cnj_prime", lambda: constants.cnj_prime(space, cfg, cache=cache)).value
-    cz = compute("zbaganu", lambda: scaled["zbaganu"]).value
-    sk = compute("schaffer", lambda: constants.schaffer(space, cfg, cache=cache)).value
-    res = compute("sqrt2_residual",
-                  lambda: constants.sqrt2_pair_residual(space, cfg, cache=cache)).value
-    d0 = compute("delta(0)", lambda: constants.delta(space, 0.0, cfg, cache=cache)).value
-    try:
-        gammas = constants.gamma_profile(space, _GAMMA_TS, cfg)
-    except Exception as exc:
-        raise RuntimeError(f"computation of 'gamma' failed: {exc}") from exc
+    est = constants.pair_constants(space, cfg, cache)
+    sp, jc, cnj, cnjp, cz, sk = (est[k].value for k in
+                                 ("sp", "james", "cnj", "cnj_prime", "zbaganu", "schaffer"))
+    est["sqrt2_residual"] = constants.guarded(
+        "sqrt2_residual", lambda: constants.sqrt2_pair_residual(space, cfg, cache=cache))
+    est["delta(0)"] = constants.guarded(
+        "delta(0)", lambda: constants.delta(space, 0.0, cfg, cache=cache))
+    res, d0 = est["sqrt2_residual"].value, est["delta(0)"].value
+    gammas = constants.guarded("gamma", lambda: constants.gamma_profile(space, _GAMMA_TS, cfg))
     for t, g in zip(_GAMMA_TS, gammas):
         est[f"gamma({t:.12g})"] = g
     gvals = [g.value for g in gammas]

@@ -255,6 +255,25 @@ def test_scan_independent_of_block_size(monkeypatch):
         assert delta(space, 1.0, cfg).value == pytest.approx(ref[4].value, abs=1e-12)
 
 
+def test_cell_scan_independent_of_cell_order(monkeypatch):
+    """minimize_cells picks its starts by value, then by flat index, however
+    the given cells are ordered and split into chunks: every cell, shuffled,
+    gives the full scan's starts and estimate.  The rounded objective ties
+    many cells at the cut-off value."""
+    space = build_space(parse_space_spec("lp:p=1.5,dim=2"))
+    cfg = SearchConfig(grid_per_dim=96, refine_iters=40, multistart=4)
+    cache = pair_table(space, cfg)
+    objective = PairNormObjective(lambda a, b: np.round(a + b, 1))
+    ref, ref_starts = search.minimize_cells(space, objective, cfg, cache)
+    cells = np.random.default_rng(3).permutation(cache.minus.size).astype(np.int32)
+    with monkeypatch.context() as m:
+        m.setattr(search, "CHUNK_PAIRS", 997)
+        est, starts = search.minimize_cells(space, objective, cfg, cache, cells)
+    assert starts.tolist() == ref_starts.tolist()
+    assert (est.value, est.evaluations) == (ref.value, ref.evaluations)
+    assert np.array_equal(est.x, ref.x) and np.array_equal(est.y, ref.y)
+
+
 def test_output_independent_of_numpy_dispatch():
     """Start selection depends on values alone, and the polygon gauge rounds
     alike at every numpy dispatch level, so the printed constants do too."""
