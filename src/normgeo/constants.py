@@ -107,15 +107,13 @@ def sp_constant(space: Space, cfg: SearchConfig | None = None, *,
 def james(space: Space, cfg: SearchConfig | None = None, *,
           cache: PairTable | None = None) -> ConstantEstimate:
     """James constant: sup of min(||x+y||, ||x-y||) over unit pairs."""
-    obj = PairNormObjective(min_norm, scalar_fn=lambda a, b: a if a < b else b)
-    return maximize_pair(space, obj, cfg, cache=cache)
+    return maximize_pair(space, PairNormObjective(min_norm), cfg, cache=cache)
 
 
 def schaffer(space: Space, cfg: SearchConfig | None = None, *,
              cache: PairTable | None = None) -> ConstantEstimate:
     """Schaffer girth constant: inf of max(||x+y||, ||x-y||) over unit pairs."""
-    obj = PairNormObjective(max_norm, scalar_fn=lambda a, b: a if a > b else b)
-    return minimize_pair(space, obj, cfg, cache=cache)
+    return minimize_pair(space, PairNormObjective(max_norm), cfg, cache=cache)
 
 
 def cnj_prime(space: Space, cfg: SearchConfig | None = None, *,
@@ -139,7 +137,7 @@ def t_and_T(space: Space, cfg: SearchConfig | None = None, *,
     T = sup over both of the same quantity
     """
     cfg = cfg or SearchConfig.for_dim(space.dim)
-    obj = PairNormObjective(geom_mean, scalar_fn=lambda a, b: math.sqrt(a * b))
+    obj = PairNormObjective(geom_mean)
     lo = infsup_pair(space, obj, cfg, cache=cache)
     hi = maximize_pair(space, obj, cfg, cache=cache)
     return lo, hi
@@ -329,8 +327,7 @@ def delta(space: Space, eps: float, cfg: SearchConfig | None = None,
 def _geq_objective(eps: float) -> PairNormObjective:
     """1 - ||x+y||/2 where ||x-y|| >= eps - _GEQ_SLACK, +inf elsewhere."""
     return PairNormObjective(
-        lambda a, b: np.where(b >= eps - _GEQ_SLACK, 1.0 - a / 2.0, np.inf),
-        scalar_fn=lambda a, b: 1.0 - a / 2.0 if b >= eps - _GEQ_SLACK else math.inf)
+        lambda a, b: np.where(b >= eps - _GEQ_SLACK, 1.0 - a / 2.0, np.inf))
 
 
 def _feasible(est: ConstantEstimate, eps: float) -> ConstantEstimate:

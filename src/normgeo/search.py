@@ -3,13 +3,14 @@
 Strategy: evaluate the objective on a coarse deterministic grid of sphere
 parameters, then hand the best cells to one multistart engine
 (refine_starts): golden-section line searches over a fixed direction set,
-re-evaluation of the polished points, and one tie-break (extremal value
-first, lexicographically smallest parameter tuple among ties).  No
-randomness enters the search path, and ties between grid cells go to the
-lowest index (top_cells), so the same machine and numpy build reproduce
-results bit for bit.  Across numpy's CPU dispatch levels a gauge may round
-differently in the last bits (lp's power kernel is dispatched), and then
-so may the results.
+run for all starts in lockstep as numpy arrays, re-evaluation of the
+polished points, and one tie-break (extremal value first,
+lexicographically smallest parameter tuple among ties).  No randomness
+enters the search path, and ties between grid cells go to the lowest index
+(top_cells), so the same machine and numpy build reproduce results bit for
+bit.  Across numpy's CPU dispatch levels a gauge may round differently in
+the last bits (lp's power kernel is dispatched), and then so may the
+results.
 
 Sphere parameterization: dim 2 uses one angle per point; dim >= 3 uses raw
 direction vectors on the surface lattice of the cube [-1, 1]^dim (coordinates
@@ -105,10 +106,8 @@ class PairNormObjective:
     computed once per grid and shared across objectives.
     """
 
-    def __init__(self, fn: Callable[..., np.ndarray],
-                 scalar_fn: Callable[..., float] | None = None, t: float | None = 1.0):
+    def __init__(self, fn: Callable[..., np.ndarray], t: float | None = 1.0):
         self.fn = fn
-        self.scalar_fn = scalar_fn   # float twin for the 2D polish closure
         self.t = t
 
     def __call__(self, a, b, *t):
@@ -167,7 +166,7 @@ def sphere_grid(space: Space, grid_per_dim: int) -> SphereGrid:
 def sphere_points(space: Space, params: np.ndarray) -> np.ndarray:
     """Row-wise sphere_point for (n, k) parameter rows known to be nonzero."""
     if space.dim == 2 and params.shape[1] == 1:
-        direction = np.stack([np.cos(params[:, 0]), np.sin(params[:, 0])], axis=1)
+        direction = np.concatenate([np.cos(params), np.sin(params)], axis=1)
     else:
         direction = params
     return direction / np.asarray(space.gauge(direction))[:, None]
@@ -204,79 +203,24 @@ def pair_table(space: Space, cfg: SearchConfig) -> PairTable | None:
 
 
 # --------------------------------------------------------------------------
-# Golden-section polish
+# Golden-section polish, in lockstep
 # --------------------------------------------------------------------------
 
-def _golden_line(f, p, dvec, w, sign, best_val, counter):
-    """Line search along p + s*dvec for s in [-w, w]; improves sign*f.
-
-    Returns the best strictly improving point, or the incoming one when
-    nothing beats it (ties keep the incoming point, so flat objectives do not
-    drift).
-    """
-    a, b = -w, w
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    best_p, best = p, best_val
-
-    def probe(s):
-        nonlocal best_p, best
-        val = f(p + s * dvec)
-        counter[0] += 1
-        if sign * val > sign * best:
-            best_p, best = p + s * dvec, val
-        return val
-
-    fc = probe(c)
-    fd = probe(d)
-    for _ in range(_LINE_EVALS - 2):
-        if sign * fc >= sign * fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = probe(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = probe(d)
-    return best_p, best
-
-
-def _polish(f, p0, f0, step, sign, cfg: SearchConfig, directions, counter):
-    """Cyclic direction-set golden-section refinement.  Returns p, val, converged.
-
-    step: initial bracket half-width, one scalar for all directions or a
-    sequence with one entry per direction.
-    """
-    budget = cfg.refine_iters
-    if budget == 0:
-        return p0, f0, False
-    p, val = p0, f0
-    widths = list(step) if np.ndim(step) else [step] * len(directions)
-    it = 0
-    converged = False
-    while it < budget:
-        cycle_val = val
-        full_cycle = True
-        for k, dvec in enumerate(directions):
-            if it >= budget:
-                full_cycle = False
-                break
-            p, val = _golden_line(f, p, dvec, widths[k], sign, val, counter)
-            widths[k] *= 0.5
-            it += 1
-        if full_cycle and sign * (val - cycle_val) <= cfg.tol:
-            converged = True
-            break
-    return p, val, converged
-
-
 def _polish_batch(f, p0, f0, step, sign, cfg: SearchConfig, directions, counter):
-    """_polish over B starts in lockstep: returns the (B, k) points, values
-    and converged flags.  Each golden-section step is one call f(params,
-    rows) on the active starts numbered rows.  Each start follows _polish bit
-    for bit when f rounds a row the same in any batch, as element-wise
-    gauges such as lp do; the polygon gauge's matrix product can round a row
-    differently depending on how many rows share the call."""
+    """Cyclic direction-set golden-section refinement of B starts in
+    lockstep: returns the (B, k) points, values and converged flags.
+
+    step is the initial bracket half-width, one scalar for all directions or
+    a sequence with one entry per direction; each line search halves its
+    direction's width.  Each golden-section step is one call f(params, rows)
+    on the active starts numbered rows.  A start stops when a full cycle of
+    directions gains at most cfg.tol, or when the budget of
+    cfg.refine_iters line searches is spent.  Each start follows the probes,
+    tie rule and stopping test it would follow alone, bit for bit when f
+    rounds a row the same in any batch, as element-wise gauges such as lp
+    do.  The polygon gauge's matrix product can round a row differently
+    depending on how many rows share the call, so a 2D polygon polish may
+    take another path than the same start polished alone."""
     p = np.array(p0, dtype=float)
     val = np.array(f0, dtype=float)
     converged = np.zeros(len(val), dtype=bool)
@@ -302,7 +246,10 @@ def _polish_batch(f, p0, f0, step, sign, cfg: SearchConfig, directions, counter)
 
 
 def _golden_batch(f, p, rows, dvec, w, sign, best, counter):
-    """_golden_line for the starts numbered rows; compares sign * f (exact)."""
+    """One line search along p + s*dvec, s in [-w, w], for each start
+    numbered rows: returns the best strictly improving points and values,
+    or the incoming ones when nothing beats them (ties keep the incoming
+    point, so flat objectives do not drift).  Compares sign * f (exact)."""
     a = np.full(len(rows), -w)
     b = np.full(len(rows), w)
     best_p, best = p, sign * best
@@ -336,27 +283,6 @@ def _golden_batch(f, p, rows, dvec, w, sign, best, counter):
 # The multistart engine
 # --------------------------------------------------------------------------
 
-def _polish_starts(f, starts, values, widths, directions, sign, cfg: SearchConfig,
-                   scalar=None):
-    """Polish every start: returns the points, values, converged flags and
-    the number of objective evaluations.
-
-    The engine's one back-end switch.  scalar is a float closure of one
-    parameter tuple; only _pair_float builds one, for 2D pair-norm objectives
-    on a space with a scalar gauge, and then the starts run _polish one at a
-    time on plain floats.  Every other objective runs _polish_batch in
-    lockstep on f(params, rows), rows numbering the starts.
-    """
-    counter = [0]
-    if scalar is None:
-        out = _polish_batch(f, starts, values, widths, sign, cfg, directions, counter)
-    else:
-        out = map(np.array, zip(*[_polish(scalar, p, float(v), widths, sign, cfg, directions,
-                                          counter)
-                                  for p, v in zip(starts, values)]))
-    return (*out, counter[0])
-
-
 def _wrap(params: np.ndarray, angles: int) -> np.ndarray:
     """Reduce the first `angles` parameter columns into [0, 2pi)."""
     params[:, :angles] = np.mod(params[:, :angles], TWO_PI)
@@ -364,24 +290,23 @@ def _wrap(params: np.ndarray, angles: int) -> np.ndarray:
 
 
 def refine_starts(f, starts, values, widths, directions, sign: float, cfg: SearchConfig,
-                  *, angles: int = 0, scalar=None):
-    """Multistart refinement of grid starts: polish each one (_polish_starts),
-    wrap its angle parameters, re-evaluate it, and pick the winner by value
-    (largest for sign +1, smallest for -1), then by the smallest parameter
-    tuple.
+                  *, angles: int = 0):
+    """Multistart refinement of grid starts: polish all of them in lockstep
+    (_polish_batch on f(params, rows)), wrap their angle parameters,
+    re-evaluate them, and pick the winner by value (largest for sign +1,
+    smallest for -1), then by the smallest parameter tuple.
 
     widths holds one initial bracket half-width per direction.  Returns the
     polished points, their re-evaluated values, the converged flags, the
     index of the winner and the evaluation count, each evaluation counted
     once.
     """
-    P, _, conv, count = _polish_starts(f, starts, values, widths, directions, sign, cfg,
-                                       scalar)
+    counter = [0]
+    P, _, conv = _polish_batch(f, starts, values, widths, sign, cfg, directions, counter)
     P = _wrap(P, angles)
-    vals = np.array([scalar(p) for p in P] if scalar is not None
-                    else f(P, np.arange(len(P))), dtype=float)
+    vals = np.asarray(f(P, np.arange(len(P))), dtype=float)
     best = min(range(len(P)), key=lambda i: (-sign * vals[i], tuple(P[i])))
-    return P, vals, conv, best, count + len(P)
+    return P, vals, conv, best, counter[0] + len(P)
 
 
 # --------------------------------------------------------------------------
@@ -417,7 +342,7 @@ def _pair_values(space: Space, objective, xs, ys, exclude: bool, eta: float, sig
     bad = np.isnan(vals)
     if exclude:
         bad |= (plus < eta) | (minus < eta)
-    return np.where(bad, -sign * np.inf, vals), vals.size - int(bad.sum())
+    return np.where(bad, -sign * np.inf, vals), vals.size - np.count_nonzero(bad)
 
 
 def _pair_batch(space: Space, objective, exclude: bool, eta: float, sign: float):
@@ -427,49 +352,12 @@ def _pair_batch(space: Space, objective, exclude: bool, eta: float, sign: float)
     search_t = getattr(objective, "t", 1.0) is None
 
     def f(params, rows):
-        xs, ys = sphere_points(space, params[:, :k]), sphere_points(space, params[:, k:2 * k])
+        # x and y of every row in one gauge call.
+        xy = sphere_points(space, np.concatenate([params[:, :k], params[:, k:2 * k]]))
+        xs, ys = xy[:len(params)], xy[len(params):]
         t = params[:, 2 * k] if search_t else None
         vals = _pair_values(space, objective, xs, ys, exclude, eta, sign, t)[0]
         return np.where((t >= 0.0) & (t <= 1.0), vals, -sign * np.inf) if search_t else vals
-
-    return f
-
-
-def _pair_float(space: Space, objective, exclude: bool, eta: float, sign: float):
-    """Pure-float twin of _pair_batch for one start, or None.
-
-    Only 2D pair-norm objectives on a space with a scalar gauge have one;
-    the polish makes tens of thousands of single-point calls there, where
-    per-call array overhead would dominate the whole search.  Parameters are
-    (theta_x, theta_y[, t]).
-    """
-    sg = space.scalar_gauge if space.dim == 2 else None
-    if sg is None or not isinstance(objective, PairNormObjective):
-        return None
-    sfn = objective.scalar_fn or objective.fn
-    t_fixed, search_t = objective.t, objective.t is None
-    bad = -sign * math.inf
-    cos, sin, isnan = math.cos, math.sin, math.isnan
-
-    def f(params):
-        if search_t:
-            t = params[2]
-            if not 0.0 <= t <= 1.0:
-                return bad
-        else:
-            t = t_fixed
-        c, s = cos(params[0]), sin(params[0])
-        g = sg(c, s)
-        x0, x1 = c / g, s / g
-        c, s = cos(params[1]), sin(params[1])
-        g = sg(c, s)
-        y0, y1 = t * (c / g), t * (s / g)
-        a = sg(x0 + y0, x1 + y1)
-        b = sg(x0 - y0, x1 - y1)
-        if exclude and (a < eta or b < eta):
-            return bad
-        val = float(sfn(a, b, t) if search_t else sfn(a, b))
-        return bad if isnan(val) else val
 
     return f
 
@@ -502,8 +390,7 @@ def refine_pairs(space: Space, objective, starts, values, step: float, cfg: Sear
         _pair_batch(space, objective, exclude, cfg.eta, sign),
         np.asarray(starts, dtype=float)[keep], np.asarray(values, dtype=float)[keep],
         [t_step if search_t and d[-1] else step for d in directions], directions, sign, cfg,
-        angles=2 if space.dim == 2 else 0,
-        scalar=_pair_float(space, objective, exclude, cfg.eta, sign))
+        angles=2 if space.dim == 2 else 0)
     k = 1 if space.dim == 2 else space.dim
     x = sphere_point(space, P[best, :k])
     y = sphere_point(space, P[best, k:2 * k])

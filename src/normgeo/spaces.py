@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import ast
 import math
+import random
 import re
 from dataclasses import dataclass, field
 from typing import Callable
@@ -181,46 +182,6 @@ def _linf_gauge() -> Gauge:
     return lambda z: np.abs(z).max(axis=-1)
 
 
-# Scalar twins of the 2D gauges, used by the optimizer's polish loop where
-# per-call numpy overhead would dominate.  Same formulas, plain floats.
-
-def _scalar_lp2(p: float, weights=None):
-    if weights is None:
-        if p == 1.0:
-            return lambda a, b: abs(a) + abs(b)
-        if p == 2.0:
-            return lambda a, b: math.sqrt(a * a + b * b)
-        pinv = 1.0 / p
-        return lambda a, b: (abs(a) ** p + abs(b) ** p) ** pinv
-    w0, w1 = float(weights[0]), float(weights[1])
-    if p == 1.0:
-        return lambda a, b: w0 * abs(a) + w1 * abs(b)
-    if p == 2.0:
-        return lambda a, b: math.sqrt(w0 * a * a + w1 * b * b)
-    pinv = 1.0 / p
-    return lambda a, b: (w0 * abs(a) ** p + w1 * abs(b) ** p) ** pinv
-
-
-def _scalar_linf2():
-    return lambda a, b: max(abs(a), abs(b))
-
-
-def _scalar_functional2(functionals: np.ndarray):
-    rows = [(float(r[0]), float(r[1])) for r in functionals]
-
-    def sg(a, b):
-        best = 0.0
-        for f0, f1 in rows:
-            v = f0 * a + f1 * b
-            if v < 0.0:
-                v = -v
-            if v > best:
-                best = v
-        return best
-
-    return sg
-
-
 def _functional_gauge(functionals: np.ndarray) -> Gauge:
     mat_t = np.ascontiguousarray(functionals.T)  # (dim, m)
 
@@ -282,18 +243,15 @@ def polygon_facet_functionals(vertices) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Space:
-    """A realized normed space: dimension plus vectorized gauge.
-
-    scalar_gauge, present for 2D spaces, is a float twin of the vectorized
-    gauge taking the two components directly; the optimizer uses it for its
-    many single-point polish evaluations.
-    """
+    """A realized normed space: dimension plus vectorized gauge."""
 
     dim: int
     gauge: Gauge
     spec: NormSpec | None = None
     is_euclidean: bool = False
     name: str = ""
+    # Always None: nothing in the package reads it.  perfbench/count_cli.py
+    # still reads and replaces it when it counts gauge calls.
     scalar_gauge: Callable[[float, float], float] | None = None
 
     def norm(self, v) -> float:
@@ -304,32 +262,41 @@ class Space:
 
 
 def build_space(spec: NormSpec) -> Space:
-    """Validate a spec and construct the Space realizing it."""
+    """Validate a spec and construct the Space realizing it.
+
+    lp and weighted-lp gauges are also sample-checked against the norm
+    axioms (validate_space): at large p their power sums underflow or
+    overflow, and a violation raises ValueError naming the axiom.  The
+    polygon families are checked by NormSpec.validate.
+    """
     spec.validate()
     fam = spec.family
     if fam == "lp":
-        gauge = _lp_gauge(spec.p)
-        return Space(spec.dim, gauge, spec, is_euclidean=(spec.p == 2.0),
-                     name=f"lp(p={spec.p:g},dim={spec.dim})",
-                     scalar_gauge=_scalar_lp2(spec.p) if spec.dim == 2 else None)
+        return _checked(Space(spec.dim, _lp_gauge(spec.p), spec, is_euclidean=(spec.p == 2.0),
+                              name=f"lp(p={spec.p:g},dim={spec.dim})"))
     if fam == "linf":
-        return Space(spec.dim, _linf_gauge(), spec, name=f"linf(dim={spec.dim})",
-                     scalar_gauge=_scalar_linf2() if spec.dim == 2 else None)
+        return Space(spec.dim, _linf_gauge(), spec, name=f"linf(dim={spec.dim})")
     if fam == "weighted-lp":
         w = np.asarray(spec.weights, dtype=float)
-        gauge = _lp_gauge(spec.p, w)
-        return Space(len(w), gauge, spec, is_euclidean=(spec.p == 2.0),
-                     name=f"wlp(p={spec.p:g},dim={len(w)})",
-                     scalar_gauge=_scalar_lp2(spec.p, w) if len(w) == 2 else None)
+        return _checked(Space(len(w), _lp_gauge(spec.p, w), spec, is_euclidean=(spec.p == 2.0),
+                              name=f"wlp(p={spec.p:g},dim={len(w)})"))
     if fam == "poly-functionals":
         mat = np.asarray(spec.functionals, dtype=float)
         return Space(mat.shape[1], _functional_gauge(mat), spec,
-                     name=f"polyf(m={mat.shape[0]},dim={mat.shape[1]})",
-                     scalar_gauge=_scalar_functional2(mat) if mat.shape[1] == 2 else None)
+                     name=f"polyf(m={mat.shape[0]},dim={mat.shape[1]})")
     # poly-vertices
     facets = polygon_facet_functionals(spec.vertices)
-    return Space(2, _functional_gauge(facets), spec, name=f"polyv(m={len(facets)})",
-                 scalar_gauge=_scalar_functional2(facets))
+    return Space(2, _functional_gauge(facets), spec, name=f"polyv(m={len(facets)})")
+
+
+def _checked(space: Space) -> Space:
+    """space, or ValueError naming the first axiom its gauge fails."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        bad = validate_space(space)
+    if bad:
+        raise ValueError(f"{space.name} fails the {bad[0].axiom} axiom on sampled "
+                         f"vectors: {bad[0].detail}")
+    return space
 
 
 # --------------------------------------------------------------------------
@@ -350,10 +317,14 @@ def validate_space(space: Space, samples: int = 1000, seed: int = 0) -> list[Axi
     homogeneity  gauge(c x) = |c| gauge(x) within 1e-12 relative
     triangle     gauge(x + y) <= gauge(x) + gauge(y) + 1e-12
     """
-    rng = np.random.default_rng(seed)
-    xs = rng.standard_normal((samples, space.dim))
-    ys = rng.standard_normal((samples, space.dim))
-    cs = rng.uniform(-3.0, 3.0, samples)
+    # Draws from the stdlib generator: importing numpy.random takes longer
+    # (about 12 ms) than this whole check, which build_space runs.
+    n = 2 * samples * space.dim
+    bits = np.frombuffer(random.Random(seed).randbytes(8 * (2 * n + samples)), dtype="<u8")
+    u = ((bits >> np.uint64(11)) + 0.5) * 2.0 ** -53     # uniform in (0, 1)
+    xs, ys = (np.sqrt(-2.0 * np.log(u[:n])) * np.cos(2.0 * np.pi * u[n:2 * n])   # Box-Muller
+              ).reshape(2, samples, space.dim)
+    cs = -3.0 + 6.0 * u[2 * n:]
 
     gx = np.asarray(space.gauge(xs), dtype=float)
     gy = np.asarray(space.gauge(ys), dtype=float)
@@ -362,7 +333,7 @@ def validate_space(space: Space, samples: int = 1000, seed: int = 0) -> list[Axi
     bad = np.flatnonzero(~(gx > 0.0))
     for i in bad[:100]:
         out.append(AxiomViolation(
-            "positivity", f"gauge({xs[i].tolist()}) = {gx[i]!r} is not > 0", float(-gx[i])))
+            "positivity", f"gauge({xs[i].tolist()}) = {float(gx[i])!r} is not > 0", float(-gx[i])))
 
     gcx = np.asarray(space.gauge(cs[:, None] * xs), dtype=float)
     expect = np.abs(cs) * gx
@@ -370,14 +341,14 @@ def validate_space(space: Space, samples: int = 1000, seed: int = 0) -> list[Axi
     bad = np.flatnonzero(herr > 1e-12 * np.maximum(1.0, np.abs(expect)))
     for i in bad[:100]:
         out.append(AxiomViolation(
-            "homogeneity", f"gauge({cs[i]} * x) = {gcx[i]!r}, expected {expect[i]!r}", float(herr[i])))
+            "homogeneity", f"gauge({cs[i]} * x) = {float(gcx[i])!r}, expected {float(expect[i])!r}", float(herr[i])))
 
     gxy = np.asarray(space.gauge(xs + ys), dtype=float)
     terr = gxy - (gx + gy)
     bad = np.flatnonzero(terr > 1e-12)
     for i in bad[:100]:
         out.append(AxiomViolation(
-            "triangle", f"gauge(x+y) = {gxy[i]!r} exceeds gauge(x)+gauge(y) = {(gx + gy)[i]!r}", float(terr[i])))
+            "triangle", f"gauge(x+y) = {float(gxy[i])!r} exceeds gauge(x)+gauge(y) = {float((gx + gy)[i])!r}", float(terr[i])))
 
     return out
 

@@ -226,7 +226,7 @@ def run_checks(space: Space, cfg: SearchConfig | None = None) -> VerificationRep
             sp, math.inf, "<=", 1e-3, "vacuous",
             note=f"delta(0) = {d0:.3g}: each bound is +inf"))
     else:
-        rho1 = compute("rho(1)", lambda: constants.rho(space, 1.0, cfg)).value
+        rho1 = constants.guarded("rho(1)", lambda: constants.rho(space, 1.0, cfg)).value
         family = [
             (cnjp - 1.0) / d0,
             (4.0 * rho1 * rho1 + 4.0 * rho1 - 3.0) / (8.0 * d0),

@@ -13,7 +13,8 @@ from normgeo import search
 from normgeo.constants import delta, gamma, schaffer, sp_constant, t_and_T
 from normgeo.search import (ConstantEstimate, PairNormObjective, SearchConfig,
                             infsup_pair, maximize_pair, minimize_pair, pair_table,
-                            sphere_grid, sphere_point, top_cells, _polish, _polish_batch)
+                            refine_pairs, sphere_grid, sphere_point, top_cells,
+                            _INVPHI, _LINE_EVALS, _polish_batch)
 from normgeo.spaces import build_space, parse_space_spec
 
 TWO_PI = 2.0 * math.pi
@@ -88,7 +89,7 @@ def test_minimize_smooth_objective(l2):
 
 def test_pairnorm_sup_l2(l2):
     # sup ||x+y|| = 2 at x = y.
-    obj = PairNormObjective(lambda a, b: a, scalar_fn=lambda a, b: a)
+    obj = PairNormObjective(lambda a, b: a)
     est = maximize_pair(l2, obj)
     assert est.value == pytest.approx(2.0, abs=1e-9)
     assert np.allclose(est.x, est.y, atol=1e-6)
@@ -96,7 +97,7 @@ def test_pairnorm_sup_l2(l2):
 
 def test_pairnorm_inf_with_exclusion(l2):
     # inf ||x+y|| over non-degenerate pairs approaches eta from above.
-    obj = PairNormObjective(lambda a, b: a, scalar_fn=lambda a, b: a)
+    obj = PairNormObjective(lambda a, b: a)
     est = minimize_pair(l2, obj, exclude_degenerate=True)
     assert est.value >= est.config.eta - 1e-12
     assert est.value < 1e-2
@@ -104,8 +105,7 @@ def test_pairnorm_inf_with_exclusion(l2):
 
 
 def test_witnesses_on_sphere(battery_spaces):
-    obj = PairNormObjective(lambda a, b: np.minimum(a, b),
-                            scalar_fn=lambda a, b: a if a < b else b)
+    obj = PairNormObjective(lambda a, b: np.minimum(a, b))
     for sp in battery_spaces[:5]:
         est = maximize_pair(sp, obj)
         assert sp.norm(est.x) == pytest.approx(1.0, abs=1e-9)
@@ -115,8 +115,7 @@ def test_witnesses_on_sphere(battery_spaces):
 def test_infsup_known_value(l2):
     # Parallelogram law pins a^2 + b^2 = 4, so sup_y sqrt(ab) = sqrt(2) at
     # a = b = sqrt(2), independently of x; the inf inherits sqrt(2).
-    obj = PairNormObjective(lambda a, b: np.sqrt(a * b),
-                            scalar_fn=lambda a, b: math.sqrt(a * b))
+    obj = PairNormObjective(lambda a, b: np.sqrt(a * b))
     est = infsup_pair(l2, obj)
     assert est.value == pytest.approx(math.sqrt(2.0), abs=1e-6)
 
@@ -136,8 +135,7 @@ def test_search_is_deterministic(hexagon):
 
 def test_polish_only_improves(hexagon):
     """The polished value dominates the raw grid scan at every grid size."""
-    obj = PairNormObjective(lambda a, b: np.minimum(a, b),
-                            scalar_fn=lambda a, b: a if a < b else b)
+    obj = PairNormObjective(lambda a, b: np.minimum(a, b))
     raw = maximize_pair(hexagon, obj,
                         SearchConfig(grid_per_dim=360, refine_iters=0, multistart=1))
     refined = maximize_pair(hexagon, obj, SearchConfig(grid_per_dim=360))
@@ -145,8 +143,7 @@ def test_polish_only_improves(hexagon):
 
 
 def test_grid_refinement_monotone(hexagon):
-    obj = PairNormObjective(lambda a, b: np.minimum(a, b),
-                            scalar_fn=lambda a, b: a if a < b else b)
+    obj = PairNormObjective(lambda a, b: np.minimum(a, b))
     vals = [maximize_pair(hexagon, obj,
                           SearchConfig(grid_per_dim=n, refine_iters=0, multistart=1)).value
             for n in (90, 180, 360, 720)]
@@ -191,8 +188,7 @@ def test_pair_table_values(l1):
 def test_pair_table_shared_results_match(l15):
     cfg = SearchConfig()
     table = pair_table(l15, cfg)
-    obj = PairNormObjective(lambda a, b: np.minimum(a, b),
-                            scalar_fn=lambda a, b: a if a < b else b)
+    obj = PairNormObjective(lambda a, b: np.minimum(a, b))
     with_cache = maximize_pair(l15, obj, cfg, cache=table)
     without = maximize_pair(l15, obj, cfg)
     assert with_cache.value == without.value
@@ -303,6 +299,63 @@ def test_output_independent_of_numpy_dispatch():
 # Lockstep polish
 # --------------------------------------------------------------------------
 
+def _golden_line(f, p, dvec, w, sign, best_val, counter):
+    """Reference line search along p + s*dvec for s in [-w, w], one start on
+    plain floats; improves sign*f and keeps the incoming point on ties."""
+    a, b = -w, w
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    best_p, best = p, best_val
+
+    def probe(s):
+        nonlocal best_p, best
+        val = f(p + s * dvec)
+        counter[0] += 1
+        if sign * val > sign * best:
+            best_p, best = p + s * dvec, val
+        return val
+
+    fc = probe(c)
+    fd = probe(d)
+    for _ in range(_LINE_EVALS - 2):
+        if sign * fc >= sign * fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = probe(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = probe(d)
+    return best_p, best
+
+
+def _polish(f, p0, f0, step, sign, cfg: SearchConfig, directions, counter):
+    """Reference cyclic direction-set golden-section refinement of one
+    start, written independently of _polish_batch.  Returns p, val,
+    converged."""
+    budget = cfg.refine_iters
+    if budget == 0:
+        return p0, f0, False
+    p, val = p0, f0
+    widths = list(step) if np.ndim(step) else [step] * len(directions)
+    it = 0
+    converged = False
+    while it < budget:
+        cycle_val = val
+        full_cycle = True
+        for k, dvec in enumerate(directions):
+            if it >= budget:
+                full_cycle = False
+                break
+            p, val = _golden_line(f, p, dvec, widths[k], sign, val, counter)
+            widths[k] *= 0.5
+            it += 1
+        if full_cycle and sign * (val - cycle_val) <= cfg.tol:
+            converged = True
+            break
+    return p, val, converged
+
+
 def _bowl(p):
     """Concave quadratic on (m, 2) points, flat for p0 > 3."""
     x, y = p[:, 0], p[:, 1]
@@ -339,3 +392,40 @@ def test_polish_batch_matches_polish(extra, step, budget, sign):
         assert conv[0] and counts[0] == 24 * len(directions)
     if sign > 0:
         assert not conv[1] and counts[1] == 24 * budget
+
+
+@pytest.mark.parametrize("exclude", [False, True])
+def test_refine_pairs_lockstep_matches_each_start_alone(monkeypatch, exclude):
+    """On a 2D lp gauge, which rounds each point alike in any batch, each of
+    16 starts refined in lockstep reaches the point, value and converged
+    flag it reaches when refined alone, bit for bit, although x and y of all
+    active starts share one sphere-point gauge call and the starts stop at
+    different times."""
+    space = build_space(parse_space_spec("lp:p=1.5,dim=2"))
+    cfg = SearchConfig(grid_per_dim=96)
+    grid = sphere_grid(space, cfg.grid_per_dim)
+    objective = PairNormObjective(lambda a, b: np.minimum(a, b))
+    i, j = np.random.default_rng(5).integers(0, len(grid.params), (2, 16))
+    starts = np.hstack([grid.params[i], grid.params[j]])
+    x, y = grid.vectors[i], grid.vectors[j]
+    values = np.minimum(space.gauge(x + y), space.gauge(x - y))
+    runs = []
+    engine = search.refine_starts
+
+    def record(*args, **kwargs):
+        runs.append(engine(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(search, "refine_starts", record)
+    batch = refine_pairs(space, objective, starts, values, grid.step, cfg, "sup",
+                         exclude=exclude)
+    for k in range(16):
+        refine_pairs(space, objective, starts[k:k + 1], values[k:k + 1], grid.step, cfg,
+                     "sup", exclude=exclude)
+    (P, vals, conv, best, count), alone = runs[0], runs[1:]
+    for k, (Pk, vk, ck, _, _) in enumerate(alone):
+        assert np.array_equal(P[k], Pk[0]) and vals[k] == vk[0] and conv[k] == ck[0]
+    assert count == sum(run[4] for run in alone)
+    assert len({run[4] for run in alone}) > 1   # the starts stop at different times
+    win = max(range(16), key=lambda k: (vals[k], -k))
+    assert best == win and batch.value == vals[win]

@@ -33,17 +33,6 @@ def test_weighted_lp_gauge():
     assert sp.dim == 2
 
 
-def test_vectorized_gauge_matches_scalar(battery_spaces):
-    rng = np.random.default_rng(3)
-    pts = rng.standard_normal((64, 2))
-    for sp in battery_spaces:
-        if sp.scalar_gauge is None:
-            continue
-        vec = np.asarray(sp.gauge(pts), dtype=float)
-        scl = np.array([sp.scalar_gauge(p[0], p[1]) for p in pts])
-        assert np.allclose(vec, scl, rtol=1e-13, atol=0.0)
-
-
 def test_functional_space_gauge():
     sp = build_space(parse_space_spec("polyf:f=[[1,0],[0,1]]"))
     assert sp.norm([0.5, -2.0]) == 2.0   # max |<f_i, x>|; this is linf
@@ -156,6 +145,23 @@ def test_parse_rejects(text):
     with pytest.raises(ValueError):
         spec = parse_space_spec(text)
         build_space(spec)
+
+
+@pytest.mark.parametrize("text, axiom", [
+    ("lp:p=150,dim=2", "homogeneity"),   # the power sum underflows to 0
+    ("lp:p=400,dim=2", "positivity"),
+    ("lp:p=1e6,dim=2", "positivity"),
+    ("wlp:p=300,w=[1,2]", "positivity"),
+])
+def test_build_rejects_gauge_failing_axioms(text, axiom):
+    with pytest.raises(ValueError, match=f"fails the {axiom} axiom"):
+        build_space(parse_space_spec(text))
+
+
+@pytest.mark.parametrize("text", ["lp:p=50,dim=2", "lp:p=50,dim=3", "wlp:p=50,w=[1,2,3]"])
+def test_build_accepts_large_p_that_holds(text):
+    space = build_space(parse_space_spec(text))
+    assert validate_space(space) == []
 
 
 def test_parse_skeleton_for_sweeps():

@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import pytest
 
+from normgeo import constants
 from normgeo.search import SearchConfig
 from normgeo.spaces import build_space, parse_space_spec
 from normgeo.verify import CHECK_NAMES, run_checks
@@ -110,6 +112,21 @@ def test_l1_hilbert_suite_vacuous(l1):
 def test_delta0_family_vacuous_note(l1):
     c = by_name(report_for(l1), "delta0_family")
     assert "each bound is +inf" in c.note
+
+
+def test_delta0_family_evaluates_when_delta0_positive(monkeypatch, l15, quick_cfg):
+    """With delta(0) > 0 the family of bounds is computed, rho(1) included,
+    and compared with S_P."""
+    delta = constants.delta
+
+    def positive_at_zero(space, eps, cfg=None, mode="geq", *, cache=None):
+        est = delta(space, eps, cfg, mode, cache=cache)
+        return replace(est, value=0.25) if eps == 0.0 else est
+
+    monkeypatch.setattr(constants, "delta", positive_at_zero)
+    c = by_name(run_checks(l15, quick_cfg), "delta0_family")
+    assert c.status in ("pass", "fail")
+    assert math.isfinite(c.rhs) and "delta(0) = 0.25" in c.note
 
 
 # --------------------------------------------------------------------------
