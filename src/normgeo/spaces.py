@@ -163,19 +163,63 @@ class NormSpec:
 # Gauges
 # --------------------------------------------------------------------------
 
+_NORMAL_MIN = np.finfo(float).tiny             # 2^-1022
+_TINY = np.finfo(float).smallest_subnormal      # 2^-1074
+
+
 def _lp_gauge(p: float, weights: np.ndarray | None = None) -> Gauge:
-    if weights is None:
-        if p == 1.0:
-            return lambda z: np.abs(z).sum(axis=-1)
-        if p == 2.0:
-            return lambda z: np.sqrt((np.asarray(z, dtype=float) ** 2).sum(axis=-1))
-        return lambda z: (np.abs(z) ** p).sum(axis=-1) ** (1.0 / p)
-    w = np.asarray(weights, dtype=float)
+    """(sum_i w_i |z_i|^p)^(1/p), with w_i = 1 when unweighted.
+
+    For p other than 1 and 2 the power sum is added up one column at a time
+    (a sum over the short last axis costs more than the powers), and a point
+    whose power sum leaves the normal float range is evaluated again scaled
+    by m = max_i |z_i|, as m (sum_i w_i (|z_i|/m)^p)^(1/p), whose power sum
+    lies in [min w, sum w].  Unscaled, the sum underflows for tiny
+    coordinates or large p (lp1.5 of (0, 6.5e-215) is 2e-3 relative off,
+    lp400 of (1e-3, 0) is 0) and overflows for huge ones.  Which formula a
+    point gets depends on that point alone, never on the rest of the batch,
+    and the gauge is homogeneous to rounding for every finite z and p.
+    """
+    w = None if weights is None else np.asarray(weights, dtype=float)
     if p == 1.0:
+        if w is None:
+            return lambda z: np.abs(z).sum(axis=-1)
         return lambda z: (w * np.abs(z)).sum(axis=-1)
     if p == 2.0:
+        if w is None:
+            return lambda z: np.sqrt((np.asarray(z, dtype=float) ** 2).sum(axis=-1))
         return lambda z: np.sqrt((w * np.asarray(z, dtype=float) ** 2).sum(axis=-1))
-    return lambda z: (w * np.abs(z) ** p).sum(axis=-1) ** (1.0 / p)
+    pinv = 1.0 / p
+
+    def power_sum(a):          # a = |z|, a fresh array that is overwritten
+        a **= p
+        if w is not None:
+            a *= w
+        s = a[..., 0] + a[..., 1]
+        for i in range(2, a.shape[-1]):
+            s += a[..., i]
+        return s
+
+    def scaled(z):
+        a = np.abs(z)
+        m = np.maximum(a.max(axis=-1), _TINY)     # the zero vector: 0/_TINY
+        a /= m[..., None]
+        return m * power_sum(a) ** pinv
+
+    def gauge(z):
+        z = np.asarray(z, dtype=float)
+        with np.errstate(over="ignore"):          # an overflowed row is redone scaled
+            s = power_sum(np.abs(z))
+        g = s ** pinv
+        if s.min() >= _NORMAL_MIN and s.max() < np.inf:
+            return g
+        if g.ndim == 0:
+            return scaled(z)
+        redo = ~((s >= _NORMAL_MIN) & (s < np.inf))   # NaN rows too
+        g[redo] = scaled(z[redo])
+        return g
+
+    return gauge
 
 
 def _linf_gauge() -> Gauge:
@@ -265,7 +309,7 @@ def build_space(spec: NormSpec) -> Space:
     """Validate a spec and construct the Space realizing it.
 
     lp and weighted-lp gauges are also sample-checked against the norm
-    axioms (validate_space): at large p their power sums underflow or
+    axioms (validate_space): extreme weights make their power sums
     overflow, and a violation raises ValueError naming the axiom.  The
     polygon families are checked by NormSpec.validate.
     """
@@ -313,7 +357,7 @@ class AxiomViolation:
 def validate_space(space: Space, samples: int = 1000, seed: int = 0) -> list[AxiomViolation]:
     """Sample-check the norm axioms; an empty list means no violation found.
 
-    positivity   gauge(x) > 0 for sampled x != 0
+    positivity   0 < gauge(x) < inf for sampled x != 0
     homogeneity  gauge(c x) = |c| gauge(x) within 1e-12 relative
     triangle     gauge(x + y) <= gauge(x) + gauge(y) + 1e-12
     """
@@ -330,10 +374,11 @@ def validate_space(space: Space, samples: int = 1000, seed: int = 0) -> list[Axi
     gy = np.asarray(space.gauge(ys), dtype=float)
     out: list[AxiomViolation] = []
 
-    bad = np.flatnonzero(~(gx > 0.0))
+    bad = np.flatnonzero(~((gx > 0.0) & (gx < np.inf)))   # NaN fails both
     for i in bad[:100]:
         out.append(AxiomViolation(
-            "positivity", f"gauge({xs[i].tolist()}) = {float(gx[i])!r} is not > 0", float(-gx[i])))
+            "positivity", f"gauge({xs[i].tolist()}) = {float(gx[i])!r} is not finite and > 0",
+            float(-gx[i])))
 
     gcx = np.asarray(space.gauge(cs[:, None] * xs), dtype=float)
     expect = np.abs(cs) * gx

@@ -195,6 +195,13 @@ class TestPairConstantValues:
             expect = max(2.0 ** (1.0 / p), 2.0 ** (1.0 - 1.0 / p))
             assert space_james == pytest.approx(expect, abs=1e-3)
 
+    @pytest.mark.parametrize("p", [150.0, 400.0, 1e6])
+    def test_james_large_p(self, p):
+        # J = 2^(1 - 1/p) for p >= 2; at these p many power sums underflow
+        # and the gauge takes its scaled form.
+        space = build_space(parse_space_spec(f"lp:p={p!r},dim=2"))
+        assert con.james(space).value == pytest.approx(2.0 ** (1.0 - 1.0 / p), abs=1e-9)
+
     def test_schaffer_values(self, all_consts):
         assert all_consts["l2"]["schaffer"].value == pytest.approx(SQRT2, abs=1e-4)
         assert all_consts["l1"]["schaffer"].value == pytest.approx(1.0, abs=1e-4)

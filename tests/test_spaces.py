@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normgeo.spaces import (NormSpec, battery_specs, build_space, parse_space_spec,
@@ -148,20 +148,36 @@ def test_parse_rejects(text):
 
 
 @pytest.mark.parametrize("text, axiom", [
-    ("lp:p=150,dim=2", "homogeneity"),   # the power sum underflows to 0
-    ("lp:p=400,dim=2", "positivity"),
-    ("lp:p=1e6,dim=2", "positivity"),
-    ("wlp:p=300,w=[1,2]", "positivity"),
+    ("wlp:p=2,w=[1e999,1]", "positivity"),        # an infinite weight: the gauge is inf
+    ("wlp:p=1.5,w=[1e308,1e308]", "positivity"),  # the weighted power sum overflows to inf
 ])
 def test_build_rejects_gauge_failing_axioms(text, axiom):
     with pytest.raises(ValueError, match=f"fails the {axiom} axiom"):
         build_space(parse_space_spec(text))
 
 
-@pytest.mark.parametrize("text", ["lp:p=50,dim=2", "lp:p=50,dim=3", "wlp:p=50,w=[1,2,3]"])
+@pytest.mark.parametrize("text", ["lp:p=50,dim=2", "lp:p=50,dim=3", "wlp:p=50,w=[1,2,3]",
+                                  "lp:p=150,dim=2", "lp:p=400,dim=2", "lp:p=1e6,dim=2",
+                                  "wlp:p=300,w=[1,2]"])
 def test_build_accepts_large_p_that_holds(text):
     space = build_space(parse_space_spec(text))
     assert validate_space(space) == []
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 70.0, 400.0, 1e6])
+@pytest.mark.parametrize("r", [1e300, 1.0, 3e-5, 6.5e-215, 1e-300])
+def test_lp_gauge_has_no_underflow_or_overflow(p, r):
+    # Where r^p leaves the float range the point is evaluated scaled by
+    # max |z_i| = r, so the gauge of (r, r/2) is r (1 + 2^-p)^(1/p) at every
+    # magnitude, alone and in a batch with a point that needs no scaling.
+    sp = build_space(parse_space_spec(f"lp:p={p!r},dim=2"))
+    expect = r * (1.0 + 0.5 ** p) ** (1.0 / p)
+    assert sp.norm([r, r / 2]) == pytest.approx(expect, rel=1e-15)
+    assert sp.norm([0.0, -r]) == pytest.approx(r, rel=1e-15)
+    assert sp.norm([0.0, 0.0]) == 0.0
+    batch = sp.gauge(np.array([[r, r / 2], [1.0, 0.5], [0.0, 0.0]]))
+    assert batch[0] == pytest.approx(expect, rel=1e-15)
+    assert batch[2] == 0.0
 
 
 def test_parse_skeleton_for_sweeps():
@@ -215,6 +231,8 @@ def test_homogeneity_exact_for_powers_of_two(x0, x1, c, text):
 @settings(max_examples=60, deadline=None)
 @given(x0=st.floats(-10, 10), x1=st.floats(-10, 10),
        c=st.floats(0.1, 8.0))
+@example(x0=0.0, x1=6.474165824746383e-215, c=0.5)   # |x1|^p is subnormal
+@example(x0=0.0, x1=2.28e-212, c=2.0)
 def test_homogeneity_general_p(x0, x1, c):
     sp = build_space(parse_space_spec("lp:p=1.5,dim=2"))
     v = np.array([x0, x1])
