@@ -44,7 +44,6 @@ def _cfg_dict(cfg: SearchConfig) -> dict:
         "grid_per_dim": cfg.grid_per_dim,
         "refine_iters": cfg.refine_iters,
         "multistart": cfg.multistart,
-        "tol": _jnum(cfg.tol),
         "eta": _jnum(cfg.eta),
     }
 
@@ -83,9 +82,8 @@ def _report_dict(report: VerificationReport) -> dict:
 
 def _add_cfg_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", type=int, help="grid points per parameter")
-    p.add_argument("--refine", type=int, help="polish budget per start, in line searches")
-    p.add_argument("--multistart", type=int, help="grid cells polished per extremum")
-    p.add_argument("--tol", type=float, help="polish convergence tolerance")
+    p.add_argument("--refine", type=int, help="zoom levels per start")
+    p.add_argument("--multistart", type=int, help="grid cells refined per extremum")
     p.add_argument("--eta", type=float, help="degeneracy exclusion radius")
 
 
@@ -93,8 +91,7 @@ def _config_for(dim: int, args) -> SearchConfig:
     cfg = SearchConfig.for_dim(dim)
     updates = {}
     for flag, field_name in (("grid", "grid_per_dim"), ("refine", "refine_iters"),
-                             ("multistart", "multistart"), ("tol", "tol"),
-                             ("eta", "eta")):
+                             ("multistart", "multistart"), ("eta", "eta")):
         v = getattr(args, flag)
         if v is not None:
             updates[field_name] = v

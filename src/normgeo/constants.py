@@ -2,7 +2,7 @@
 
 Everything here reduces to extrema of functions of the pair norms ||x+y|| and
 ||x-y|| (or their t-scaled variants) over the unit sphere, computed by the
-deterministic grid + polish engine in search.py.  Values are reported exactly
+deterministic grid + zoom engine in search.py.  Values are reported exactly
 as found; nothing is clamped to theoretical ranges.
 """
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .search import (
     PairNormObjective,
     PairTable,
     SearchConfig,
+    axis_lattice,
     infsup_pair,
     maximize_pair,
     minimize_cells,
@@ -26,6 +27,7 @@ from .search import (
     pair_table,
     refine_pairs,
     refine_starts,
+    sphere_domain,
     sphere_grid,
     sphere_point,
     sphere_points,
@@ -182,14 +184,13 @@ def rho(space: Space, t: float, cfg: SearchConfig | None = None) -> ConstantEsti
 def gamma_profile(space: Space, ts, cfg: SearchConfig | None = None) -> list[ConstantEstimate]:
     """gamma at each t of a grid, each estimate carrying its t.
 
-    Runs gamma on a reduced pair grid with four starts and a 40-line-search
-    polish.  Used by the verification checks, where a full default-grid scan
-    per t would dominate the runtime; agreement with gamma() is covered by
-    tests.
+    Runs gamma on a reduced pair grid with four starts.  Used by the
+    verification checks, where a full default-grid scan per t would dominate
+    the runtime; agreement with gamma() is covered by tests.
     """
     cfg = cfg or SearchConfig.for_dim(space.dim)
     reduced = replace(cfg, grid_per_dim=min(cfg.grid_per_dim, 180 if space.dim == 2 else 8),
-                      multistart=4, refine_iters=min(cfg.refine_iters, 40))
+                      multistart=4)
     out = []
     for t in map(float, ts):
         est = gamma(space, t, reduced)
@@ -291,7 +292,7 @@ def delta(space: Space, eps: float, cfg: SearchConfig | None = None,
 
     mode "geq" (default): inf of 1 - ||x+y||/2 over unit pairs with
     ||x-y|| >= eps (with a 1e-12 feasibility slack so exact-boundary grid
-    pairs are admitted).  In 2D the constrained grid + polish answer is
+    pairs are admitted).  In 2D the constrained grid + zoom answer is
     compared with the boundary solve restricted to the same feasible set,
     and the lower one is kept.  mode "eq": the same inf restricted to
     | ||x-y|| - eps | <= 1e-8, located by root-finding in the second sphere
@@ -307,7 +308,7 @@ def delta(space: Space, eps: float, cfg: SearchConfig | None = None,
     if mode == "geq":
         est = _delta_geq(space, eps, cfg, cache)
         if space.dim == 2:
-            # Coordinate polish zigzags against the feasibility wall when the
+            # The pair zoom zigzags against the feasibility wall when the
             # constraint binds; the boundary solve slides along it instead.
             # Its witness sits within the documented 1e-12 feasibility slack,
             # so the lower of the two answers the same infimum.
@@ -338,7 +339,7 @@ def _feasible(est: ConstantEstimate, eps: float) -> ConstantEstimate:
 
 def _delta_geq(space: Space, eps: float, cfg: SearchConfig,
                cache: PairTable | None) -> ConstantEstimate:
-    """Raw constrained inf: the grid + polish alone."""
+    """Raw constrained inf: the grid + zoom alone."""
     return _feasible(minimize_pair(space, _geq_objective(eps), cfg, cache=cache), eps)
 
 
@@ -349,10 +350,10 @@ def _delta_eq_2d(space: Space, eps: float, cfg: SearchConfig,
     row_values takes many first-point angles: per angle it keeps the grid
     cells within _EQ_ROOT_TOL of the constraint and bisects every sign change
     between neighbouring cells, all brackets of all rows at once.  It serves
-    the grid stage (all angles, in chunks), the lockstep polish of the best
-    rows and the witness.  With geq only pairs with ||x-y|| >= eps -
-    _GEQ_SLACK count: cells inside that slack and the feasible end of each
-    final bracket, so the witness is feasible.
+    the grid stage (all angles, in chunks), the zoom of the best rows and
+    the witness.  With geq only pairs with ||x-y|| >= eps - _GEQ_SLACK
+    count: cells inside that slack and the feasible end of each final
+    bracket, so the witness is feasible.
     """
     grid = cache.grid if cache is not None else sphere_grid(space, cfg.grid_per_dim)
     n = len(grid.vectors)
@@ -399,9 +400,9 @@ def _delta_eq_2d(space: Space, eps: float, cfg: SearchConfig,
 
     starts = top_cells(row_vals, -1.0, min(cfg.multistart, feasible))
     P, vals, conv, k, count = refine_starts(
-        lambda params, rows: row_values(params[:, 0])[0], thetas[starts, None],
-        row_vals[starts], grid.step, [np.array([1.0])], -1.0,
-        replace(cfg, refine_iters=min(cfg.refine_iters, 12)), angles=1)
+        lambda params: row_values(params.ravel())[0].reshape(params.shape[:-1]),
+        thetas[starts, None], row_vals[starts], grid.step, axis_lattice(1), -1.0, cfg,
+        sphere_domain(space, 1))
     witness = row_values(P[:, 0])[1]   # the engine's last call, repeated for the witness
     return ConstantEstimate(
         value=float(vals[k]), x=unit(P[k:k + 1, 0])[0], y=witness[k], mode="inf",
@@ -470,7 +471,7 @@ def eps0(space: Space, cfg: SearchConfig | None = None, *,
     """Largest eps with delta(eps) = 0: sup of the zero set of the modulus of
     convexity, by bisection against the threshold delta(eps) <= 1e-7.
 
-    Each probe is the raw geq grid + polish: the boundary refinement could
+    Each probe is the raw geq grid + zoom: the boundary refinement could
     only shift the flat/non-flat call on values within its ~1e-5 correction
     of the threshold, and the bisection reports at 1e-4 resolution anyway.
     With a stored table, once a probe comes out non-flat, each later probe

@@ -2,15 +2,15 @@
 
 Strategy: evaluate the objective on a coarse deterministic grid of sphere
 parameters, then hand the best cells to one multistart engine
-(refine_starts): golden-section line searches over a fixed direction set,
-run for all starts in lockstep as numpy arrays, re-evaluation of the
-polished points, and one tie-break (extremal value first,
-lexicographically smallest parameter tuple among ties).  No randomness
-enters the search path, and ties between grid cells go to the lowest index
-(top_cells), so the same machine and numpy build reproduce results bit for
-bit.  Across numpy's CPU dispatch levels a gauge may round differently in
-the last bits (lp's power kernel is dispatched), and then so may the
-results.
+(refine_starts): a lattice zoom, run for all starts in lockstep as numpy
+arrays, that moves each start to its best lattice point and halves its
+spacing when none is better, re-evaluation of the zoomed points, and one
+tie-break (extremal value first, lexicographically smallest parameter tuple
+among ties).  No randomness enters the search path, and ties between grid
+cells go to the lowest index (top_cells), so the same machine and numpy
+build reproduce results bit for bit.  Across numpy's CPU dispatch levels a
+gauge may round differently in the last bits (lp's power kernel is
+dispatched), and then so may the results.
 
 Sphere parameterization: dim 2 uses one angle per point; dim >= 3 uses raw
 direction vectors on the surface lattice of the cube [-1, 1]^dim (coordinates
@@ -22,15 +22,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .spaces import Space
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_LINE_EVALS = 24          # golden-section evaluations per line search
 _STORED_PAIR_LIMIT = 40_000_000   # largest nx*ny kept as an in-memory table
 CHUNK_PAIRS = 2_000_000   # pairs per block of a grid scan
 
@@ -43,12 +41,11 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the grid + polish search.  Defaults target dim 2."""
+    """Knobs for the grid + zoom search.  Defaults target dim 2."""
 
     grid_per_dim: int = 720
-    refine_iters: int = 200   # polish budget per start, in line searches
+    refine_iters: int = 200   # zoom levels per start
     multistart: int = 16
-    tol: float = 1e-9
     eta: float = 1e-6         # degeneracy exclusion radius
 
     def __post_init__(self):
@@ -58,8 +55,6 @@ class SearchConfig:
             raise ValueError(f"refine_iters must be >= 0, got {self.refine_iters}")
         if self.multistart < 1:
             raise ValueError(f"multistart must be >= 1, got {self.multistart}")
-        if not (0.0 < self.tol < 1.0):
-            raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
         if not (0.0 < self.eta < 1.0):
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
 
@@ -164,12 +159,12 @@ def sphere_grid(space: Space, grid_per_dim: int) -> SphereGrid:
 
 
 def sphere_points(space: Space, params: np.ndarray) -> np.ndarray:
-    """Row-wise sphere_point for (n, k) parameter rows known to be nonzero."""
-    if space.dim == 2 and params.shape[1] == 1:
-        direction = np.concatenate([np.cos(params), np.sin(params)], axis=1)
+    """Row-wise sphere_point for (..., k) parameter rows known to be nonzero."""
+    if space.dim == 2 and params.shape[-1] == 1:
+        direction = np.concatenate([np.cos(params), np.sin(params)], axis=-1)
     else:
         direction = params
-    return direction / np.asarray(space.gauge(direction))[:, None]
+    return direction / np.asarray(space.gauge(direction))[..., None]
 
 
 # --------------------------------------------------------------------------
@@ -203,110 +198,99 @@ def pair_table(space: Space, cfg: SearchConfig) -> PairTable | None:
 
 
 # --------------------------------------------------------------------------
-# Golden-section polish, in lockstep
+# The multistart engine: a lockstep lattice zoom
 # --------------------------------------------------------------------------
 
-def _polish_batch(f, p0, f0, step, sign, cfg: SearchConfig, directions, counter):
-    """Cyclic direction-set golden-section refinement of B starts in
-    lockstep: returns the (B, k) points, values and converged flags.
-
-    step is the initial bracket half-width, one scalar for all directions or
-    a sequence with one entry per direction; each line search halves its
-    direction's width.  Each golden-section step is one call f(params, rows)
-    on the active starts numbered rows.  A start stops when a full cycle of
-    directions gains at most cfg.tol, or when the budget of
-    cfg.refine_iters line searches is spent.  Each start follows the probes,
-    tie rule and stopping test it would follow alone, bit for bit when f
-    rounds a row the same in any batch, as element-wise gauges such as lp
-    do.  The polygon gauge's matrix product can round a row differently
-    depending on how many rows share the call, so a 2D polygon polish may
-    take another path than the same start polished alone."""
-    p = np.array(p0, dtype=float)
-    val = np.array(f0, dtype=float)
-    converged = np.zeros(len(val), dtype=bool)
-    active = np.full(len(val), cfg.refine_iters > 0)
-    widths = list(step) if np.ndim(step) else [step] * len(directions)
-    it = 0
-    while it < cfg.refine_iters and active.any():
-        cycle_val = val.copy()
-        for k, dvec in enumerate(directions):
-            if it >= cfg.refine_iters:
-                break
-            rows = np.flatnonzero(active)
-            p[rows], val[rows] = _golden_batch(f, p[rows], rows, dvec, widths[k], sign,
-                                               val[rows], counter)
-            widths[k] *= 0.5
-            it += 1
-        else:   # a full cycle: test convergence
-            with np.errstate(invalid="ignore"):   # inf - inf never converges
-                done = active & (sign * (val - cycle_val) <= cfg.tol)
-            converged |= done
-            active &= ~done
-    return p, val, converged
+_ZOOM_TOL = 1e-12        # a start stops once its lattice spacing is below this
+# A move that gains at most this times max(1, |value|) also halves the
+# spacing.  Pair norms of unit vectors carry absolute rounding of about
+# 1e-16, and along a flat direction (a symmetry of the norm, such as the
+# rotations of l2) a lattice step gains that much from the rounding of the
+# parameters alone, so a start could drift along it at full spacing until
+# the level budget runs out.  Such moves are still taken: on polygon norms
+# a few of them lead along a flat ridge to lower ground.
+_GAIN_FLOOR = 2.0 ** -48
 
 
-def _golden_batch(f, p, rows, dvec, w, sign, best, counter):
-    """One line search along p + s*dvec, s in [-w, w], for each start
-    numbered rows: returns the best strictly improving points and values,
-    or the incoming ones when nothing beats them (ties keep the incoming
-    point, so flat objectives do not drift).  Compares sign * f (exact)."""
-    a = np.full(len(rows), -w)
-    b = np.full(len(rows), w)
-    best_p, best = p, sign * best
-
-    def probe(s):
-        nonlocal best_p, best
-        pts = p + s[:, None] * dvec
-        val = sign * np.asarray(f(pts, rows), dtype=float)
-        counter[0] += len(rows)
-        better = val > best
-        best_p = np.where(better[:, None], pts, best_p)
-        best = np.where(better, val, best)
-        return val
-
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = probe(c)
-    fd = probe(d)
-    for _ in range(_LINE_EVALS - 2):
-        left = fc >= fd                      # keep [a, d]; else keep [c, b]
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        t = _INVPHI * (b - a)
-        s = np.where(left, b - t, a + t)
-        fs = probe(s)
-        c, d, fc, fd = (np.where(left, s, d), np.where(left, c, s),
-                        np.where(left, fs, fd), np.where(left, fc, fs))
-    return best_p, sign * best
+def box_lattice(radius: int, k: int) -> np.ndarray:
+    """The integer points of {-radius..radius}^k without the origin, in
+    lexicographic order."""
+    pts = np.array(list(itertools.product(range(-radius, radius + 1), repeat=k)), dtype=float)
+    return pts[np.abs(pts).max(axis=1) > 0.0]
 
 
-# --------------------------------------------------------------------------
-# The multistart engine
-# --------------------------------------------------------------------------
-
-def _wrap(params: np.ndarray, angles: int) -> np.ndarray:
-    """Reduce the first `angles` parameter columns into [0, 2pi)."""
-    params[:, :angles] = np.mod(params[:, :angles], TWO_PI)
-    return params
+def axis_lattice(k: int) -> np.ndarray:
+    """The 2k points -e_1, e_1, ..., -e_k, e_k."""
+    return np.repeat(np.eye(k), 2, axis=0) * np.tile([-1.0, 1.0], k)[:, None]
 
 
-def refine_starts(f, starts, values, widths, directions, sign: float, cfg: SearchConfig,
-                  *, angles: int = 0):
-    """Multistart refinement of grid starts: polish all of them in lockstep
-    (_polish_batch on f(params, rows)), wrap their angle parameters,
-    re-evaluate them, and pick the winner by value (largest for sign +1,
-    smallest for -1), then by the smallest parameter tuple.
+def sphere_domain(space: Space, blocks: int):
+    """Projection of parameter rows back onto their domain, in place: the
+    `blocks` leading sphere parameters are angles wrapped into [0, 2pi) in
+    2D, and direction vectors scaled back onto the cube surface
+    (max_i |x_i| = 1) in dim >= 3; any further columns are kept."""
+    if space.dim == 2:
+        def project(P):
+            P[:, :blocks] = np.mod(P[:, :blocks], TWO_PI)
+            return P
+    else:
+        d = space.dim
 
-    widths holds one initial bracket half-width per direction.  Returns the
-    polished points, their re-evaluated values, the converged flags, the
-    index of the winner and the evaluation count, each evaluation counted
-    once.
+        def project(P):
+            for b in range(0, blocks * d, d):
+                P[:, b:b + d] /= np.abs(P[:, b:b + d]).max(axis=1, keepdims=True)
+            return P
+    return project
+
+
+def refine_starts(f, starts, values, h, lattice, sign: float, cfg: SearchConfig,
+                  project=None):
+    """Multistart refinement of grid starts by a lockstep lattice zoom.
+
+    Each level evaluates the lattice P + h * lattice around every start P in
+    one call f(params): params has shape (starts, points, k) and f returns
+    the (starts, points) values.  A start moves to its best strictly better
+    lattice point (the first in lattice order among equals) and halves its
+    own spacing h when no lattice point beats it by more than rounding,
+    _GAIN_FLOOR * max(1, |value|).  It stops when its spacing falls below
+    1e-12, which counts as converged, or after cfg.refine_iters levels.
+    Every start stays in the call until all have stopped, so the shape of
+    each call never depends on which starts have finished; a stopped start
+    keeps its point.  project, when given, maps accepted points back onto
+    the parameter domain in place.
+
+    The zoomed points are evaluated again, and the winner is picked by
+    value (largest for sign +1, smallest for -1), then by the smallest
+    parameter tuple.  Returns the points, their values, the converged
+    flags, the index of the winner and the evaluation count.
     """
-    counter = [0]
-    P, _, conv = _polish_batch(f, starts, values, widths, sign, cfg, directions, counter)
-    P = _wrap(P, angles)
-    vals = np.asarray(f(P, np.arange(len(P))), dtype=float)
-    best = min(range(len(P)), key=lambda i: (-sign * vals[i], tuple(P[i])))
-    return P, vals, conv, best, counter[0] + len(P)
+    P = np.array(starts, dtype=float)
+    val = sign * np.array(values, dtype=float)
+    offsets = np.asarray(lattice, dtype=float)
+    n = len(P)
+    h = np.full(n, float(h))
+    conv = h < _ZOOM_TOL
+    s = np.arange(n)
+    count = 0
+    for _ in range(cfg.refine_iters):
+        if conv.all():
+            break
+        cand = P[:, None, :] + h[:, None, None] * offsets      # (n, points, k)
+        v = sign * np.asarray(f(cand), dtype=float)
+        count += v.size
+        j = v.argmax(axis=1)
+        vj = v[s, j]
+        move = (vj > val) & ~conv
+        with np.errstate(invalid="ignore"):   # -inf - -inf: no gain
+            gain = vj - val > _GAIN_FLOOR * np.maximum(1.0, np.abs(vj))
+        new = cand[s[move], j[move]]
+        P[move] = new if project is None else project(new)
+        val[move] = vj[move]
+        h[~gain] *= 0.5
+        conv |= h < _ZOOM_TOL
+    vals = np.asarray(f(P[:, None, :]), dtype=float)[:, 0]
+    best = int(np.lexsort((*P.T[::-1], -sign * vals))[0])
+    return P, vals, conv, best, count + n
 
 
 # --------------------------------------------------------------------------
@@ -332,7 +316,7 @@ def _pair_values(space: Space, objective, xs, ys, exclude: bool, eta: float, sig
             ys = objective.t * ys
         if np.ndim(xs) > 2:   # a block of grid rows: one norm array at a time
             plus, minus = np.asarray(space.gauge(xs + ys)), np.asarray(space.gauge(xs - ys))
-        else:   # a polish batch: x + (-1 * ty) is exactly x - ty, one gauge call
+        else:   # zoom rows: x + (-1 * ty) is exactly x - ty, one gauge call
             plus, minus = np.asarray(space.gauge(xs + _PLUS_MINUS[:, None, None] * ys))
     if not pairnorm:
         vals = objective(xs, ys)
@@ -346,28 +330,23 @@ def _pair_values(space: Space, objective, xs, ys, exclude: bool, eta: float, sig
 
 
 def _pair_batch(space: Space, objective, exclude: bool, eta: float, sign: float):
-    """Lockstep evaluator f(params, rows) over parameter rows (x, y[, t]).
+    """Zoom evaluator f(params) over (..., 2k[+1]) parameter rows (x, y[, t]).
     Excluded, NaN and out-of-range-t pairs score -sign * inf."""
     k = 1 if space.dim == 2 else space.dim
     search_t = getattr(objective, "t", 1.0) is None
 
-    def f(params, rows):
+    def f(params):
+        rows = params.reshape(-1, params.shape[-1])
         # x and y of every row in one gauge call.
-        xy = sphere_points(space, np.concatenate([params[:, :k], params[:, k:2 * k]]))
-        xs, ys = xy[:len(params)], xy[len(params):]
-        t = params[:, 2 * k] if search_t else None
+        xy = sphere_points(space, np.concatenate([rows[:, :k], rows[:, k:2 * k]]))
+        xs, ys = xy[:len(rows)], xy[len(rows):]
+        t = rows[:, 2 * k] if search_t else None
         vals = _pair_values(space, objective, xs, ys, exclude, eta, sign, t)[0]
-        return np.where((t >= 0.0) & (t <= 1.0), vals, -sign * np.inf) if search_t else vals
+        if search_t:
+            vals = np.where((t >= 0.0) & (t <= 1.0), vals, -sign * np.inf)
+        return vals.reshape(params.shape[:-1])
 
     return f
-
-
-def _direction_set(space: Space, search_t: bool) -> list[np.ndarray]:
-    """Coordinate axes of the parameters (x, y[, t]); in 2D also the two
-    angle diagonals: ridges of min/max objectives tend to run along
-    theta_y - theta_x = const, which the axes alone miss."""
-    eye = np.eye(2 * (1 if space.dim == 2 else space.dim) + search_t)
-    return list(eye) + ([eye[0] + eye[1], eye[0] - eye[1]] if space.dim == 2 else [])
 
 
 def refine_pairs(space: Space, objective, starts, values, step: float, cfg: SearchConfig,
@@ -376,22 +355,29 @@ def refine_pairs(space: Space, objective, starts, values, step: float, cfg: Sear
     """Run grid starts (x-params, y-params[, t]) of a pair objective through
     refine_starts and report the winner.
 
-    Non-finite starts are dropped.  Sphere parameters are bracketed by step
-    and a searched t (objective.t None) by t_step.  evaluations, the scan's
-    count, is added to the engine's.
+    Non-finite starts are dropped.  The first zoom lattice spans one grid
+    step, step on the sphere parameters and t_step on a searched t
+    (objective.t None).  In 2D it is a box of points, in dim >= 3, where a
+    box would have 3^(2 dim) points, the coordinate axes.  evaluations, the
+    scan's count, is added to the engine's.
     """
     sign = 1.0 if mode == "sup" else -1.0
     keep = [i for i, v in enumerate(values) if math.isfinite(v)]
     if not keep:
         raise ValueError("no admissible grid pair; eta is too large for this grid")
     search_t = getattr(objective, "t", 1.0) is None
-    directions = _direction_set(space, search_t)
+    k = 1 if space.dim == 2 else space.dim
+    if space.dim == 2:
+        radius = 2 if search_t else 3
+        h, lattice = step / radius, box_lattice(radius, 2 + search_t)
+    else:
+        h, lattice = step, axis_lattice(2 * k + search_t)
+    if search_t:
+        lattice[:, -1] *= t_step / step
     P, vals, conv, best, count = refine_starts(
         _pair_batch(space, objective, exclude, cfg.eta, sign),
         np.asarray(starts, dtype=float)[keep], np.asarray(values, dtype=float)[keep],
-        [t_step if search_t and d[-1] else step for d in directions], directions, sign, cfg,
-        angles=2 if space.dim == 2 else 0)
-    k = 1 if space.dim == 2 else space.dim
+        h, lattice, sign, cfg, sphere_domain(space, 2))
     x = sphere_point(space, P[best, :k])
     y = sphere_point(space, P[best, k:2 * k])
     a = float(space.gauge(x + y))
@@ -530,24 +516,7 @@ def minimize_cells(space: Space, objective, cfg: SearchConfig, cache: PairTable 
 # inf-sup search
 # --------------------------------------------------------------------------
 
-_OUTER_BUDGET = 48       # cap on outer line searches (each one re-solves)
 _INNER_STARTS = 4        # best grid cells of each row that the inner zoom refines
-_ZOOM_TOL = 1e-12        # the inner zoom stops once its lattice spacing is below this
-
-
-def _zoom_lattice(dim: int) -> tuple[np.ndarray, float]:
-    """Offsets of the inner zoom, in units of its spacing, and the factor
-    that shrinks the spacing per level: -4..4 on the angle in 2D, the cube
-    {-1, 0, 1}^dim around a direction vector in dim >= 3, both without the
-    centre, which is the incumbent.  Either way the next level's lattice
-    covers the cell of the current best point."""
-    if dim == 2:
-        offsets = np.arange(-4.0, 5.0)[:, None]
-        shrink = 0.25
-    else:
-        offsets = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=dim)))
-        shrink = 0.5
-    return offsets[np.abs(offsets).max(axis=1) > 0.0], shrink
 
 
 def infsup_pair(space: Space, objective, cfg: SearchConfig | None = None,
@@ -555,68 +524,52 @@ def infsup_pair(space: Space, objective, cfg: SearchConfig | None = None,
                 cache: PairTable | None = None) -> ConstantEstimate:
     """inf over x of sup over y of objective(x, y) on the unit sphere.
 
-    Stage 1 takes the exact inner sup on the grid.  Stage 2 refines the
-    outer starts with the engine, in lockstep, re-solving the inner problem
-    at every outer probe for all active starts at once: a scan of their grid
-    rows, then a lattice zoom from each row's _INNER_STARTS best cells.  One
-    start per row is not enough, because the objective is usually symmetric
-    under y -> -y, and the mirror cells of a broad basin can crowd out a
-    sharp peak.  Each zoom level evaluates a fixed offset lattice around
-    every start in one call and moves a start only to a strictly better
-    point (the first one in lattice order among equals), shrinking the
-    spacing until it is below _ZOOM_TOL.  The reported value, x and y come
-    from one inner solve.
+    Stage 1 takes the exact inner sup on the grid.  Stage 2 zooms the outer
+    starts with the engine, re-solving the inner problem at every outer
+    lattice point for all of them at once: a scan of their grid rows, then
+    a zoom, by the same engine, from each row's _INNER_STARTS best cells.
+    One start per row is not enough, because the objective is usually
+    symmetric under y -> -y, and the mirror cells of a broad basin can
+    crowd out a sharp peak.  The outer problem is the costly one, so its
+    lattice is the sparsest: +-1 on the angle in 2D, the coordinate axes in
+    dim >= 3.  The inner lattice is denser: offsets -4..4 on the angle in
+    2D, the cube {-1, 0, 1}^dim around a direction vector in dim >= 3.  The
+    reported value, x and y come from one inner solve.
     """
     cfg = cfg or SearchConfig.for_dim(space.dim)
     eta, exclude = cfg.eta, exclude_degenerate
     grid = cache.grid if cache is not None else sphere_grid(space, cfg.grid_per_dim)
     n = len(grid.vectors)
+    k = 1 if space.dim == 2 else space.dim
     evaluations = 0
-    outer_cfg = replace(cfg, refine_iters=min(cfg.refine_iters, _OUTER_BUDGET))
-    dirs = list(np.eye(1 if space.dim == 2 else space.dim))
-    angles = 1 if space.dim == 2 else 0
-    offsets, shrink = _zoom_lattice(space.dim)
-    first_spacing = grid.step / np.abs(offsets).max()   # the first lattice spans +-step
+    project = sphere_domain(space, 1)
+    inner_radius = 4 if space.dim == 2 else 1
+    inner_lattice = box_lattice(inner_radius, k)
     # Points of the inner solve are stored coordinate-major: the gauges
     # reduce over the coordinate axis, which numpy does faster when that axis
     # is the outermost in memory (the lp gauge about 1.5-2x on these arrays).
     G = np.asfortranarray(grid.vectors)
-
-    def unit(params):
-        """Unit vectors, (starts, offsets, dim), of the coordinate-major
-        parameters (k, starts, offsets)."""
-        d = np.array([np.cos(params[0]), np.sin(params[0])]) if space.dim == 2 else params
-        d = d.transpose(1, 2, 0)
-        return d / np.asarray(space.gauge(d))[..., None]
 
     def inner_sup(X):
         """sup over y for each row x of X: the values and the y vectors."""
         nonlocal evaluations
         X = np.asfortranarray(X)
         vals, count = _pair_values(space, objective, X[:, None, :], G, exclude, eta, 1.0)
-        evaluations += count
         cells = np.concatenate([top_cells(row, 1.0, _INNER_STARTS) for row in vals])
         rows = np.repeat(np.arange(len(X)), _INNER_STARTS)
-        P = np.ascontiguousarray(grid.params[cells].T)   # (k, starts)
-        Y = G[cells]
-        V = vals[rows, cells]
         xs = X[rows, None, :]
-        s = np.arange(len(V))
-        h = first_spacing
-        while h >= _ZOOM_TOL:
-            cand = P[:, :, None] + h * offsets.T[:, None, :]
-            ys = unit(cand)
-            v, count = _pair_values(space, objective, xs, ys, exclude, eta, 1.0)
-            evaluations += count
-            j = v.argmax(axis=1)
-            vj = v[s, j]
-            better = vj > V
-            P[:, better] = cand[:, s, j][:, better]
-            Y[better], V[better] = ys[s, j][better], vj[better]
-            h *= shrink
+
+        def f(params):
+            return _pair_values(space, objective, xs, sphere_points(space, params),
+                                exclude, eta, 1.0)[0]
+
+        P, V, _, _, zoomed = refine_starts(f, grid.params[cells], vals[rows, cells],
+                                           grid.step / inner_radius, inner_lattice, 1.0,
+                                           cfg, project)
+        evaluations += count + zoomed
         V = V.reshape(len(X), _INNER_STARTS)
         win = np.arange(len(X)) * _INNER_STARTS + V.argmax(axis=1)
-        return V.max(axis=1), Y[win]
+        return V.max(axis=1), sphere_points(space, P[win])
 
     # Stage 1: exact grid inf-sup.
     row_sup = np.empty(n)
@@ -627,16 +580,13 @@ def infsup_pair(space: Space, objective, cfg: SearchConfig | None = None,
         raise ValueError("no admissible grid pair; eta is too large for this grid")
     start_rows = top_cells(row_sup, -1.0, cfg.multistart)
 
-    # Stage 2: outer refinement.  Its own count is left out: each outer
-    # evaluation is an inner solve, whose pair evaluations are counted above.
-    # Widths halve, so in dim >= 3 a polish moves each coordinate of its
-    # cube-surface start by under two grid steps in total, 4/grid_per_dim <=
-    # 1/2, and so does the inner zoom: no direction either probes is
-    # degenerate.
+    # Stage 2: outer zoom.  Its own count is left out: each outer evaluation
+    # is an inner solve, whose pair evaluations are counted above.
     P, vals, conv, best, _ = refine_starts(
-        lambda params, rows: inner_sup(sphere_points(space, params))[0],
-        grid.params[start_rows].astype(float), row_sup[start_rows], grid.step, dirs, -1.0,
-        outer_cfg, angles=angles)
+        lambda params: inner_sup(sphere_points(space, params.reshape(-1, k)))[0]
+        .reshape(params.shape[:-1]),
+        grid.params[start_rows], row_sup[start_rows], grid.step, axis_lattice(k), -1.0, cfg,
+        project)
     # The engine's last call, repeated for the witnesses.
     X = sphere_points(space, P)
     vy, Y = inner_sup(X)

@@ -89,6 +89,9 @@ class NormSpec:
                 raise ValueError(f"weighted-lp requires a finite p >= 1, got p={self.p}")
             if not self.weights:
                 raise ValueError("weighted-lp requires a nonempty weight vector")
+            for i, w in enumerate(self.weights):
+                if not math.isfinite(w):
+                    raise ValueError(f"weighted-lp weight w[{i}] = {w!r} is not finite")
             if any(not (w > 0.0) for w in self.weights):
                 raise ValueError(f"weighted-lp weights must be strictly positive, got {self.weights}")
             if len(self.weights) < 2:
@@ -170,26 +173,25 @@ _TINY = np.finfo(float).smallest_subnormal      # 2^-1074
 def _lp_gauge(p: float, weights: np.ndarray | None = None) -> Gauge:
     """(sum_i w_i |z_i|^p)^(1/p), with w_i = 1 when unweighted.
 
-    For p other than 1 and 2 the power sum is added up one column at a time
-    (a sum over the short last axis costs more than the powers), and a point
+    For p other than 1 the power sum is added up one column at a time (a
+    sum over the short last axis costs more than the powers), and a point
     whose power sum leaves the normal float range is evaluated again scaled
     by m = max_i |z_i|, as m (sum_i w_i (|z_i|/m)^p)^(1/p), whose power sum
     lies in [min w, sum w].  Unscaled, the sum underflows for tiny
     coordinates or large p (lp1.5 of (0, 6.5e-215) is 2e-3 relative off,
-    lp400 of (1e-3, 0) is 0) and overflows for huge ones.  Which formula a
-    point gets depends on that point alone, never on the rest of the batch,
-    and the gauge is homogeneous to rounding for every finite z and p.
+    lp400 of (1e-3, 0) is 0, lp2 of (3e-160, 4e-160) is 6e-6 relative low)
+    and overflows for huge ones (lp2 of (1e200, 0)).  p = 2 takes its root
+    with sqrt.  Which formula a point gets depends on that point alone,
+    never on the rest of the batch, and the gauge is homogeneous to rounding
+    for every finite z and p.
     """
     w = None if weights is None else np.asarray(weights, dtype=float)
     if p == 1.0:
         if w is None:
             return lambda z: np.abs(z).sum(axis=-1)
         return lambda z: (w * np.abs(z)).sum(axis=-1)
-    if p == 2.0:
-        if w is None:
-            return lambda z: np.sqrt((np.asarray(z, dtype=float) ** 2).sum(axis=-1))
-        return lambda z: np.sqrt((w * np.asarray(z, dtype=float) ** 2).sum(axis=-1))
     pinv = 1.0 / p
+    root = np.sqrt if p == 2.0 else (lambda s: s ** pinv)
 
     def power_sum(a):          # a = |z|, a fresh array that is overwritten
         a **= p
@@ -204,13 +206,13 @@ def _lp_gauge(p: float, weights: np.ndarray | None = None) -> Gauge:
         a = np.abs(z)
         m = np.maximum(a.max(axis=-1), _TINY)     # the zero vector: 0/_TINY
         a /= m[..., None]
-        return m * power_sum(a) ** pinv
+        return m * root(power_sum(a))
 
     def gauge(z):
         z = np.asarray(z, dtype=float)
         with np.errstate(over="ignore"):          # an overflowed row is redone scaled
             s = power_sum(np.abs(z))
-        g = s ** pinv
+        g = root(s)
         if s.min() >= _NORMAL_MIN and s.max() < np.inf:
             return g
         if g.ndim == 0:

@@ -110,7 +110,7 @@ def test_constants_nonfinite_p_exit_2(capsys):
 def test_constants_gauge_failing_axioms_exit_2(capsys):
     code, out, err = run_cli(capsys, "constants", "--space", "wlp:p=2,w=[1e999,1]")
     assert code == 2 and out == ""
-    assert "fails the positivity axiom" in err
+    assert "weighted-lp weight w[0] = inf is not finite" in err
 
 
 # --------------------------------------------------------------------------

@@ -487,12 +487,13 @@ class TestDelta:
                           f"geq={geq:.9f} eq={eq:.9f}")
 
     def test_boundary_polish_counts_each_probe_once(self, l15):
-        # One line search is 24 golden-section probes per start, and each
-        # probe is one evaluation of the boundary objective.
+        # One zoom level probes the two lattice points +-h of every start,
+        # and each probe is one evaluation of the boundary objective.
         base = SearchConfig(grid_per_dim=64, refine_iters=0, multistart=4)
         none = con.delta(l15, 1.0, base, mode="eq").evaluations
-        one = con.delta(l15, 1.0, replace(base, refine_iters=1), mode="eq").evaluations
-        assert one - none == 24 * base.multistart
+        for levels in (1, 2, 5):
+            est = con.delta(l15, 1.0, replace(base, refine_iters=levels), mode="eq")
+            assert est.evaluations - none == 2 * levels * base.multistart
 
     def test_eps_range_validation(self, l2):
         with pytest.raises(ValueError):

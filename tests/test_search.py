@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from dataclasses import fields
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,8 +15,8 @@ from normgeo import search
 from normgeo.constants import delta, gamma, schaffer, sp_constant, t_and_T
 from normgeo.search import (ConstantEstimate, PairNormObjective, SearchConfig,
                             infsup_pair, maximize_pair, minimize_pair, pair_table,
-                            refine_pairs, sphere_grid, sphere_point, top_cells,
-                            _INVPHI, _LINE_EVALS, _polish_batch)
+                            axis_lattice, box_lattice, refine_pairs, refine_starts,
+                            sphere_grid, sphere_point, top_cells)
 from normgeo.spaces import build_space, parse_space_spec
 
 TWO_PI = 2.0 * math.pi
@@ -199,8 +201,8 @@ def test_config_for_dim_defaults():
     assert SearchConfig.for_dim(2).grid_per_dim == 720
     assert SearchConfig.for_dim(3).grid_per_dim == 24
     cfg = SearchConfig.for_dim(2)
-    assert (cfg.refine_iters, cfg.multistart, cfg.tol, cfg.eta) == \
-        (200, 16, 1e-9, 1e-6)
+    assert [f.name for f in fields(cfg)] == ["grid_per_dim", "refine_iters", "multistart", "eta"]
+    assert (cfg.refine_iters, cfg.multistart, cfg.eta) == (200, 16, 1e-6)
 
 
 # --------------------------------------------------------------------------
@@ -296,111 +298,81 @@ def test_output_independent_of_numpy_dispatch():
 
 
 # --------------------------------------------------------------------------
-# Lockstep polish
+# Lockstep lattice zoom
 # --------------------------------------------------------------------------
 
-def _golden_line(f, p, dvec, w, sign, best_val, counter):
-    """Reference line search along p + s*dvec for s in [-w, w], one start on
-    plain floats; improves sign*f and keeps the incoming point on ties."""
-    a, b = -w, w
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    best_p, best = p, best_val
-
-    def probe(s):
-        nonlocal best_p, best
-        val = f(p + s * dvec)
-        counter[0] += 1
-        if sign * val > sign * best:
-            best_p, best = p + s * dvec, val
-        return val
-
-    fc = probe(c)
-    fd = probe(d)
-    for _ in range(_LINE_EVALS - 2):
-        if sign * fc >= sign * fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = probe(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = probe(d)
-    return best_p, best
-
-
-def _polish(f, p0, f0, step, sign, cfg: SearchConfig, directions, counter):
-    """Reference cyclic direction-set golden-section refinement of one
-    start, written independently of _polish_batch.  Returns p, val,
-    converged."""
-    budget = cfg.refine_iters
-    if budget == 0:
-        return p0, f0, False
-    p, val = p0, f0
-    widths = list(step) if np.ndim(step) else [step] * len(directions)
-    it = 0
-    converged = False
-    while it < budget:
-        cycle_val = val
-        full_cycle = True
-        for k, dvec in enumerate(directions):
-            if it >= budget:
-                full_cycle = False
-                break
-            p, val = _golden_line(f, p, dvec, widths[k], sign, val, counter)
-            widths[k] *= 0.5
-            it += 1
-        if full_cycle and sign * (val - cycle_val) <= cfg.tol:
-            converged = True
-            break
-    return p, val, converged
+def _zoom(f, p, val, h, lattice, sign, budget):
+    """Reference lattice zoom of one start on plain floats, written
+    independently of refine_starts: at most budget levels, each of which
+    moves to the first best lattice point if it beats the current value, and
+    halves h unless it beats it by more than 2^-48 * max(1, |its value|),
+    until h < 1e-12.  Returns p, val, converged and the number of levels."""
+    levels = 0
+    while levels < budget and h >= 1e-12:
+        points = [tuple(pi + h * oi for pi, oi in zip(p, off)) for off in lattice]
+        values = [sign * f(q) for q in points]
+        j = max(range(len(points)), key=lambda i: values[i])   # the first among equals
+        if values[j] - sign * val <= 2.0 ** -48 * max(1.0, abs(values[j])):
+            h *= 0.5
+        if values[j] > sign * val:
+            p, val = points[j], sign * values[j]
+        levels += 1
+    return p, val, h < 1e-12, levels
 
 
 def _bowl(p):
-    """Concave quadratic on (m, 2) points, flat for p0 > 3."""
-    x, y = p[:, 0], p[:, 1]
-    return np.where(x > 3.0, 0.0, -(x - 0.3) ** 2 - 2.0 * (y + 0.1) ** 2 + 0.5 * x * y)
+    """Concave quadratic on (..., 2) points, flat for p0 > 3; each value
+    from its own point only."""
+    x, y = p[..., 0], p[..., 1]
+    return np.where(x > 3.0, 0.0, -(x - 0.3) * (x - 0.3) - 2.0 * (y + 0.1) * (y + 0.1)
+                    + 0.5 * x * y)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.floats(-4.0, 2.5), st.floats(-4.0, 4.0)), max_size=5),
-       st.floats(0.05, 1.0), st.integers(0, 11), st.sampled_from([1.0, -1.0]))
-def test_polish_batch_matches_polish(extra, step, budget, sign):
-    # Start 0 sits on the plateau and converges after one cycle; start 1
-    # climbs a steep slope with a tiny bracket, so only the budget stops it.
+       st.floats(0.05, 1.0), st.integers(0, 60), st.sampled_from([1.0, -1.0]),
+       st.sampled_from([box_lattice(1, 2), box_lattice(3, 2), axis_lattice(2)]))
+def test_refine_starts_matches_single_start_zoom(extra, h, budget, sign, lattice):
+    # Maximizing, start 0 sits on the plateau, which lies above the whole
+    # bowl, so it halves h at every level and stops converged within 40
+    # levels; minimizing, start 1 runs down the bowl until the budget stops it.
     starts = np.array([(5.0, 0.0), (-3.0, 3.0)] + list(extra))
-    cfg = SearchConfig(refine_iters=budget, tol=1e-6)
-    directions = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, -1.0])]
-    widths = [step, 0.5 * step, 1e-3 if sign > 0 else step]
+    cfg = SearchConfig(refine_iters=budget)
     f0 = _bowl(starts)
-    counts = np.zeros(len(starts), dtype=int)
+    calls = []
 
-    def f_batch(pts, rows):
-        np.add.at(counts, rows, 1)
+    def f_batch(pts):
+        calls.append(pts.shape)
         return _bowl(pts)
 
-    total = [0]
-    p, val, conv = _polish_batch(f_batch, starts, f0, widths, sign, cfg, directions, total)
-    assert total[0] == counts.sum()
+    P, vals, conv, best, count = refine_starts(f_batch, starts, f0, h, lattice, sign, cfg)
+    levels = []
     for i, start in enumerate(starts):
-        own = [0]
-        pi, vi, ci = _polish(lambda q: float(_bowl(q[None, :])[0]), start, float(f0[i]),
-                             widths, sign, cfg, directions, own)
-        assert np.array_equal(p[i], pi)
-        assert val[i] == vi and conv[i] == ci and counts[i] == own[0]
-    if budget >= len(directions):
-        assert conv[0] and counts[0] == 24 * len(directions)
-    if sign > 0:
-        assert not conv[1] and counts[1] == 24 * budget
+        pi, vi, ci, li = _zoom(lambda q: float(_bowl(np.array(q))), tuple(start),
+                               float(f0[i]), h, lattice, sign, budget)
+        assert tuple(P[i]) == pi
+        assert vals[i] == vi and conv[i] == ci
+        levels.append(li)
+    # Every level evaluates every start's whole lattice, then one call
+    # re-evaluates the zoomed points.
+    assert calls == [(len(starts), len(lattice), 2)] * max(levels) + [(len(starts), 1, 2)]
+    assert count == len(starts) * (max(levels) * len(lattice) + 1)
+    assert best == min(range(len(starts)), key=lambda i: (-sign * vals[i], tuple(P[i])))
+    if sign > 0 and budget >= 40:
+        assert conv[0] and levels[0] <= 40
+    if sign < 0:
+        assert not conv[1] and levels[1] == budget
 
 
 @pytest.mark.parametrize("exclude", [False, True])
 def test_refine_pairs_lockstep_matches_each_start_alone(monkeypatch, exclude):
     """On a 2D lp gauge, which rounds each point alike in any batch, each of
-    16 starts refined in lockstep reaches the point, value and converged
-    flag it reaches when refined alone, bit for bit, although x and y of all
-    active starts share one sphere-point gauge call and the starts stop at
-    different times."""
+    16 starts zoomed in lockstep reaches the point, value and converged flag
+    it reaches when zoomed alone, bit for bit, although x and y of all
+    starts share one sphere-point gauge call and the starts stop at
+    different times.  Stopped starts stay in the call until all have
+    stopped, so the lockstep count is that of the longest run for every
+    start."""
     space = build_space(parse_space_spec("lp:p=1.5,dim=2"))
     cfg = SearchConfig(grid_per_dim=96)
     grid = sphere_grid(space, cfg.grid_per_dim)
@@ -411,6 +383,7 @@ def test_refine_pairs_lockstep_matches_each_start_alone(monkeypatch, exclude):
     values = np.minimum(space.gauge(x + y), space.gauge(x - y))
     runs = []
     engine = search.refine_starts
+    lattice = len(box_lattice(3, 2))
 
     def record(*args, **kwargs):
         runs.append(engine(*args, **kwargs))
@@ -425,7 +398,8 @@ def test_refine_pairs_lockstep_matches_each_start_alone(monkeypatch, exclude):
     (P, vals, conv, best, count), alone = runs[0], runs[1:]
     for k, (Pk, vk, ck, _, _) in enumerate(alone):
         assert np.array_equal(P[k], Pk[0]) and vals[k] == vk[0] and conv[k] == ck[0]
-    assert count == sum(run[4] for run in alone)
-    assert len({run[4] for run in alone}) > 1   # the starts stop at different times
-    win = max(range(16), key=lambda k: (vals[k], -k))
+    levels = [(run[4] - 1) // lattice for run in alone]   # each run ends with one re-evaluation
+    assert count == 16 * (max(levels) * lattice + 1)
+    assert len(set(levels)) > 1   # the starts stop at different times
+    win = min(range(16), key=lambda k: (-vals[k], tuple(P[k])))
     assert best == win and batch.value == vals[win]

@@ -148,12 +148,22 @@ def test_parse_rejects(text):
 
 
 @pytest.mark.parametrize("text, axiom", [
-    ("wlp:p=2,w=[1e999,1]", "positivity"),        # an infinite weight: the gauge is inf
     ("wlp:p=1.5,w=[1e308,1e308]", "positivity"),  # the weighted power sum overflows to inf
 ])
 def test_build_rejects_gauge_failing_axioms(text, axiom):
     with pytest.raises(ValueError, match=f"fails the {axiom} axiom"):
         build_space(parse_space_spec(text))
+
+
+@pytest.mark.parametrize("text, index, weight", [
+    ("wlp:p=2,w=[1e999,1]", 0, "inf"),
+    ("wlp:p=1.5,w=[1,-1e999]", 1, "-inf"),
+])
+def test_spec_rejects_nonfinite_weights(text, index, weight):
+    # The spec check names the weight, before any gauge is built or sampled.
+    spec = parse_space_spec(text)
+    with pytest.raises(ValueError, match=rf"weight w\[{index}\] = {weight} is not finite"):
+        spec.validate()
 
 
 @pytest.mark.parametrize("text", ["lp:p=50,dim=2", "lp:p=50,dim=3", "wlp:p=50,w=[1,2,3]",
@@ -164,7 +174,7 @@ def test_build_accepts_large_p_that_holds(text):
     assert validate_space(space) == []
 
 
-@pytest.mark.parametrize("p", [1.5, 3.0, 70.0, 400.0, 1e6])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 70.0, 400.0, 1e6])
 @pytest.mark.parametrize("r", [1e300, 1.0, 3e-5, 6.5e-215, 1e-300])
 def test_lp_gauge_has_no_underflow_or_overflow(p, r):
     # Where r^p leaves the float range the point is evaluated scaled by
@@ -178,6 +188,19 @@ def test_lp_gauge_has_no_underflow_or_overflow(p, r):
     batch = sp.gauge(np.array([[r, r / 2], [1.0, 0.5], [0.0, 0.0]]))
     assert batch[0] == pytest.approx(expect, rel=1e-15)
     assert batch[2] == 0.0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_lp2_gauge_keeps_normal_range_bits(dim):
+    # Points whose sum of squares lies in the normal range get the bits of
+    # the plain formula sqrt(sum_i w_i z_i^2).
+    rng = np.random.default_rng(dim)
+    z = rng.normal(size=(1000, dim)) * 10.0 ** rng.uniform(-150, 150, (1000, 1))
+    w = rng.uniform(0.5, 3.0, dim)
+    plain = build_space(parse_space_spec(f"lp:p=2,dim={dim}"))
+    weighted = build_space(NormSpec("weighted-lp", dim=dim, p=2.0, weights=tuple(w)))
+    assert np.array_equal(plain.gauge(z), np.sqrt((z ** 2).sum(axis=-1)))
+    assert np.array_equal(weighted.gauge(z), np.sqrt((w * z ** 2).sum(axis=-1)))
 
 
 def test_parse_skeleton_for_sweeps():
@@ -220,12 +243,35 @@ def test_battery_seeds_differ():
 @given(x0=st.floats(-10, 10), x1=st.floats(-10, 10),
        c=st.sampled_from([0.25, 0.5, 2.0, 4.0, -2.0]),
        text=st.sampled_from(["lp:p=1,dim=2", "lp:p=2,dim=2", "linf:dim=2"]))
+@example(x0=5e-324, x1=5e-324, c=0.5, text="lp:p=1,dim=2")    # c*v rounds to 0
+@example(x0=2.2250738585e-313, x1=2.2250738585e-313, c=0.25, text="lp:p=1,dim=2")  # c*v rounds
+@example(x0=5e-324, x1=5e-324, c=2.0, text="lp:p=2,dim=2")    # a subnormal norm rounds
+@example(x0=0.0, x1=3.1e-162, c=0.25, text="lp:p=2,dim=2")    # subnormal squares
+@example(x0=1.2e-154, x1=-3e-155, c=2.0, text="lp:p=2,dim=2")  # v scaled, c*v plain
 def test_homogeneity_exact_for_powers_of_two(x0, x1, c, text):
-    # abs/sum, sqrt, and max all commute exactly with power-of-two scaling;
-    # general p goes through pow and is only approximately homogeneous.
+    # abs, sums, squares, sqrt and max commute exactly with power-of-two
+    # scaling where no operand or result leaves the normal float range.
+    # That is where c*v is exact ((c*v)/c == v), both norms are >= 2^-1022
+    # and, for lp2, every nonzero |v_i| and |c v_i| is >= 2^-511: then each
+    # square is normal and both points take the plain formula sqrt(sum z_i^2).
     sp = build_space(parse_space_spec(text))
     v = np.array([x0, x1])
-    assert sp.norm(c * v) == abs(c) * sp.norm(v)
+    cv = c * v
+    lhs, rhs = sp.norm(cv), abs(c) * sp.norm(v)
+    normal = (np.array_equal(cv / c, v) and min(lhs, rhs) >= 2.0 ** -1022
+              and (text != "lp:p=2,dim=2"
+                   or all(z == 0.0 or abs(z) >= 2.0 ** -511 for z in (*v, *cv))))
+    if normal:
+        assert lhs == rhs
+    else:
+        # Each coordinate of c*v is within half a quantum (2^-1075) of the
+        # exact product, which moves either norm by at most 2 * 2^-1075 =
+        # 2^-1074.  Each side takes at most six correctly rounded steps (a
+        # scaling division, squares, a sum, the root, the multiplication by
+        # max |z_i| and the one by |c|), each off by at most half a unit in
+        # the last place, or half a quantum where the result is subnormal.
+        # So the sides differ by less than 2^-50 relative plus 4 quanta.
+        assert abs(lhs - rhs) <= 2.0 ** -50 * rhs + 4 * 2.0 ** -1074
 
 
 @settings(max_examples=60, deadline=None)
