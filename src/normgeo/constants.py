@@ -21,6 +21,7 @@ from .search import (
     SearchConfig,
     axis_lattice,
     infsup_pair,
+    lattice_edges,
     maximize_pair,
     minimize_cells,
     minimize_pair,
@@ -292,11 +293,12 @@ def delta(space: Space, eps: float, cfg: SearchConfig | None = None,
 
     mode "geq" (default): inf of 1 - ||x+y||/2 over unit pairs with
     ||x-y|| >= eps (with a 1e-12 feasibility slack so exact-boundary grid
-    pairs are admitted).  In 2D the constrained grid + zoom answer is
-    compared with the boundary solve restricted to the same feasible set,
-    and the lower one is kept.  mode "eq": the same inf restricted to
-    | ||x-y|| - eps | <= 1e-8, located by root-finding in the second sphere
-    parameter.  Both return 0 exactly at eps = 0.
+    pairs are admitted): the lower of the constrained grid + zoom answer and
+    the boundary solve restricted to the same feasible set.  mode "eq": the
+    same inf restricted to | ||x-y|| - eps | <= 1e-8, the boundary solve
+    alone, which bisects the crossings of the constraint along the edges of
+    a lattice of second points and zooms the first point.  Both return 0
+    exactly at eps = 0.
     """
     if not 0.0 <= eps <= 2.0:
         raise ValueError(f"eps must lie in [0, 2], got {eps}")
@@ -305,24 +307,20 @@ def delta(space: Space, eps: float, cfg: SearchConfig | None = None,
     cfg = cfg or SearchConfig.for_dim(space.dim)
     if eps <= 1e-12:
         return _exact_estimate(space, 0.0, cfg, "inf")
-    if mode == "geq":
-        est = _delta_geq(space, eps, cfg, cache)
-        if space.dim == 2:
-            # The pair zoom zigzags against the feasibility wall when the
-            # constraint binds; the boundary solve slides along it instead.
-            # Its witness sits within the documented 1e-12 feasibility slack,
-            # so the lower of the two answers the same infimum.
-            try:
-                boundary = _delta_eq_2d(space, eps, cfg, cache, geq=True)
-            except ValueError:
-                boundary = None
-            if boundary is not None and boundary.value < est.value:
-                est = replace(boundary, evaluations=boundary.evaluations
-                              + est.evaluations)
+    if mode == "eq":
+        return _delta_boundary(space, eps, cfg, cache)
+    est = _delta_geq(space, eps, cfg, cache)
+    # The pair zoom zigzags against the feasibility wall when the
+    # constraint binds; the boundary solve slides along it instead.  Its
+    # witness sits within the documented 1e-12 feasibility slack, so the
+    # lower of the two answers the same infimum.
+    try:
+        boundary = _delta_boundary(space, eps, cfg, cache, geq=True)
+    except ValueError:
         return est
-    if space.dim == 2:
-        return _delta_eq_2d(space, eps, cfg, cache)
-    return _delta_eq_highdim(space, eps, cfg)
+    if boundary.value < est.value:
+        est = replace(boundary, evaluations=boundary.evaluations + est.evaluations)
+    return est
 
 
 def _geq_objective(eps: float) -> PairNormObjective:
@@ -343,55 +341,62 @@ def _delta_geq(space: Space, eps: float, cfg: SearchConfig,
     return _feasible(minimize_pair(space, _geq_objective(eps), cfg, cache=cache), eps)
 
 
-def _delta_eq_2d(space: Space, eps: float, cfg: SearchConfig,
-                 cache: PairTable | None, geq: bool = False) -> ConstantEstimate:
+def _delta_boundary(space: Space, eps: float, cfg: SearchConfig,
+                    cache: PairTable | None, geq: bool = False) -> ConstantEstimate:
     """Boundary solve: inf of 1 - ||x+y||/2 over unit pairs on ||x-y|| = eps.
 
-    row_values takes many first-point angles: per angle it keeps the grid
-    cells within _EQ_ROOT_TOL of the constraint and bisects every sign change
-    between neighbouring cells, all brackets of all rows at once.  It serves
-    the grid stage (all angles, in chunks), the zoom of the best rows and
-    the witness.  With geq only pairs with ||x-y|| >= eps - _GEQ_SLACK
-    count: cells inside that slack and the feasible end of each final
+    row_values takes many first-point parameter rows: per row it keeps the
+    lattice points y within _EQ_ROOT_TOL of the constraint and bisects every
+    sign change along an edge of the lattice (search.lattice_edges), all
+    brackets of all rows at once.  The lattice is the grid in 2D, and the
+    grid of 8 per axis in dim >= 3, where its edges join the +-e_i
+    neighbours on the cube surface.  row_values serves the grid stage (every
+    lattice point as x, in chunks), the zoom of the best rows and the
+    witness.  With geq only pairs with ||x-y|| >= eps - _GEQ_SLACK count:
+    lattice points inside that slack and the feasible end of each final
     bracket, so the witness is feasible.
     """
-    grid = cache.grid if cache is not None else sphere_grid(space, cfg.grid_per_dim)
-    n = len(grid.vectors)
-    thetas = grid.params[:, 0]
+    if space.dim == 2:
+        grid = cache.grid if cache is not None else sphere_grid(space, cfg.grid_per_dim)
+    else:
+        grid = sphere_grid(space, min(cfg.grid_per_dim, 8))
+    n, k = grid.params.shape
+    tails, heads, axes = lattice_edges(grid)
+    steps = grid.step * np.eye(k)[axes]
     on_low = -_GEQ_SLACK if geq else -_EQ_ROOT_TOL
 
-    def unit(angles):
-        return sphere_points(space, angles[:, None])
-
-    def row_values(angles):
-        """Per angle: min of 1 - ||x+y||/2 over its roots and the y attaining
-        it (first among ties, cells before brackets); and the roots tried."""
-        X = unit(angles)
+    def row_values(params):
+        """Per row: min of 1 - ||x+y||/2 over its roots and the y attaining
+        it (first among ties, lattice points before brackets); and the roots
+        tried."""
+        X = sphere_points(space, params)
         b = np.asarray(space.gauge(X[:, None, :] - grid.vectors)) - eps
         oi, oj = np.nonzero((b >= on_low) & (b <= _EQ_ROOT_TOL))
-        ci, cj = np.nonzero(b * np.roll(b, -1, axis=1) < 0.0)
-        lo, flo = thetas[cj], b[ci, cj]
-        hi = lo + grid.step
+        ci, ce = np.nonzero(b[:, tails] * b[:, heads] < 0.0)
+        # Bisection keeps lo on the side of the tail's sign: lo moves to a
+        # midpoint whose ||x-y|| < eps matches the tail's b < 0.
+        Xc, inside = X[ci], b[ci, tails[ce]] < 0.0
+        lo = grid.params[tails[ce]]
+        hi = lo + steps[ce]
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            fmid = np.asarray(space.gauge(X[ci] - unit(mid))) - eps
-            same = (fmid < 0.0) == (flo < 0.0)
-            lo, flo = np.where(same, mid, lo), np.where(same, fmid, flo)
-            hi = np.where(same, hi, mid)
-        ends = np.where(flo >= 0.0, lo, hi) if geq else 0.5 * (lo + hi)
+            same = (np.asarray(space.gauge(Xc - sphere_points(space, mid))) < eps) == inside
+            np.copyto(lo, mid, where=same[:, None])
+            np.copyto(hi, mid, where=~same[:, None])
+        ends = np.where(inside[:, None], hi, lo) if geq else 0.5 * (lo + hi)
         rows = np.concatenate([oi, ci])
-        Y = np.concatenate([grid.vectors[oj], unit(ends)])
+        Y = np.concatenate([grid.vectors[oj], sphere_points(space, ends)])
         vals = 1.0 - np.asarray(space.gauge(X[rows] + Y)) / 2.0
         order = np.lexsort((np.arange(rows.size), vals, rows))
         first = order[np.unique(rows[order], return_index=True)[1]]
-        best = np.full(len(angles), np.inf)
+        best = np.full(len(params), np.inf)
         best[rows[first]] = vals[first]
-        witness = np.full((len(angles), 2), np.nan)
+        witness = np.full((len(params), space.dim), np.nan)
         witness[rows[first]] = Y[first]
         return best, witness, rows.size
 
     chunk = max(1, CHUNK_PAIRS // n)
-    stage = [row_values(thetas[i0:i0 + chunk]) for i0 in range(0, n, chunk)]
+    stage = [row_values(grid.params[i0:i0 + chunk]) for i0 in range(0, n, chunk)]
     row_vals = np.concatenate([s[0] for s in stage])
     evaluations = sum(s[2] for s in stage)
     feasible = int(np.isfinite(row_vals).sum())
@@ -399,59 +404,15 @@ def _delta_eq_2d(space: Space, eps: float, cfg: SearchConfig,
         raise ValueError(f"no unit pair satisfies ||x-y|| = {eps} on the grid")
 
     starts = top_cells(row_vals, -1.0, min(cfg.multistart, feasible))
-    P, vals, conv, k, count = refine_starts(
-        lambda params: row_values(params.ravel())[0].reshape(params.shape[:-1]),
-        thetas[starts, None], row_vals[starts], grid.step, axis_lattice(1), -1.0, cfg,
+    P, vals, conv, best, count = refine_starts(
+        lambda params: row_values(params.reshape(-1, k))[0].reshape(params.shape[:-1]),
+        grid.params[starts], row_vals[starts], grid.step, axis_lattice(k), -1.0, cfg,
         sphere_domain(space, 1))
-    witness = row_values(P[:, 0])[1]   # the engine's last call, repeated for the witness
+    witness = row_values(P)[1]   # the engine's last call, repeated for the witness
     return ConstantEstimate(
-        value=float(vals[k]), x=unit(P[k:k + 1, 0])[0], y=witness[k], mode="inf",
-        converged=bool(conv[k]), evaluations=evaluations + count, config=cfg)
-
-
-def _delta_eq_highdim(space: Space, eps: float, cfg: SearchConfig) -> ConstantEstimate:
-    # Root-finding along the path y(s) = unit((1-s) x + s y0) from each grid
-    # pair with ||x - y0|| >= eps; reduced grid keeps the pair count workable.
-    grid = sphere_grid(space, min(cfg.grid_per_dim, 8))
-    V = grid.vectors
-    m = len(V)
-    best = (math.inf, None, None)
-    for i in range(m):
-        x = V[i]
-        b = np.asarray(space.gauge(x[None, :] - V))
-        on = np.abs(b - eps) <= _EQ_ROOT_TOL
-        for j in np.flatnonzero(on):
-            v = 1.0 - float(space.gauge(x + V[j])) / 2.0
-            if v < best[0]:
-                best = (v, x, V[j])
-        feas = np.flatnonzero((b > eps + _EQ_ROOT_TOL))
-        if feas.size == 0:
-            continue
-        lo = np.zeros(feas.size)
-        hi = np.ones(feas.size)
-        targets = V[feas]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            Y = (1.0 - mid)[:, None] * x + mid[:, None] * targets
-            norms = np.asarray(space.gauge(Y))
-            ok = norms >= 1e-12
-            dist = np.where(ok, np.asarray(space.gauge(x[None, :] - Y / np.where(ok, norms, 1.0)[:, None])), 0.0)
-            go_hi = dist >= eps
-            hi = np.where(go_hi, mid, hi)
-            lo = np.where(go_hi, lo, mid)
-        mid = 0.5 * (lo + hi)
-        Y = (1.0 - mid)[:, None] * x + mid[:, None] * targets
-        norms = np.asarray(space.gauge(Y))
-        Y = Y / norms[:, None]
-        vals = 1.0 - np.asarray(space.gauge(x[None, :] + Y)) / 2.0
-        jbest = int(vals.argmin())
-        if vals[jbest] < best[0]:
-            best = (float(vals[jbest]), x, Y[jbest])
-    if best[1] is None:
-        raise ValueError(f"no unit pair satisfies ||x-y|| = {eps} on the grid")
-    return ConstantEstimate(
-        value=best[0], x=best[1], y=best[2], mode="inf", converged=False,
-        evaluations=m * m, config=cfg)
+        value=float(vals[best]), x=sphere_points(space, P[best:best + 1])[0],
+        y=witness[best], mode="inf", converged=bool(conv[best]),
+        evaluations=evaluations + count, config=cfg)
 
 
 def _band(table: PairTable, lo: float, hi: float) -> np.ndarray:
@@ -519,8 +480,6 @@ def eps0(space: Space, cfg: SearchConfig | None = None, *,
                 band = band[minus[band] < mid - _GEQ_SLACK]
             elif cache is not None:
                 band = _band(cache, lo - _GEQ_SLACK, mid - _GEQ_SLACK)
-    if witness is None:
-        witness = delta(space, lo, cfg, cache=cache) if lo > 0.0 else None
     return ConstantEstimate(
         value=lo,
         x=None if witness is None else witness.x,

@@ -158,6 +158,29 @@ def sphere_grid(space: Space, grid_per_dim: int) -> SphereGrid:
     return SphereGrid(pts, vectors, 2.0 / k)
 
 
+def lattice_edges(grid: SphereGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges of a sphere grid's lattice: grid indices (tail, head) and
+    the parameter axis i with params[tail] + step * e_i at head.
+
+    In 2D the edges are the angles j and (j+1) mod n, the last one reached
+    across 2pi.  In dim >= 3 they are the pairs of surface points one step
+    apart along a coordinate axis, ordered by tail, then axis.  Both ends of
+    such a pair lie on one face of the cube, so the segment between them
+    stays on the surface.
+    """
+    n, k = grid.params.shape
+    if k == 1:
+        j = np.arange(n)
+        return j, (j + 1) % n, np.zeros(n, dtype=np.intp)
+    idx = np.rint((grid.params + 1.0) / grid.step).astype(np.intp)
+    at = np.full((int(idx.max()) + 2,) * k, -1, dtype=np.intp)   # one pad layer: no head
+    at[tuple(idx.T)] = np.arange(n)
+    heads = np.stack([at[tuple((idx + np.eye(k, dtype=np.intp)[i]).T)]
+                      for i in range(k)], axis=1)
+    tails, axes = np.nonzero(heads >= 0)
+    return tails, heads[tails, axes], axes
+
+
 def sphere_points(space: Space, params: np.ndarray) -> np.ndarray:
     """Row-wise sphere_point for (..., k) parameter rows known to be nonzero."""
     if space.dim == 2 and params.shape[-1] == 1:

@@ -15,7 +15,7 @@ from normgeo import search
 from normgeo.constants import delta, gamma, schaffer, sp_constant, t_and_T
 from normgeo.search import (ConstantEstimate, PairNormObjective, SearchConfig,
                             infsup_pair, maximize_pair, minimize_pair, pair_table,
-                            axis_lattice, box_lattice, refine_pairs, refine_starts,
+                            axis_lattice, box_lattice, lattice_edges, refine_pairs, refine_starts,
                             sphere_grid, sphere_point, top_cells)
 from normgeo.spaces import build_space, parse_space_spec
 
@@ -67,6 +67,25 @@ def test_sphere_grid_doubling_nests():
     coarse_set = {tuple(p) for p in coarse.params}
     fine_set = {tuple(p) for p in fine.params}
     assert coarse_set <= fine_set   # exact float nesting, no tolerance
+
+
+def test_lattice_edges(l2):
+    # 2D: the ring of angles, the last edge across 2pi.
+    tails, heads, axes = lattice_edges(sphere_grid(l2, 12))
+    assert tails.tolist() == list(range(12))
+    assert heads.tolist() == list(range(1, 12)) + [0]
+    assert not axes.any()
+    # dim 3: the +e_i neighbours of the cube-surface lattice, 12 k^2 edges,
+    # both ends of each on one face.
+    sp = build_space(parse_space_spec("lp:p=2,dim=3"))
+    g = sphere_grid(sp, 8)
+    tails, heads, axes = lattice_edges(g)
+    assert len(tails) == 12 * 8 ** 2
+    assert len(set(zip(tails.tolist(), heads.tolist()))) == len(tails)
+    assert np.allclose(g.params[heads] - g.params[tails], g.step * np.eye(3)[axes],
+                       rtol=0.0, atol=1e-12)
+    lo, hi = g.params[tails], g.params[heads]
+    assert ((np.abs(lo) == 1.0) & (lo == hi)).any(axis=1).all()
 
 
 # --------------------------------------------------------------------------

@@ -38,6 +38,34 @@ def test_functional_space_gauge():
     assert sp.norm([0.5, -2.0]) == 2.0   # max |<f_i, x>|; this is linf
 
 
+@pytest.mark.parametrize("spec", [
+    "polyv:v=[[1,0],[0.5,0.8660254037844386],[-0.5,0.8660254037844386]]",
+    battery_specs(7, 20)[0],
+    "polyf:f=[[1,1,0],[1,-1,0],[1,0,1],[1,0,-1],[0,1,1],[0,1,-1]]"],
+    ids=["hexagon", "polygon0", "polyf-dim3"])
+def test_functional_gauge_bits_of_row_max(spec):
+    # The gauge takes the facet max one column at a time; the max is exact,
+    # so it must give the bits of a max over the last axis, NaN included.
+    # The product is the gauge's own (with F^T contiguous): its layout
+    # decides the rounding.
+    spec = parse_space_spec(spec) if isinstance(spec, str) else spec
+    sp = build_space(spec)
+    F = (np.asarray(spec.functionals) if spec.functionals is not None
+         else polygon_facet_functionals(spec.vertices))
+    F_t = np.ascontiguousarray(F.T)
+    rng = np.random.default_rng(3)
+    for shape in [(sp.dim,), (1, sp.dim), (7, sp.dim), (4, 9, sp.dim), (3, 720, sp.dim)]:
+        z = rng.standard_normal(shape)
+        if len(shape) > 1:
+            z[(0,) * (len(shape) - 1)][0] = np.nan
+        got = sp.gauge(z)
+        assert np.ndim(got) == len(shape) - 1
+        assert np.array_equal(got, np.abs(z @ F_t).max(axis=-1), equal_nan=True), shape
+        if len(shape) > 1:
+            assert np.isnan(got[(0,) * (len(shape) - 1)])
+            assert np.isfinite(got.ravel()[1:]).all()
+
+
 def test_polyv_square_is_linf():
     sp = build_space(parse_space_spec("polyv:v=[[1,1],[1,-1]]"))
     rng = np.random.default_rng(0)
