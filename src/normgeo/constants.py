@@ -14,7 +14,6 @@ import numpy as np
 
 from .spaces import Space
 from .search import (
-    CHUNK_PAIRS,
     ConstantEstimate,
     PairNormObjective,
     PairTable,
@@ -28,6 +27,7 @@ from .search import (
     pair_table,
     refine_pairs,
     refine_starts,
+    row_blocks,
     sphere_domain,
     sphere_grid,
     sphere_point,
@@ -100,8 +100,7 @@ def sp_constant(space: Space, cfg: SearchConfig | None = None, *,
     """sup of the P-angle cosine between x+y and x-y over unit pairs x != +-y.
 
     For unit x, y the cosine collapses to (||x+y||^2+||x-y||^2-4)/(2 ||x+y|| ||x-y||);
-    pairs within eta of x = +-y are excluded, and witnesses within 10*eta of
-    the excluded set are flagged.
+    pairs with ||x+y|| < eta or ||x-y|| < eta are excluded.
     """
     return maximize_pair(space, PairNormObjective(pair_cosine), cfg,
                          exclude_degenerate=True, cache=cache)
@@ -139,7 +138,6 @@ def t_and_T(space: Space, cfg: SearchConfig | None = None, *,
     t = inf over x of sup over y of sqrt(||x+y|| ||x-y||)
     T = sup over both of the same quantity
     """
-    cfg = cfg or SearchConfig.for_dim(space.dim)
     obj = PairNormObjective(geom_mean)
     lo = infsup_pair(space, obj, cfg, cache=cache)
     hi = maximize_pair(space, obj, cfg, cache=cache)
@@ -150,11 +148,9 @@ def t_and_T(space: Space, cfg: SearchConfig | None = None, *,
 # t-parameterized moduli
 # --------------------------------------------------------------------------
 
-def _exact_estimate(space: Space, value: float, cfg: SearchConfig,
-                    mode: str, t: float | None = None) -> ConstantEstimate:
+def _exact_estimate(space: Space, value: float) -> ConstantEstimate:
     e1 = sphere_point(space, np.eye(space.dim)[0])
-    return ConstantEstimate(value=value, x=e1, y=e1.copy(), mode=mode,
-                            converged=True, evaluations=0, config=cfg, t=t)
+    return ConstantEstimate(value=value, x=e1, y=e1.copy(), converged=True, evaluations=0)
 
 
 def gamma(space: Space, t: float, cfg: SearchConfig | None = None) -> ConstantEstimate:
@@ -164,9 +160,8 @@ def gamma(space: Space, t: float, cfg: SearchConfig | None = None) -> ConstantEs
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"gamma is defined for t in [0, 1], got {t}")
-    cfg = cfg or SearchConfig.for_dim(space.dim)
     if t == 0.0:
-        return _exact_estimate(space, 1.0, cfg, "sup")
+        return _exact_estimate(space, 1.0)
     return maximize_pair(
         space, PairNormObjective(lambda a, b: (a * a + b * b) / 2.0, t=t), cfg)
 
@@ -175,9 +170,8 @@ def rho(space: Space, t: float, cfg: SearchConfig | None = None) -> ConstantEsti
     """Modulus of smoothness: sup of (||x+ty|| + ||x-ty||)/2 - 1 over unit pairs."""
     if t < 0.0:
         raise ValueError(f"rho is defined for t >= 0, got {t}")
-    cfg = cfg or SearchConfig.for_dim(space.dim)
     if t == 0.0:
-        return _exact_estimate(space, 0.0, cfg, "sup")
+        return _exact_estimate(space, 0.0)
     return maximize_pair(
         space, PairNormObjective(lambda a, b: (a + b) / 2.0 - 1.0, t=t), cfg)
 
@@ -304,9 +298,9 @@ def delta(space: Space, eps: float, cfg: SearchConfig | None = None,
         raise ValueError(f"eps must lie in [0, 2], got {eps}")
     if mode not in ("geq", "eq"):
         raise ValueError(f"mode must be 'geq' or 'eq', got {mode!r}")
-    cfg = cfg or SearchConfig.for_dim(space.dim)
     if eps <= 1e-12:
-        return _exact_estimate(space, 0.0, cfg, "inf")
+        return _exact_estimate(space, 0.0)
+    cfg = cfg or SearchConfig.for_dim(space.dim)
     if mode == "eq":
         return _delta_boundary(space, eps, cfg, cache)
     est = _delta_geq(space, eps, cfg, cache)
@@ -395,8 +389,7 @@ def _delta_boundary(space: Space, eps: float, cfg: SearchConfig,
         witness[rows[first]] = Y[first]
         return best, witness, rows.size
 
-    chunk = max(1, CHUNK_PAIRS // n)
-    stage = [row_values(grid.params[i0:i0 + chunk]) for i0 in range(0, n, chunk)]
+    stage = [row_values(grid.params[rows]) for rows in row_blocks(n)]
     row_vals = np.concatenate([s[0] for s in stage])
     evaluations = sum(s[2] for s in stage)
     feasible = int(np.isfinite(row_vals).sum())
@@ -411,19 +404,18 @@ def _delta_boundary(space: Space, eps: float, cfg: SearchConfig,
     witness = row_values(P)[1]   # the engine's last call, repeated for the witness
     return ConstantEstimate(
         value=float(vals[best]), x=sphere_points(space, P[best:best + 1])[0],
-        y=witness[best], mode="inf", converged=bool(conv[best]),
-        evaluations=evaluations + count, config=cfg)
+        y=witness[best], converged=bool(conv[best]), evaluations=evaluations + count)
 
 
 def _band(table: PairTable, lo: float, hi: float) -> np.ndarray:
     """Flat indices, as int32, of the table's pairs with lo <= ||x-y|| < hi,
     collected one block of rows at a time."""
     n = len(table.minus)
-    rows = max(1, CHUNK_PAIRS // n)
     out = []
-    for i0 in range(0, n, rows):
-        block = table.minus[i0:i0 + rows]
-        out.append((i0 * n + np.flatnonzero((block >= lo) & (block < hi))).astype(np.int32))
+    for rows in row_blocks(n):
+        block = table.minus[rows]
+        out.append((rows.start * n + np.flatnonzero((block >= lo) & (block < hi)))
+                   .astype(np.int32))
     return np.concatenate(out)
 
 
@@ -459,9 +451,8 @@ def eps0(space: Space, cfg: SearchConfig | None = None, *,
 
     est_two, carried = probe(2.0)
     if est_two.value <= threshold:
-        return ConstantEstimate(value=2.0, x=est_two.x, y=est_two.y, mode="sup",
-                                converged=True, evaluations=est_two.evaluations,
-                                config=cfg)
+        return ConstantEstimate(value=2.0, x=est_two.x, y=est_two.y, converged=True,
+                                evaluations=est_two.evaluations)
     lo, hi = 0.0, 2.0
     evaluations = est_two.evaluations
     witness = band = None
@@ -484,7 +475,7 @@ def eps0(space: Space, cfg: SearchConfig | None = None, *,
         value=lo,
         x=None if witness is None else witness.x,
         y=None if witness is None else witness.y,
-        mode="sup", converged=True, evaluations=evaluations, config=cfg)
+        converged=True, evaluations=evaluations)
 
 
 # --------------------------------------------------------------------------
@@ -514,9 +505,7 @@ def pair_constants(space: Space, cfg: SearchConfig,
 
 
 def compute_all(space: Space, cfg: SearchConfig | None = None, *,
-                gamma_ts=(), delta_eps=(), rho_ts=(),
-                include_infsup: bool = True,
-                include_eps0: bool = True) -> dict[str, ConstantEstimate]:
+                gamma_ts=(), delta_eps=(), rho_ts=()) -> dict[str, ConstantEstimate]:
     """All constants of one space, sharing a single pair-norm table.
 
     A failure in any single computation is re-raised as a RuntimeError naming
@@ -529,14 +518,12 @@ def compute_all(space: Space, cfg: SearchConfig | None = None, *,
     def compute(key, fn):
         out[key] = guarded(key, fn)
 
-    if include_infsup:
-        def both():
-            lo, hi = t_and_T(space, cfg, cache=cache)
-            out["t"] = lo
-            return hi
-        compute("T", both)   # inserts "t" first, then "T"
-    if include_eps0:
-        compute("eps0", lambda: eps0(space, cfg, cache=cache))
+    def both():
+        lo, hi = t_and_T(space, cfg, cache=cache)
+        out["t"] = lo
+        return hi
+    compute("T", both)   # inserts "t" first, then "T"
+    compute("eps0", lambda: eps0(space, cfg, cache=cache))
     for t in gamma_ts:
         compute(f"gamma({float(t):.12g})", lambda t=float(t): gamma(space, t, cfg))
     for e in delta_eps:

@@ -74,12 +74,9 @@ class ConstantEstimate:
     value: float
     x: np.ndarray | None
     y: np.ndarray | None
-    mode: str                      # "sup" | "inf" | "infsup"
     converged: bool
     evaluations: int
-    config: SearchConfig
     t: float | None = None         # auxiliary scalar for scaled-pair constants
-    near_exclusion: bool = False   # witness within 10*eta of the excluded set
 
     def witness_dict(self) -> dict:
         d: dict = {}
@@ -93,12 +90,13 @@ class ConstantEstimate:
 
 
 class PairNormObjective:
-    """Objective that depends on the pair only through ||x+ty|| and ||x-ty||.
+    """The one objective form of the search: a combine fn(a, b) of the pair
+    norms a = ||x+ty|| and b = ||x-ty||.
 
     t is fixed (1 for the pair constants, the modulus's t for gamma and rho),
     or None: then t is a third search parameter in [0, 1] and fn takes
-    (a, b, t).  At t = 1 the search engine exploits the form: both norms are
-    computed once per grid and shared across objectives.
+    (a, b, t).  At t = 1 the scans read both norms from the shared pair
+    table when there is one.
     """
 
     def __init__(self, fn: Callable[..., np.ndarray], t: float | None = 1.0):
@@ -203,6 +201,13 @@ class PairTable:
     minus: np.ndarray   # (n, n)
 
 
+def row_blocks(n: int) -> list[slice]:
+    """The rows of an n x n pair grid in blocks of whole rows, CHUNK_PAIRS
+    pairs at most (one row at least): every grid walk goes through here."""
+    rows = max(1, CHUNK_PAIRS // n)
+    return [slice(i0, i0 + rows) for i0 in range(0, n, rows)]
+
+
 def pair_table(space: Space, cfg: SearchConfig) -> PairTable | None:
     """Precompute pair norms for reuse across objectives; None if too large."""
     grid = sphere_grid(space, cfg.grid_per_dim)
@@ -211,12 +216,11 @@ def pair_table(space: Space, cfg: SearchConfig) -> PairTable | None:
         return None
     plus = np.empty((n, n))
     minus = np.empty((n, n))
-    rows = max(1, CHUNK_PAIRS // n)
-    for i0 in range(0, n, rows):
-        xs = grid.vectors[i0:i0 + rows, None, :]
+    for rows in row_blocks(n):
+        xs = grid.vectors[rows, None, :]
         ys = grid.vectors[None, :, :]
-        plus[i0:i0 + rows] = space.gauge(xs + ys)
-        minus[i0:i0 + rows] = space.gauge(xs - ys)
+        plus[rows] = space.gauge(xs + ys)
+        minus[rows] = space.gauge(xs - ys)
     return PairTable(grid, plus, minus)
 
 
@@ -323,40 +327,37 @@ def refine_starts(f, starts, values, h, lattice, sign: float, cfg: SearchConfig,
 _PLUS_MINUS = np.array([1.0, -1.0])
 
 
-def _pair_values(space: Space, objective, xs, ys, exclude: bool, eta: float, sign: float,
-                 t=None, norms=None):
+def _pair_values(space: Space, objective: PairNormObjective, xs, ys, exclude: bool,
+                 eta: float, sign: float, t=None, norms=None):
     """Objective at the broadcast pairs, with excluded and NaN pairs scored
     -sign * inf, and the number of the other pairs.  t (one value per row of
-    ys) overrides a PairNormObjective's own t; norms, the pair norms
+    ys) overrides the objective's own t; norms, the pair norms
     (||x+y||, ||x-y||) when they are already known, replaces the gauge."""
-    pairnorm = isinstance(objective, PairNormObjective)
     if norms is not None:
         plus, minus = norms
-    elif pairnorm or exclude:
+    else:
         if t is not None:
             ys = t[:, None] * ys
-        elif pairnorm and objective.t != 1.0:
+        elif objective.t != 1.0:
             ys = objective.t * ys
         if np.ndim(xs) > 2:   # a block of grid rows: one norm array at a time
             plus, minus = np.asarray(space.gauge(xs + ys)), np.asarray(space.gauge(xs - ys))
         else:   # zoom rows: x + (-1 * ty) is exactly x - ty, one gauge call
             plus, minus = np.asarray(space.gauge(xs + _PLUS_MINUS[:, None, None] * ys))
-    if not pairnorm:
-        vals = objective(xs, ys)
-    else:
-        vals = objective(plus, minus) if t is None else objective(plus, minus, t)
-    vals = np.asarray(vals, dtype=float)
+    vals = np.asarray(objective(plus, minus) if t is None else objective(plus, minus, t),
+                      dtype=float)
     bad = np.isnan(vals)
     if exclude:
         bad |= (plus < eta) | (minus < eta)
     return np.where(bad, -sign * np.inf, vals), vals.size - np.count_nonzero(bad)
 
 
-def _pair_batch(space: Space, objective, exclude: bool, eta: float, sign: float):
+def _pair_batch(space: Space, objective: PairNormObjective, exclude: bool, eta: float,
+                sign: float):
     """Zoom evaluator f(params) over (..., 2k[+1]) parameter rows (x, y[, t]).
     Excluded, NaN and out-of-range-t pairs score -sign * inf."""
     k = 1 if space.dim == 2 else space.dim
-    search_t = getattr(objective, "t", 1.0) is None
+    search_t = objective.t is None
 
     def f(params):
         rows = params.reshape(-1, params.shape[-1])
@@ -372,8 +373,8 @@ def _pair_batch(space: Space, objective, exclude: bool, eta: float, sign: float)
     return f
 
 
-def refine_pairs(space: Space, objective, starts, values, step: float, cfg: SearchConfig,
-                 mode: str, *, evaluations: int = 0, exclude: bool = False,
+def refine_pairs(space: Space, objective: PairNormObjective, starts, values, step: float,
+                 cfg: SearchConfig, mode: str, *, evaluations: int = 0, exclude: bool = False,
                  t_step: float | None = None) -> ConstantEstimate:
     """Run grid starts (x-params, y-params[, t]) of a pair objective through
     refine_starts and report the winner.
@@ -388,7 +389,7 @@ def refine_pairs(space: Space, objective, starts, values, step: float, cfg: Sear
     keep = [i for i, v in enumerate(values) if math.isfinite(v)]
     if not keep:
         raise ValueError("no admissible grid pair; eta is too large for this grid")
-    search_t = getattr(objective, "t", 1.0) is None
+    search_t = objective.t is None
     k = 1 if space.dim == 2 else space.dim
     if space.dim == 2:
         radius = 2 if search_t else 3
@@ -401,15 +402,10 @@ def refine_pairs(space: Space, objective, starts, values, step: float, cfg: Sear
         _pair_batch(space, objective, exclude, cfg.eta, sign),
         np.asarray(starts, dtype=float)[keep], np.asarray(values, dtype=float)[keep],
         h, lattice, sign, cfg, sphere_domain(space, 2))
-    x = sphere_point(space, P[best, :k])
-    y = sphere_point(space, P[best, k:2 * k])
-    a = float(space.gauge(x + y))
-    b = float(space.gauge(x - y))
     return ConstantEstimate(
-        value=float(vals[best]), x=x, y=y, mode=mode, converged=bool(conv[best]),
-        evaluations=evaluations + count, config=cfg,
-        t=float(P[best, -1]) if search_t else None,
-        near_exclusion=(a < 10.0 * cfg.eta or b < 10.0 * cfg.eta))
+        value=float(vals[best]), x=sphere_point(space, P[best, :k]),
+        y=sphere_point(space, P[best, k:2 * k]), converged=bool(conv[best]),
+        evaluations=evaluations + count, t=float(P[best, -1]) if search_t else None)
 
 
 # --------------------------------------------------------------------------
@@ -443,23 +439,21 @@ def top_cells(vals: np.ndarray, sign: float, count: int, cells=None) -> np.ndarr
     return idx[np.lexsort((idx if cells is None else cells[idx], key[idx]))]
 
 
-def _scan(space: Space, objective, grid: SphereGrid, cache: PairTable | None,
-          exclude: bool, eta: float, sign: float):
-    """Walk the grid pairs in blocks of whole rows, CHUNK_PAIRS pairs at
-    most: yield each block's first row, its (rows, n) values (excluded and
-    NaN pairs scored -sign * inf) and its evaluation count.
+def _scan(space: Space, objective: PairNormObjective, grid: SphereGrid,
+          cache: PairTable | None, exclude: bool, eta: float, sign: float):
+    """Walk the grid pairs in row_blocks: yield each block's first row, its
+    (rows, n) values (excluded and NaN pairs scored -sign * inf) and its
+    evaluation count.
 
     The pair norms of a t = 1 pair-norm objective come from the rows of the
     shared table cache when there is one; otherwise from the gauge, which
     needs less memory than building a table for one use.
     """
-    n = len(grid.vectors)
-    table = cache if getattr(objective, "t", None) == 1.0 else None
-    rows = max(1, CHUNK_PAIRS // n)
-    for i0 in range(0, n, rows):
-        norms = None if table is None else (table.plus[i0:i0 + rows], table.minus[i0:i0 + rows])
-        yield i0, *_pair_values(space, objective, grid.vectors[i0:i0 + rows, None, :],
-                                grid.vectors, exclude, eta, sign, norms=norms)
+    table = cache if objective.t == 1.0 else None
+    for rows in row_blocks(len(grid.vectors)):
+        norms = None if table is None else (table.plus[rows], table.minus[rows])
+        yield rows.start, *_pair_values(space, objective, grid.vectors[rows, None, :],
+                                        grid.vectors, exclude, eta, sign, norms=norms)
 
 
 def _scan_cells(space: Space, objective, cache: PairTable, exclude: bool, eta: float,
@@ -503,24 +497,22 @@ def _extremize(space: Space, objective, cfg: SearchConfig, mode: str, exclude: b
     return est, starts
 
 
-def maximize_pair(space: Space, objective, cfg: SearchConfig | None = None,
+def maximize_pair(space: Space, objective: PairNormObjective, cfg: SearchConfig | None = None,
                   exclude_degenerate: bool = False, *,
                   cache: PairTable | None = None) -> ConstantEstimate:
-    """sup of objective(x, y) over unit-sphere pairs.
-
-    objective is either a vectorized callable(x, y) on arrays of shape
-    (..., dim), or a PairNormObjective with a fixed t.  With
-    exclude_degenerate, pairs whose pair norms fall below eta (for t = 1:
-    ||x+y|| < eta or ||x-y|| < eta) are skipped.
+    """sup over unit-sphere pairs (x, y) of objective, a PairNormObjective
+    with a fixed t, at (||x+ty||, ||x-ty||).  With exclude_degenerate, pairs
+    with ||x+ty|| < eta or ||x-ty|| < eta are skipped.  cache, the shared
+    pair table, supplies the norms of a t = 1 objective.
     """
     cfg = cfg or SearchConfig.for_dim(space.dim)
     return _extremize(space, objective, cfg, "sup", exclude_degenerate, cache)[0]
 
 
-def minimize_pair(space: Space, objective, cfg: SearchConfig | None = None,
+def minimize_pair(space: Space, objective: PairNormObjective, cfg: SearchConfig | None = None,
                   exclude_degenerate: bool = False, *,
                   cache: PairTable | None = None) -> ConstantEstimate:
-    """inf of objective(x, y) over unit-sphere pairs; see maximize_pair."""
+    """inf over unit-sphere pairs of objective; see maximize_pair."""
     cfg = cfg or SearchConfig.for_dim(space.dim)
     return _extremize(space, objective, cfg, "inf", exclude_degenerate, cache)[0]
 
@@ -542,10 +534,9 @@ def minimize_cells(space: Space, objective, cfg: SearchConfig, cache: PairTable 
 _INNER_STARTS = 4        # best grid cells of each row that the inner zoom refines
 
 
-def infsup_pair(space: Space, objective, cfg: SearchConfig | None = None,
-                exclude_degenerate: bool = False, *,
-                cache: PairTable | None = None) -> ConstantEstimate:
-    """inf over x of sup over y of objective(x, y) on the unit sphere.
+def infsup_pair(space: Space, objective: PairNormObjective, cfg: SearchConfig | None = None,
+                *, cache: PairTable | None = None) -> ConstantEstimate:
+    """inf over unit x of sup over unit y of objective at (||x+ty||, ||x-ty||).
 
     Stage 1 takes the exact inner sup on the grid.  Stage 2 zooms the outer
     starts with the engine, re-solving the inner problem at every outer
@@ -560,7 +551,6 @@ def infsup_pair(space: Space, objective, cfg: SearchConfig | None = None,
     reported value, x and y come from one inner solve.
     """
     cfg = cfg or SearchConfig.for_dim(space.dim)
-    eta, exclude = cfg.eta, exclude_degenerate
     grid = cache.grid if cache is not None else sphere_grid(space, cfg.grid_per_dim)
     n = len(grid.vectors)
     k = 1 if space.dim == 2 else space.dim
@@ -577,14 +567,14 @@ def infsup_pair(space: Space, objective, cfg: SearchConfig | None = None,
         """sup over y for each row x of X: the values and the y vectors."""
         nonlocal evaluations
         X = np.asfortranarray(X)
-        vals, count = _pair_values(space, objective, X[:, None, :], G, exclude, eta, 1.0)
+        vals, count = _pair_values(space, objective, X[:, None, :], G, False, cfg.eta, 1.0)
         cells = np.concatenate([top_cells(row, 1.0, _INNER_STARTS) for row in vals])
         rows = np.repeat(np.arange(len(X)), _INNER_STARTS)
         xs = X[rows, None, :]
 
         def f(params):
             return _pair_values(space, objective, xs, sphere_points(space, params),
-                                exclude, eta, 1.0)[0]
+                                False, cfg.eta, 1.0)[0]
 
         P, V, _, _, zoomed = refine_starts(f, grid.params[cells], vals[rows, cells],
                                            grid.step / inner_radius, inner_lattice, 1.0,
@@ -596,7 +586,7 @@ def infsup_pair(space: Space, objective, cfg: SearchConfig | None = None,
 
     # Stage 1: exact grid inf-sup.
     row_sup = np.empty(n)
-    for i0, vals, count in _scan(space, objective, grid, cache, exclude, eta, 1.0):
+    for i0, vals, count in _scan(space, objective, grid, cache, False, cfg.eta, 1.0):
         row_sup[i0:i0 + len(vals)] = vals.max(axis=1)
         evaluations += count
     if evaluations == 0:
@@ -613,10 +603,5 @@ def infsup_pair(space: Space, objective, cfg: SearchConfig | None = None,
     # The engine's last call, repeated for the witnesses.
     X = sphere_points(space, P)
     vy, Y = inner_sup(X)
-    x, y = X[best], Y[best]
-    a = float(space.gauge(x + y))
-    b = float(space.gauge(x - y))
-    return ConstantEstimate(
-        value=float(vy[best]), x=x, y=y, mode="infsup", converged=bool(conv[best]),
-        evaluations=evaluations, config=cfg,
-        near_exclusion=(a < 10.0 * cfg.eta or b < 10.0 * cfg.eta))
+    return ConstantEstimate(value=float(vy[best]), x=X[best], y=Y[best],
+                            converged=bool(conv[best]), evaluations=evaluations)

@@ -94,6 +94,14 @@ class NormSpec:
                     raise ValueError(f"weighted-lp weight w[{i}] = {w!r} is not finite")
             if any(not (w > 0.0) for w in self.weights):
                 raise ValueError(f"weighted-lp weights must be strictly positive, got {self.weights}")
+            # The scaled lp gauge's power sum lies in [min w, sum w]: both
+            # ends must be normal floats.
+            for i, w in enumerate(self.weights):
+                if w < _NORMAL_MIN:
+                    raise ValueError(f"weighted-lp weight w[{i}] = {w!r} is below 2^-1022")
+            if not math.isfinite(sum(self.weights)):
+                raise ValueError(f"weighted-lp weights {list(self.weights)} sum past the "
+                                 "largest float")
             if len(self.weights) < 2:
                 raise ValueError("dim must be >= 2; provide at least two weights")
         elif self.family == "poly-functionals":

@@ -150,6 +150,23 @@ def test_sweep_delta_l1_all_zero(capsys):
         assert abs(float(d_s)) < 1e-6
 
 
+@pytest.mark.parametrize("space, grid", [("lp:p=1.5,dim=2", 48), ("lp:p=1.5,dim=3", 8)])
+def test_sweep_delta_shared_table_matches_delta(capsys, space, grid):
+    # The sweep builds one pair table for every eps; each row is still the
+    # value delta gives without a table.
+    from normgeo import constants
+    from normgeo.search import SearchConfig
+    from normgeo.spaces import build_space, parse_space_spec
+
+    code, out, _ = run_cli(capsys, "sweep", "--space", space, "--delta-eps", "0.5:1.5:0.5",
+                           "--grid", str(grid), "--refine", "40", "--multistart", "4")
+    assert code == 0
+    built = build_space(parse_space_spec(space))
+    cfg = SearchConfig(grid_per_dim=grid, refine_iters=40, multistart=4)
+    expect = [f"{fmt(e)},{fmt(constants.delta(built, e, cfg).value)}" for e in (0.5, 1.0, 1.5)]
+    assert out.strip().split("\n") == ["eps,delta"] + expect
+
+
 def test_sweep_requires_exactly_one_axis(capsys):
     code, _, err = run_cli(capsys, "sweep", "--space", "lp:p=2,dim=2")
     assert code == 2

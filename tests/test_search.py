@@ -11,8 +11,8 @@ from dataclasses import fields
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normgeo import search
-from normgeo.constants import delta, gamma, schaffer, sp_constant, t_and_T
+from normgeo import constants, search
+from normgeo.constants import delta, eps0, gamma, schaffer, sp_constant, t_and_T
 from normgeo.search import (ConstantEstimate, PairNormObjective, SearchConfig,
                             infsup_pair, maximize_pair, minimize_pair, pair_table,
                             axis_lattice, box_lattice, lattice_edges, refine_pairs, refine_starts,
@@ -92,9 +92,9 @@ def test_lattice_edges(l2):
 # Known extrema
 # --------------------------------------------------------------------------
 
-def scaled_inner_product(x, y):
-    # Smooth non-pairnorm objective with known extrema on the l2 sphere.
-    return (np.asarray(x) * np.asarray(y)).sum(axis=-1)
+# The l2 inner product <x, y> = (||x+y||^2 - ||x-y||^2) / 4: a smooth
+# objective with known extrema on the l2 sphere.
+scaled_inner_product = PairNormObjective(lambda a, b: (a * a - b * b) / 4.0)
 
 
 def test_maximize_smooth_objective(l2):
@@ -119,10 +119,12 @@ def test_pairnorm_sup_l2(l2):
 def test_pairnorm_inf_with_exclusion(l2):
     # inf ||x+y|| over non-degenerate pairs approaches eta from above.
     obj = PairNormObjective(lambda a, b: a)
+    eta = SearchConfig.for_dim(2).eta
     est = minimize_pair(l2, obj, exclude_degenerate=True)
-    assert est.value >= est.config.eta - 1e-12
+    assert est.value >= eta - 1e-12
     assert est.value < 1e-2
-    assert est.near_exclusion
+    # The witness lies next to the excluded set x = -y.
+    assert min(l2.norm(est.x + est.y), l2.norm(est.x - est.y)) < 10.0 * eta
 
 
 def test_witnesses_on_sphere(battery_spaces):
@@ -146,7 +148,7 @@ def test_infsup_known_value(l2):
 # --------------------------------------------------------------------------
 
 def test_search_is_deterministic(hexagon):
-    obj = lambda x, y: np.asarray(hexagon.gauge(x + 0.5 * y))
+    obj = PairNormObjective(lambda a, b: a, t=0.5)   # ||x + y/2||
     a = maximize_pair(hexagon, obj)
     b = maximize_pair(hexagon, obj)
     assert a.value == b.value
@@ -248,9 +250,16 @@ def test_top_cells_matches_reference(sign, count):
 
 
 def test_scan_independent_of_block_size(monkeypatch):
-    """The grid scan walks its rows in blocks; a block size that divides
-    nothing evenly leaves every value, witness and evaluation count as it is,
-    with and without a shared pair table."""
+    """Every grid walk goes through search.row_blocks; a block size that
+    divides nothing evenly leaves every value, witness and evaluation count
+    as it is, with and without a shared pair table.  It splits delta's
+    boundary-solve grid stage and eps0's band into several blocks."""
+    def row_blocks(n):
+        """search.row_blocks, counted by the calling function's name."""
+        blocks = search.row_blocks(n)
+        walks.setdefault(sys._getframe(1).f_code.co_name, []).append(len(blocks))
+        return blocks
+
     for spec, grid in (("lp:p=1.5,dim=2", 96), ("lp:p=1.5,dim=3", 8)):
         space = build_space(parse_space_spec(spec))
         cfg = SearchConfig(grid_per_dim=grid, refine_iters=40, multistart=4)
@@ -259,12 +268,16 @@ def test_scan_independent_of_block_size(monkeypatch):
             cache = pair_table(space, cfg)
             return [sp_constant(space, cfg, cache=cache), schaffer(space, cfg),
                     *t_and_T(space, cfg), delta(space, 1.0, cfg, cache=cache),
-                    gamma(space, 0.5, cfg)]
+                    gamma(space, 0.5, cfg), eps0(space, cfg, cache=cache)]
 
         ref = estimates()
+        walks = {}
         with monkeypatch.context() as m:
             m.setattr(search, "CHUNK_PAIRS", 997)
+            m.setattr(constants, "row_blocks", row_blocks)
             blocks = estimates()
+        for name in ("_delta_boundary", "_band"):
+            assert min(walks[name]) > 1, (spec, name, walks[name])
         for a, b in zip(ref, blocks):
             assert (a.value, a.evaluations) == (b.value, b.evaluations)
             assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)

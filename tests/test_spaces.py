@@ -1,12 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from normgeo.spaces import (NormSpec, battery_specs, build_space, parse_space_spec,
-                            polygon_facet_functionals, validate_space)
+from normgeo.spaces import (NormSpec, Space, _checked, battery_specs, build_space,
+                            parse_space_spec, polygon_facet_functionals, validate_space)
 
 
 # --------------------------------------------------------------------------
@@ -175,12 +176,29 @@ def test_parse_rejects(text):
         build_space(spec)
 
 
-@pytest.mark.parametrize("text, axiom", [
-    ("wlp:p=1.5,w=[1e308,1e308]", "positivity"),  # the weighted power sum overflows to inf
+@pytest.mark.parametrize("gauge, axiom", [
+    (lambda z: -np.abs(z).sum(axis=-1), "positivity"),
+    (lambda z: (np.asarray(z) ** 2).sum(axis=-1), "homogeneity"),
+    (lambda z: np.sqrt(np.abs(z)).sum(axis=-1) ** 2, "triangle"),   # the l_1/2 quasi-norm
+], ids=["positivity", "homogeneity", "triangle"])
+def test_checked_names_failed_axiom(gauge, axiom):
+    # build_space runs this check on every lp and weighted-lp gauge.
+    space = Space(2, gauge, name="broken")
+    with pytest.raises(ValueError, match=f"broken fails the {axiom} axiom"):
+        _checked(space)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("wlp:p=1.5,w=[5e-324,5e-324]", "w[0] = 5e-324 is below 2^-1022"),
+    ("wlp:p=1.5,w=[1,1e-320]", "w[1] = 1e-320 is below 2^-1022"),
+    ("wlp:p=1.5,w=[1e308,1e308]", "sum past the largest float"),
 ])
-def test_build_rejects_gauge_failing_axioms(text, axiom):
-    with pytest.raises(ValueError, match=f"fails the {axiom} axiom"):
-        build_space(parse_space_spec(text))
+def test_spec_rejects_extreme_weights(text, message):
+    # The scaled gauge's power sum lies in [min w, sum w]; the spec check
+    # keeps both ends normal, before any gauge is built or sampled.
+    spec = parse_space_spec(text)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        spec.validate()
 
 
 @pytest.mark.parametrize("text, index, weight", [
