@@ -101,7 +101,8 @@ class NormSpec:
                     raise ValueError(f"weighted-lp weight w[{i}] = {w!r} is below 2^-1022")
             if not math.isfinite(sum(self.weights)):
                 raise ValueError(f"weighted-lp weights {list(self.weights)} sum past the "
-                                 "largest float")
+                                 "largest float: the gauge of (1, ..., 1) overflows, so it "
+                                 "fails the positivity axiom")
             if len(self.weights) < 2:
                 raise ValueError("dim must be >= 2; provide at least two weights")
         elif self.family == "poly-functionals":

@@ -201,6 +201,14 @@ def test_spec_rejects_extreme_weights(text, message):
         spec.validate()
 
 
+@pytest.mark.parametrize("text, axiom", [
+    ("wlp:p=1.5,w=[1e308,1e308]", "positivity"),  # the weighted power sum overflows to inf
+])
+def test_build_rejects_gauge_failing_axioms(text, axiom):
+    with pytest.raises(ValueError, match=f"fails the {axiom} axiom"):
+        build_space(parse_space_spec(text))
+
+
 @pytest.mark.parametrize("text, index, weight", [
     ("wlp:p=2,w=[1e999,1]", 0, "inf"),
     ("wlp:p=1.5,w=[1,-1e999]", 1, "-inf"),
