@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -39,15 +39,6 @@ def _jnum(v: float):
     return float(fmt(f))
 
 
-def _cfg_dict(cfg: SearchConfig) -> dict:
-    return {
-        "grid_per_dim": cfg.grid_per_dim,
-        "refine_iters": cfg.refine_iters,
-        "multistart": cfg.multistart,
-        "eta": _jnum(cfg.eta),
-    }
-
-
 def _estimate_dict(est: ConstantEstimate) -> dict:
     witness = {k: ([_jnum(c) for c in v] if isinstance(v, list) else _jnum(v))
                for k, v in est.witness_dict().items()}
@@ -59,19 +50,17 @@ def _estimate_dict(est: ConstantEstimate) -> dict:
     }
 
 
+def _numbers(obj, *names) -> dict:
+    """asdict(obj) with the named fields as JSON numbers."""
+    return {**asdict(obj), **{k: _jnum(getattr(obj, k)) for k in names}}
+
+
 def _report_dict(report: VerificationReport) -> dict:
-    checks = []
-    for c in report.checks:
-        d = c.to_dict()
-        d["lhs"] = _jnum(d["lhs"])
-        d["rhs"] = _jnum(d["rhs"])
-        d["slack"] = _jnum(d["slack"])
-        checks.append(d)
     return {
         "space": report.space.spec.to_dict() if report.space.spec else {"dim": report.space.dim},
-        "config": _cfg_dict(report.cfg),
+        "config": _numbers(report.cfg, "eta"),
         "constants": {k: _estimate_dict(v) for k, v in report.constants.items()},
-        "checks": checks,
+        "checks": [_numbers(c, "lhs", "rhs", "slack") for c in report.checks],
         "labels": list(report.labels),
     }
 
@@ -80,22 +69,24 @@ def _report_dict(report: VerificationReport) -> dict:
 # Argument plumbing
 # --------------------------------------------------------------------------
 
+# --flag: (SearchConfig field, type, help)
+_CFG_FLAGS = {
+    "grid": ("grid_per_dim", int, "grid points per parameter"),
+    "refine": ("refine_iters", int, "zoom levels per start"),
+    "multistart": ("multistart", int, "grid cells refined per extremum"),
+    "eta": ("eta", float, "degeneracy exclusion radius"),
+}
+
+
 def _add_cfg_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid", type=int, help="grid points per parameter")
-    p.add_argument("--refine", type=int, help="zoom levels per start")
-    p.add_argument("--multistart", type=int, help="grid cells refined per extremum")
-    p.add_argument("--eta", type=float, help="degeneracy exclusion radius")
+    for flag, (_, kind, text) in _CFG_FLAGS.items():
+        p.add_argument(f"--{flag}", type=kind, help=text)
 
 
 def _config_for(dim: int, args) -> SearchConfig:
-    cfg = SearchConfig.for_dim(dim)
-    updates = {}
-    for flag, field_name in (("grid", "grid_per_dim"), ("refine", "refine_iters"),
-                             ("multistart", "multistart"), ("eta", "eta")):
-        v = getattr(args, flag)
-        if v is not None:
-            updates[field_name] = v
-    return replace(cfg, **updates) if updates else cfg
+    updates = {name: getattr(args, flag) for flag, (name, _, _) in _CFG_FLAGS.items()
+               if getattr(args, flag) is not None}
+    return replace(SearchConfig.for_dim(dim), **updates)
 
 
 def _space_from(args):
@@ -190,7 +181,7 @@ def cmd_constants(args) -> int:
 
     out = {
         "space": space.spec.to_dict(),
-        "config": _cfg_dict(cfg),
+        "config": _numbers(cfg, "eta"),
         "constants": {name: _estimate_dict(est) for name, est in ests.items()},
     }
     if oracle_section is not None:

@@ -403,7 +403,7 @@ def _delta_boundary(space: Space, eps: float, cfg: SearchConfig,
         sphere_domain(space, 1))
     witness = row_values(P)[1]   # the engine's last call, repeated for the witness
     return ConstantEstimate(
-        value=float(vals[best]), x=sphere_points(space, P[best:best + 1])[0],
+        value=float(vals[best]), x=sphere_point(space, P[best]),
         y=witness[best], converged=bool(conv[best]), evaluations=evaluations + count)
 
 

@@ -16,7 +16,9 @@ Sphere parameterization: dim 2 uses one angle per point; dim >= 3 uses raw
 direction vectors on the surface lattice of the cube [-1, 1]^dim (coordinates
 {-1 + 2i/k : 0 <= i <= k}, max-norm exactly 1), gauge-normalized.  Distinct
 surface points are distinct directions, and doubling k refines the lattice in
-place, so grids nest.
+place, so grids nest.  Weighted lp takes its directions in lp's coordinates
+(Space.scale), so its grids are uniform on the isometric lp sphere.
+sphere_points is the one map from parameters to unit vectors.
 """
 from __future__ import annotations
 
@@ -121,39 +123,49 @@ class SphereGrid:
 
 
 def sphere_point(space: Space, params) -> np.ndarray:
-    """Map sphere parameters to a unit vector of the space.
+    """Map sphere parameters to a unit vector of the space, through
+    sphere_points.
 
     dim 2 accepts a single angle; any dim accepts a direction vector of
     length dim, which is gauge-normalized.  The zero direction is rejected.
     """
     arr = np.atleast_1d(np.asarray(params, dtype=float))
-    if arr.size == 1 and space.dim == 2:
-        direction = np.array([math.cos(arr[0]), math.sin(arr[0])])
-    elif arr.size == space.dim:
-        direction = arr.astype(float)
-    else:
+    if arr.size != space.dim and not (arr.size == 1 and space.dim == 2):
         raise ValueError(
             f"expected one angle (dim 2) or {space.dim} direction components, got {arr.size}")
-    if np.abs(direction).max() < 1e-12:
+    if arr.size == space.dim and np.abs(arr).max() < 1e-12:
         raise ValueError("zero direction has no sphere point")
-    return direction / float(space.gauge(direction))
+    # Two copies of the row: numpy takes a one-row matrix product (the polygon
+    # gauges) down another BLAS path that can round differently, and a witness
+    # must carry the bits the engine evaluated in its batches.
+    return sphere_points(space, np.stack([arr, arr]))[0]
+
+
+def sphere_points(space: Space, params: np.ndarray) -> np.ndarray:
+    """The one map from (..., k) parameter rows, known to be nonzero, to unit
+    vectors: an angle (k = 1, dim 2 only) or a direction of length dim, taken
+    in lp's coordinates for weighted lp (Space.scale), then gauge-normalized."""
+    if space.dim == 2 and params.shape[-1] == 1:
+        direction = np.concatenate([np.cos(params), np.sin(params)], axis=-1)
+    else:
+        direction = params
+    if space.scale is not None:
+        direction = direction * space.scale
+    return direction / np.asarray(space.gauge(direction))[..., None]
 
 
 def sphere_grid(space: Space, grid_per_dim: int) -> SphereGrid:
     if space.dim == 2:
         n = grid_per_dim
         thetas = TWO_PI * np.arange(n) / n
-        dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-        vectors = dirs / np.asarray(space.gauge(dirs))[:, None]
-        return SphereGrid(thetas[:, None], vectors, TWO_PI / n)
+        return SphereGrid(thetas[:, None], sphere_points(space, thetas[:, None]), TWO_PI / n)
     k = grid_per_dim
     axis = -1.0 + 2.0 * np.arange(k + 1) / k
     mesh = np.stack(np.meshgrid(*([axis] * space.dim), indexing="ij"), axis=-1)
     pts = mesh.reshape(-1, space.dim)
     # Keep the cube surface only: interior points duplicate surface directions.
     pts = pts[np.abs(pts).max(axis=1) >= 1.0 - 1e-12]
-    vectors = pts / np.asarray(space.gauge(pts))[:, None]
-    return SphereGrid(pts, vectors, 2.0 / k)
+    return SphereGrid(pts, sphere_points(space, pts), 2.0 / k)
 
 
 def lattice_edges(grid: SphereGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -177,15 +189,6 @@ def lattice_edges(grid: SphereGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]
                       for i in range(k)], axis=1)
     tails, axes = np.nonzero(heads >= 0)
     return tails, heads[tails, axes], axes
-
-
-def sphere_points(space: Space, params: np.ndarray) -> np.ndarray:
-    """Row-wise sphere_point for (..., k) parameter rows known to be nonzero."""
-    if space.dim == 2 and params.shape[-1] == 1:
-        direction = np.concatenate([np.cos(params), np.sin(params)], axis=-1)
-    else:
-        direction = params
-    return direction / np.asarray(space.gauge(direction))[..., None]
 
 
 # --------------------------------------------------------------------------

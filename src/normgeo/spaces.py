@@ -315,6 +315,10 @@ class Space:
     # Always None: nothing in the package reads it.  perfbench/count_cli.py
     # still reads and replaces it when it counts gauge calls.
     scalar_gauge: Callable[[float, float], float] | None = None
+    # Weighted lp only: w^(-1/p), the isometry z -> scale * z from lp onto this
+    # space.  search.sphere_points takes directions in lp's coordinates through
+    # it, so the grids are uniform on the lp sphere however uneven the weights.
+    scale: np.ndarray | None = field(default=None, compare=False)
 
     def norm(self, v) -> float:
         return float(self.gauge(np.asarray(v, dtype=float)))
@@ -341,7 +345,8 @@ def build_space(spec: NormSpec) -> Space:
     if fam == "weighted-lp":
         w = np.asarray(spec.weights, dtype=float)
         return _checked(Space(len(w), _lp_gauge(spec.p, w), spec, is_euclidean=(spec.p == 2.0),
-                              name=f"wlp(p={spec.p:g},dim={len(w)})"))
+                              name=f"wlp(p={spec.p:g},dim={len(w)})",
+                              scale=w ** (-1.0 / spec.p)))
     if fam == "poly-functionals":
         mat = np.asarray(spec.functionals, dtype=float)
         return Space(mat.shape[1], _functional_gauge(mat), spec,

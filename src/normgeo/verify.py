@@ -10,16 +10,39 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import constants
 from .search import ConstantEstimate, SearchConfig, pair_table
 from .spaces import Space
 
-CHECK_NAMES = [
-    "bounds_sp", "bounds_j", "thm41", "cor46", "cor48", "thm51",
-    "thm54_label", "cor55_labels", "prop56", "hilbert_pair",
-    "sj_identity", "cnj_j", "cz_le_cnj", "delta0_family", "hilbert_suite",
-]
+
+class Inequality(NamedTuple):
+    paper_ref: str
+    relation: str     # one of <=, >=, =, <=>
+    slack: float
+
+
+# The registered checks, in report order: each paper inequality's reference,
+# relation and slack are stated here and nowhere else.
+CHECKS = {
+    "bounds_sp": Inequality("Prop 3.3", "<=", 1e-6),
+    "bounds_j": Inequality("Lemma 2.12(ii)", "<=", 1e-6),
+    "thm41": Inequality("Thm 4.1", ">=", 1e-3),
+    "cor46": Inequality("Cor 4.6", ">=", 1e-3),
+    "cor48": Inequality("Cor 4.8", ">=", 1e-3),
+    "thm51": Inequality("Thm 5.1", "<=>", 1e-3),
+    "thm54_label": Inequality("Thm 5.4", "<=", 1e-6),
+    "cor55_labels": Inequality("Cor 5.5", "<=", 1e-3),
+    "prop56": Inequality("Prop 5.6", "=", 1e-3),
+    "hilbert_pair": Inequality("Prop 3.3 proof", "<=", 1e-8),
+    "sj_identity": Inequality("Cor 4.2 proof", "=", 1e-3),
+    "cnj_j": Inequality("Thm 5.1 proof", ">=", 1e-3),
+    "cz_le_cnj": Inequality("Def 2.7", "<=", 1e-6),
+    "delta0_family": Inequality("Cor 4.2 + Thm 4.3 + Thm 4.4 + Thm 4.5", "<=", 1e-3),
+    "hilbert_suite": Inequality("Thm 3.5 + Lemma 4.7 + Lemma 2.12(vi)", "=", 1e-4),
+}
+CHECK_NAMES = list(CHECKS)
 
 _GAMMA_TS = [i / 10.0 for i in range(1, 11)]
 
@@ -39,18 +62,6 @@ class CheckResult:
     status: str       # "pass" | "fail" | "vacuous"
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "paper_ref": self.paper_ref,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "relation": self.relation,
-            "slack": self.slack,
-            "status": self.status,
-            "note": self.note,
-        }
-
 
 @dataclass
 class VerificationReport:
@@ -68,18 +79,15 @@ class VerificationReport:
         return [c for c in self.checks if c.status == "fail"]
 
 
-def _ineq(name: str, ref: str, lhs: float, rhs: float, relation: str,
-          slack: float, note: str = "") -> CheckResult:
-    if relation == "<=":
-        ok = lhs <= rhs + slack
-    elif relation == ">=":
-        ok = lhs >= rhs - slack
-    elif relation == "=":
-        ok = abs(lhs - rhs) <= slack
-    else:
-        raise ValueError(f"unsupported relation {relation!r}")
-    return CheckResult(name, ref, float(lhs), float(rhs), relation, slack,
-                       "pass" if ok else "fail", note)
+def _check(name: str, lhs: float, rhs: float, note: str = "",
+           status: str | None = None) -> CheckResult:
+    """The record of a registered check: pass or fail by its relation at
+    its slack, unless the caller forces the status."""
+    ref, relation, slack = CHECKS[name]
+    if status is None:
+        holds = {"<=": lhs <= rhs + slack, ">=": lhs >= rhs - slack, "=": abs(lhs - rhs) <= slack}
+        status = "pass" if holds[relation] else "fail"
+    return CheckResult(name, ref, float(lhs), float(rhs), relation, slack, status, note)
 
 
 def run_checks(space: Space, cfg: SearchConfig | None = None) -> VerificationReport:
@@ -103,156 +111,113 @@ def run_checks(space: Space, cfg: SearchConfig | None = None) -> VerificationRep
     labels: list[str] = []
 
     # 1. 0 <= S_P <= 1/2
-    c = _ineq("bounds_sp", "Prop 3.3", sp, 0.5, "<=", 1e-6,
-              note=f"lower bound 0 holds with margin {sp:.3e}")
-    if sp < -1e-6:
-        c.status = "fail"
-        c.note = f"lower bound violated: S_P = {sp:.6g} < 0 - 1e-6"
-    checks.append(c)
+    low = sp < -1e-6
+    checks.append(_check("bounds_sp", sp, 0.5,
+                         f"lower bound violated: S_P = {sp:.6g} < 0 - 1e-6" if low
+                         else f"lower bound 0 holds with margin {sp:.3e}",
+                         "fail" if low else None))
 
     # 2. sqrt(2) <= J <= 2
-    c = _ineq("bounds_j", "Lemma 2.12(ii)", jc, 2.0, "<=", 1e-6,
-              note=f"lower bound sqrt(2) holds with margin {jc - _SQRT2:.3e} (slack 1e-3)")
-    if jc < _SQRT2 - 1e-3:
-        c.status = "fail"
-        c.note = f"lower bound violated: J = {jc:.6g} < sqrt(2) - 1e-3"
-    checks.append(c)
+    low = jc < _SQRT2 - 1e-3
+    checks.append(_check("bounds_j", jc, 2.0,
+                         f"lower bound violated: J = {jc:.6g} < sqrt(2) - 1e-3" if low
+                         else f"lower bound sqrt(2) holds with margin {jc - _SQRT2:.3e} "
+                              "(slack 1e-3)",
+                         "fail" if low else None))
 
     # 3. J*S_P >= C'_NJ - 1 and 2*S_P >= C'_NJ - 1
-    checks.append(_ineq("thm41", "Thm 4.1", min(jc * sp, 2.0 * sp), cnjp - 1.0,
-                        ">=", 1e-3,
-                        note=f"J*S_P = {jc * sp:.9g}, 2*S_P = {2.0 * sp:.9g}"))
+    checks.append(_check("thm41", min(jc * sp, 2.0 * sp), cnjp - 1.0,
+                         f"J*S_P = {jc * sp:.9g}, 2*S_P = {2.0 * sp:.9g}"))
 
     # 4. S_P >= (gamma(t) + t^2 - 3) / (2 + 2 t^2) on the t-grid
-    bounds = [(g + t * t - 3.0) / (2.0 + 2.0 * t * t)
-              for t, g in zip(_GAMMA_TS, gvals)]
+    bounds = [(g + t * t - 3.0) / (2.0 + 2.0 * t * t) for t, g in zip(_GAMMA_TS, gvals)]
     worst = bounds.index(max(bounds))
-    checks.append(_ineq("cor46", "Cor 4.6", sp, bounds[worst], ">=", 1e-3,
-                        note=f"tightest bound at t = {_GAMMA_TS[worst]:g} "
-                             f"on the grid 0.1..1.0"))
+    checks.append(_check("cor46", sp, bounds[worst],
+                         f"tightest bound at t = {_GAMMA_TS[worst]:g} on the grid 0.1..1.0"))
 
     # 5. S_P >= (3 sqrt(C_Z) - 2)/C_Z - 1
-    cor48_rhs = (3.0 * math.sqrt(cz) - 2.0) / cz - 1.0
-    checks.append(_ineq("cor48", "Cor 4.8", sp, cor48_rhs, ">=", 1e-3,
-                        note="bound uses the derivation form (3*sqrt(Cz)-2)/Cz - 1; "
-                             "the displayed rendering 3*sqrt(Cz-2)/Cz - 1 is a "
-                             "typographical variant and is not used"))
+    checks.append(_check("cor48", sp, (3.0 * math.sqrt(cz) - 2.0) / cz - 1.0,
+                         "bound uses the derivation form (3*sqrt(Cz)-2)/Cz - 1; the displayed "
+                         "rendering 3*sqrt(Cz-2)/Cz - 1 is a typographical variant and is not "
+                         "used"))
 
-    # 6. (J < 2 - m) <=> (S_P < 1/2 - m'), margins 1e-3; vacuous on the boundary
-    m = 1e-3
+    # 6. (J < 2 - m) <=> (S_P < 1/2 - m), m the slack; vacuous on the boundary |J - 2| <= m
+    m = CHECKS["thm51"].slack
     if abs(jc - 2.0) <= m:
-        ok = abs(sp - 0.5) <= 1e-3
-        checks.append(CheckResult(
-            "thm51", "Thm 5.1", jc, sp, "<=>", m,
-            "vacuous" if ok else "fail",
-            note=f"boundary |J - 2| <= 1e-3: equivalence not evaluated; "
-                 f"S_P = 1/2 within 1e-3 {'holds' if ok else 'FAILS'}"))
+        ok = abs(sp - 0.5) <= m
+        checks.append(_check("thm51", jc, sp, "boundary |J - 2| <= 1e-3: equivalence not "
+                             f"evaluated; S_P = 1/2 within 1e-3 {'holds' if ok else 'FAILS'}",
+                             "vacuous" if ok else "fail"))
     else:
-        left = jc < 2.0 - m
-        right = sp < 0.5 - m
-        checks.append(CheckResult(
-            "thm51", "Thm 5.1", jc, sp, "<=>", m,
-            "pass" if left == right else "fail",
-            note=f"J {'<' if left else '>='} 2 - 1e-3 and "
-                 f"S_P {'<' if right else '>='} 1/2 - 1e-3"))
+        left, right = jc < 2.0 - m, sp < 0.5 - m
+        checks.append(_check("thm51", jc, sp, f"J {'<' if left else '>='} 2 - 1e-3 and "
+                             f"S_P {'<' if right else '>='} 1/2 - 1e-3",
+                             "pass" if left == right else "fail"))
 
     # 7. S_P < (3 - sqrt(5))/4 implies J < golden ratio; label on success
     thresh54 = (3.0 - _SQRT5) / 4.0
     if sp < thresh54:
-        c = _ineq("thm54_label", "Thm 5.4", jc, _GOLDEN, "<=", 1e-6,
-                  note=f"hypothesis S_P = {sp:.6g} < (3-sqrt(5))/4 holds")
+        c = _check("thm54_label", jc, _GOLDEN, f"hypothesis S_P = {sp:.6g} < (3-sqrt(5))/4 holds")
         if c.status == "pass":
             labels.append("uniform normal structure (Thm 5.4)")
-        checks.append(c)
     else:
-        checks.append(CheckResult(
-            "thm54_label", "Thm 5.4", jc, _GOLDEN, "<=", 1e-6, "vacuous",
-            note=f"hypothesis S_P < (3-sqrt(5))/4 = {thresh54:.6g} not met"))
+        c = _check("thm54_label", jc, _GOLDEN,
+                   f"hypothesis S_P < (3-sqrt(5))/4 = {thresh54:.6g} not met", "vacuous")
+    checks.append(c)
 
     # 8. S_P < 1/2 gives the fixed-point label; S_P < 1/8 additionally asserts
     #    2*gamma(1) < 5 and gives the super-normal label
-    g1 = gvals[-1]
-    if sp < 0.5:
+    g2 = 2.0 * gvals[-1]
+    if sp >= 0.5:
+        c = _check("cor55_labels", g2, 5.0, "S_P >= 1/2: no labels emitted", "vacuous")
+    else:
         labels.append("fixed point property (Cor 5.5 i)")
-        if sp < 0.125:
-            c = _ineq("cor55_labels", "Cor 5.5", 2.0 * g1, 5.0, "<=", 1e-3,
-                      note=f"S_P = {sp:.6g} < 1/8; asserting 2*gamma(1) < 5")
+        if sp >= 0.125:
+            c = _check("cor55_labels", g2, 5.0, "fixed point property label emitted; S_P >= "
+                       "1/8 so the super-normal assertion is not triggered", "pass")
+        else:
+            c = _check("cor55_labels", g2, 5.0, f"S_P = {sp:.6g} < 1/8; asserting 2*gamma(1) < 5")
             if c.status == "pass":
                 labels.append("super-normal structure (Cor 5.5 ii)")
-            checks.append(c)
-        else:
-            checks.append(CheckResult(
-                "cor55_labels", "Cor 5.5", 2.0 * g1, 5.0, "<=", 1e-3, "pass",
-                note="fixed point property label emitted; S_P >= 1/8 so the "
-                     "super-normal assertion is not triggered"))
-    else:
-        checks.append(CheckResult(
-            "cor55_labels", "Cor 5.5", 2.0 * g1, 5.0, "<=", 1e-3, "vacuous",
-            note="S_P >= 1/2: no labels emitted"))
+    checks.append(c)
 
     # 9. Near-extremal S_P forces witness pair norms 2
     if sp >= 0.5 - 1e-6:
-        wx, wy = est["sp"].x, est["sp"].y
-        a = space.norm(wx + wy)
-        b = space.norm(wx - wy)
-        dev = max(abs(a - 2.0), abs(b - 2.0))
-        checks.append(_ineq("prop56", "Prop 5.6", dev, 0.0, "=", 1e-3,
-                            note=f"witness pair norms {a:.9g}, {b:.9g}"))
+        a, b = space.norm(est["sp"].x + est["sp"].y), space.norm(est["sp"].x - est["sp"].y)
+        checks.append(_check("prop56", max(abs(a - 2.0), abs(b - 2.0)), 0.0,
+                             f"witness pair norms {a:.9g}, {b:.9g}"))
     else:
-        checks.append(CheckResult(
-            "prop56", "Prop 5.6", 0.0, 0.0, "=", 1e-3, "vacuous",
-            note=f"S_P = {sp:.6g} < 1/2 - 1e-6: witness conclusion not applicable"))
+        checks.append(_check("prop56", 0.0, 0.0, f"S_P = {sp:.6g} < 1/2 - 1e-6: witness "
+                             "conclusion not applicable", "vacuous"))
 
     # 10. A pair with both pair norms sqrt(2) exists
     wx, wy = est["sqrt2_residual"].x, est["sqrt2_residual"].y
-    checks.append(_ineq("hilbert_pair", "Prop 3.3 proof", res, 0.0, "<=", 1e-8,
-                        note=f"minimizing pair has norms "
-                             f"{space.norm(wx + wy):.9g}, {space.norm(wx - wy):.9g}"))
+    checks.append(_check("hilbert_pair", res, 0.0, "minimizing pair has norms "
+                         f"{space.norm(wx + wy):.9g}, {space.norm(wx - wy):.9g}"))
 
     # 11. S * J = 2
-    checks.append(_ineq("sj_identity", "Cor 4.2 proof", sk * jc, 2.0, "=", 1e-3,
-                        note=f"S = {sk:.9g}, J = {jc:.9g}"))
+    checks.append(_check("sj_identity", sk * jc, 2.0, f"S = {sk:.9g}, J = {jc:.9g}"))
 
     # 12. C'_NJ >= J^2 / 2
-    checks.append(_ineq("cnj_j", "Thm 5.1 proof", cnjp, jc * jc / 2.0, ">=", 1e-3))
+    checks.append(_check("cnj_j", cnjp, jc * jc / 2.0))
 
     # 13. C_Z <= C_NJ
-    checks.append(_ineq("cz_le_cnj", "Def 2.7", cz, cnj, "<=", 1e-6))
+    checks.append(_check("cz_le_cnj", cz, cnj))
 
-    # 14. Upper bounds on S_P scaled by 1/delta(0); vacuous when delta(0) = 0
-    if d0 <= 1e-9:
-        checks.append(CheckResult(
-            "delta0_family", "Cor 4.2 + Thm 4.3 + Thm 4.4 + Thm 4.5",
-            sp, math.inf, "<=", 1e-3, "vacuous",
-            note=f"delta(0) = {d0:.3g}: each bound is +inf"))
-    else:
-        rho1 = constants.guarded("rho(1)", lambda: constants.rho(space, 1.0, cfg)).value
-        family = [
-            (cnjp - 1.0) / d0,
-            (4.0 * rho1 * rho1 + 4.0 * rho1 - 3.0) / (8.0 * d0),
-            min((g + 0.0 - 2.0 * t * t) / (2.0 * t * t * d0)
-                for t, g in zip(_GAMMA_TS, gvals)),
-            cz / (2.0 * d0),
-        ]
-        checks.append(_ineq(
-            "delta0_family", "Cor 4.2 + Thm 4.3 + Thm 4.4 + Thm 4.5",
-            sp, min(family), "<=", 1e-3,
-            note=f"bounds {[f'{b:.6g}' for b in family]} with delta(0) = {d0:.6g}"))
+    # 14. Upper bounds on S_P scaled by 1/delta(0): delta(0) = 0 exactly (x = y),
+    #     so each bound is +inf and the check is vacuous
+    checks.append(_check("delta0_family", sp, math.inf,
+                         f"delta(0) = {d0:.3g}: each bound is +inf", "vacuous"))
 
     # 15. Euclidean-flagged spaces: S_P = 0, C_Z = 1, gamma(t) = 1 + t^2
     if space.is_euclidean:
-        devs = [abs(sp), abs(cz - 1.0)]
-        devs += [abs(g - (1.0 + t * t)) for t, g in zip(_GAMMA_TS, gvals)]
-        checks.append(_ineq("hilbert_suite", "Thm 3.5 + Lemma 4.7 + Lemma 2.12(vi)",
-                            max(devs), 0.0, "=", 1e-4,
-                            note=f"max deviation over S_P, C_Z, gamma grid; "
-                                 f"S_P dev {devs[0]:.3g}, C_Z dev {devs[1]:.3g}"))
+        devs = [abs(sp), abs(cz - 1.0)] + [abs(g - (1.0 + t * t))
+                                           for t, g in zip(_GAMMA_TS, gvals)]
+        checks.append(_check("hilbert_suite", max(devs), 0.0, "max deviation over S_P, C_Z, "
+                             f"gamma grid; S_P dev {devs[0]:.3g}, C_Z dev {devs[1]:.3g}"))
     else:
-        checks.append(CheckResult(
-            "hilbert_suite", "Thm 3.5 + Lemma 4.7 + Lemma 2.12(vi)",
-            0.0, 0.0, "=", 1e-4, "vacuous",
-            note="space is not flagged Euclidean"))
+        checks.append(_check("hilbert_suite", 0.0, 0.0, "space is not flagged Euclidean",
+                             "vacuous"))
 
-    assert [c.name for c in checks] == CHECK_NAMES
     return VerificationReport(space=space, cfg=cfg, checks=checks,
                               labels=labels, constants=est)

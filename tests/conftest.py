@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from normgeo.search import SearchConfig
-from normgeo.spaces import battery_specs, build_space, parse_space_spec
+from normgeo.spaces import Space, battery_specs, build_space, parse_space_spec
 
 # Spaces shared across test modules.  Session scope: building is cheap but the
 # reports computed from them in test_acceptance are not.
@@ -44,6 +44,22 @@ def battery_spaces():
     spaces = [build_space(s) for s in battery_specs(7, 20)]
     spaces += [build_space(parse_space_spec(s)) for s in BATTERY_LP]
     return spaces
+
+
+@pytest.fixture(scope="session")
+def quasi_half():
+    """(|x1|^(1/2) + |x2|^(1/2))^2: homogeneous but not convex, so not a norm.
+    build_space would refuse it; the verification must fail on it."""
+    def gauge(z):
+        z = np.asarray(z, dtype=float)
+        return (np.sqrt(np.abs(z[..., 0])) + np.sqrt(np.abs(z[..., 1]))) ** 2
+    return Space(2, gauge, name="quasi(1/2)")
+
+
+@pytest.fixture(scope="session")
+def tiny_cfg():
+    """The smallest config that still finds the gross violations of quasi_half."""
+    return SearchConfig(grid_per_dim=48, refine_iters=20, multistart=2)
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+import normgeo.cli as cli
 from normgeo.cli import fmt, main
 
 
@@ -220,6 +221,24 @@ def test_verify_needs_one_target(capsys):
     code, _, _ = run_cli(capsys, "verify", "--space", "lp:p=2,dim=2",
                          "--battery", "seed=1,count=1")
     assert code == 2
+
+
+def test_verify_failing_space_exit_1(capsys, monkeypatch, quasi_half):
+    """A failed check exits 1, names itself on stderr, and keeps its record
+    in the JSON on stdout."""
+    monkeypatch.setattr(cli, "build_space", lambda spec: quasi_half)
+    code, out, err = run_cli(capsys, "verify", "--space", "lp:p=1,dim=2",
+                             "--grid", "48", "--refine", "20", "--multistart", "2")
+    assert code == 1
+    failed = ["bounds_sp", "bounds_j", "thm41", "cor46", "prop56"]
+    lines = err.strip().split("\n")
+    assert [line.split(" (")[0] for line in lines] == [
+        f"FAIL quasi(1/2): {name}" for name in failed]
+    for line in lines:
+        assert re.fullmatch(r"FAIL \S+: \w+ \(\S+ (<=|>=|=) \S+ at slack \S+\)", line), line
+    rep = json.loads(out)
+    assert [c["name"] for c in rep["checks"] if c["status"] == "fail"] == failed
+    assert rep["labels"] == []
 
 
 def test_verify_determinism(capsys):

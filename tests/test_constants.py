@@ -648,6 +648,62 @@ class TestDelta3D:
 
 
 # --------------------------------------------------------------------------
+# Weighted lp: an isometric image of lp, so lp is its referee
+# --------------------------------------------------------------------------
+
+_WLP_CFG = SearchConfig(grid_per_dim=120, refine_iters=60, multistart=4)
+
+
+@pytest.mark.parametrize("spec", ["wlp:p=1.5,w=[3e-308,1]", "wlp:p=40,w=[1e-100,1]",
+                                  "wlp:p=2,w=[1e-26,1e-284]", "wlp:p=1.5,w=[1,9]"])
+def test_weighted_lp_matches_lp(spec):
+    """The grid is built in lp's coordinates, so however uneven the weights
+    every constant is the same-p lp's.  Not tighter than 1e-8: l2's flat S_P
+    reads about 4e-10 at this config."""
+    space = build_space(parse_space_spec(spec))
+    lp = build_space(parse_space_spec(f"lp:p={space.spec.p!r},dim=2"))
+    got, want = con.compute_all(space, _WLP_CFG), con.compute_all(lp, _WLP_CFG)
+    assert list(got) == list(want)
+    for key in got:
+        assert got[key].value == pytest.approx(want[key].value, abs=1e-8), key
+
+
+_FUZZ_CFG = SearchConfig(grid_per_dim=48, refine_iters=40, multistart=2)
+_EXPONENT = st.floats(-300.0, 300.0)
+
+
+@st.composite
+def _norm_specs(draw):
+    p = draw(st.one_of(st.sampled_from([1.0, 2.0, 1e3]), st.floats(1.0, 1e3)))
+    family = draw(st.sampled_from(["lp", "linf", "wlp"]))
+    if family == "lp":
+        return f"lp:p={p!r},dim=2"
+    if family == "linf":
+        return "linf:dim=2"
+    return f"wlp:p={p!r},w=[{10.0 ** draw(_EXPONENT)!r},{10.0 ** draw(_EXPONENT)!r}]"
+
+
+@settings(max_examples=30, deadline=None)
+@given(_norm_specs())
+def test_spec_grammar_fuzz(text):
+    """Every spec either exits 2 (ValueError from parsing or building) or
+    gives finite pair constants in the proven ranges 0 <= S_P <= 1/2 and
+    sqrt(2) <= J <= 2; weighted lp also reads lp's S_P."""
+    try:
+        space = build_space(parse_space_spec(text))
+    except ValueError:
+        return
+    est = con.pair_constants(space, _FUZZ_CFG, pair_table(space, _FUZZ_CFG))
+    assert all(math.isfinite(e.value) for e in est.values()), text
+    assert -1e-9 <= est["sp"].value <= 0.5 + 1e-9, text
+    assert SQRT2 - 1e-9 <= est["james"].value <= 2.0 + 1e-9, text
+    if space.spec.family == "weighted-lp":
+        lp = build_space(parse_space_spec(f"lp:p={space.spec.p!r},dim=2"))
+        assert est["sp"].value == pytest.approx(
+            con.sp_constant(lp, _FUZZ_CFG).value, abs=1e-6), text
+
+
+# --------------------------------------------------------------------------
 # Cross-cutting invariants
 # --------------------------------------------------------------------------
 

@@ -16,8 +16,8 @@ from normgeo.constants import delta, eps0, gamma, schaffer, sp_constant, t_and_T
 from normgeo.search import (ConstantEstimate, PairNormObjective, SearchConfig,
                             infsup_pair, maximize_pair, minimize_pair, pair_table,
                             axis_lattice, box_lattice, lattice_edges, refine_pairs, refine_starts,
-                            sphere_grid, sphere_point, top_cells)
-from normgeo.spaces import build_space, parse_space_spec
+                            sphere_grid, sphere_point, sphere_points, top_cells)
+from normgeo.spaces import battery_specs, build_space, parse_space_spec
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,6 +41,22 @@ def test_sphere_point_direction_any_dim():
 def test_sphere_point_rejects_zero(l2):
     with pytest.raises(ValueError):
         sphere_point(l2, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("spec, k", [("lp:p=1.5,dim=2", 1), ("lp:p=1.5,dim=2", 2),
+                                     ("lp:p=1.5,dim=3", 3), ("polygon0", 1)])
+def test_sphere_point_bits_of_sphere_points(spec, k):
+    """A reported witness carries the bits the engine evaluated: sphere_point
+    gives a row the bits sphere_points gives it in a batch, for angles (k = 1)
+    and directions alike, on the lp and on the polygon gauges."""
+    space = build_space(battery_specs(7, 20)[0] if spec == "polygon0"
+                        else parse_space_spec(spec))
+    rng = np.random.default_rng(3)
+    params = (rng.uniform(0.0, TWO_PI, (2000, 1)) if k == 1
+              else rng.uniform(-1.0, 1.0, (2000, k)))
+    batched = sphere_points(space, params)
+    single = np.array([sphere_point(space, row if k > 1 else row[0]) for row in params])
+    assert np.array_equal(single, batched)
 
 
 def test_sphere_grid_2d_on_sphere(hexagon):

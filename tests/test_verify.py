@@ -1,12 +1,10 @@
 import math
-from dataclasses import replace
 
 import pytest
 
-from normgeo import constants
 from normgeo.search import SearchConfig
 from normgeo.spaces import build_space, parse_space_spec
-from normgeo.verify import CHECK_NAMES, run_checks
+from normgeo.verify import CHECK_NAMES, CHECKS, run_checks
 
 # run_checks is the expensive end of the suite; reports are cached per space.
 
@@ -31,6 +29,13 @@ def test_all_checks_present_in_order(l2):
     rep = report_for(l2)
     assert [c.name for c in rep.checks] == CHECK_NAMES
     assert len(CHECK_NAMES) == 15
+
+
+@pytest.mark.parametrize("fixture", ["l1", "l2", "hexagon"])
+def test_records_carry_registry_values(fixture, request):
+    rep = report_for(request.getfixturevalue(fixture))
+    assert [(c.name, c.paper_ref, c.relation, c.slack) for c in rep.checks] == [
+        (name, *CHECKS[name]) for name in CHECKS]
 
 
 def test_check_fields_populated(l15):
@@ -114,21 +119,6 @@ def test_delta0_family_vacuous_note(l1):
     assert "each bound is +inf" in c.note
 
 
-def test_delta0_family_evaluates_when_delta0_positive(monkeypatch, l15, quick_cfg):
-    """With delta(0) > 0 the family of bounds is computed, rho(1) included,
-    and compared with S_P."""
-    delta = constants.delta
-
-    def positive_at_zero(space, eps, cfg=None, mode="geq", *, cache=None):
-        est = delta(space, eps, cfg, mode, cache=cache)
-        return replace(est, value=0.25) if eps == 0.0 else est
-
-    monkeypatch.setattr(constants, "delta", positive_at_zero)
-    c = by_name(run_checks(l15, quick_cfg), "delta0_family")
-    assert c.status in ("pass", "fail")
-    assert math.isfinite(c.rhs) and "delta(0) = 0.25" in c.note
-
-
 # --------------------------------------------------------------------------
 # Non-boundary, non-Euclidean space
 # --------------------------------------------------------------------------
@@ -152,6 +142,42 @@ def test_hexagon_passes(hexagon):
 def test_cor48_notes_rendering_discrepancy(l15):
     c = by_name(report_for(l15), "cor48")
     assert "typographical" in c.note
+
+
+# --------------------------------------------------------------------------
+# A gauge that is not a norm: the fail paths
+# --------------------------------------------------------------------------
+
+# name, status, paper_ref, relation, slack on quasi_half at tiny_cfg.
+_QUASI_HALF_RECORDS = [
+    ("bounds_sp", "fail", "Prop 3.3", "<=", 1e-6),
+    ("bounds_j", "fail", "Lemma 2.12(ii)", "<=", 1e-6),
+    ("thm41", "fail", "Thm 4.1", ">=", 1e-3),
+    ("cor46", "fail", "Cor 4.6", ">=", 1e-3),
+    ("cor48", "pass", "Cor 4.8", ">=", 1e-3),
+    ("thm51", "pass", "Thm 5.1", "<=>", 1e-3),
+    ("thm54_label", "vacuous", "Thm 5.4", "<=", 1e-6),
+    ("cor55_labels", "vacuous", "Cor 5.5", "<=", 1e-3),
+    ("prop56", "fail", "Prop 5.6", "=", 1e-3),
+    ("hilbert_pair", "pass", "Prop 3.3 proof", "<=", 1e-8),
+    ("sj_identity", "pass", "Cor 4.2 proof", "=", 1e-3),
+    ("cnj_j", "pass", "Thm 5.1 proof", ">=", 1e-3),
+    ("cz_le_cnj", "pass", "Def 2.7", "<=", 1e-6),
+    ("delta0_family", "vacuous", "Cor 4.2 + Thm 4.3 + Thm 4.4 + Thm 4.5", "<=", 1e-3),
+    ("hilbert_suite", "vacuous", "Thm 3.5 + Lemma 4.7 + Lemma 2.12(vi)", "=", 1e-4),
+]
+
+
+def test_non_norm_fails_checks(quasi_half, tiny_cfg):
+    """S_P = 7/8 and J = 4 break the proven ranges and the inequalities
+    built on them; the report fails and emits no label."""
+    rep = run_checks(quasi_half, tiny_cfg)
+    assert [(c.name, c.status, c.paper_ref, c.relation, c.slack)
+            for c in rep.checks] == _QUASI_HALF_RECORDS
+    assert not rep.passed
+    assert [c.name for c in rep.failures()] == [
+        "bounds_sp", "bounds_j", "thm41", "cor46", "prop56"]
+    assert rep.labels == []
 
 
 # --------------------------------------------------------------------------
