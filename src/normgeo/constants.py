@@ -18,6 +18,7 @@ from .search import (
     PairNormObjective,
     PairTable,
     SearchConfig,
+    antipodal_pair_norms,
     axis_lattice,
     infsup_pair,
     lattice_edges,
@@ -203,9 +204,10 @@ def _scaled_extremum(space: Space, fns, cfg: SearchConfig) -> list[ConstantEstim
 
     Stage 1 sweeps a t-grid of 101 points over a reduced pair grid in
     vectorized blocks, computing the pair norms of each block once for all
-    combines; stage 2 refines (u, v, t) jointly, per combine.  The reduction
-    to ||u|| = 1 >= t = ||v||-scale is exact for the quotients used here,
-    which are scale-invariant and symmetric in the pair.
+    combines (search.antipodal_pair_norms); stage 2 refines (u, v, t)
+    jointly, per combine.  The reduction to ||u|| = 1 >= t = ||v||-scale is
+    exact for the quotients used here, which are scale-invariant and
+    symmetric in the pair.
     """
     if space.dim == 2:
         grid = sphere_grid(space, max(48, cfg.grid_per_dim // 8))
@@ -219,10 +221,11 @@ def _scaled_extremum(space: Space, fns, cfg: SearchConfig) -> list[ConstantEstim
     block = max(1, 400_000 // (m * m))
     for t0 in range(0, _T_GRID, block):
         tb = ts[t0:t0 + block]
-        xs = V[None, :, None, :]
-        ys = tb[:, None, None, None] * V[None, None, :, :]
-        a = np.asarray(space.gauge(xs + ys), dtype=float)
-        b = np.asarray(space.gauge(xs - ys), dtype=float)
+        # The gauge runs on u in H only; the rows of -H carry the norms swapped.
+        (a_h, b_h), (a_m, b_m) = antipodal_pair_norms(space, V[:m // 2],
+                                                      tb[:, None, None] * V)
+        a = np.concatenate([a_h, a_m], axis=1)
+        b = np.concatenate([b_h, b_m], axis=1)
         for fn, fn_cells, fn_values in zip(fns, cells, values):
             vals = np.asarray(fn(a, b, tb[:, None, None]), dtype=float)
             for bi in range(len(tb)):
@@ -410,10 +413,10 @@ def _delta_boundary(space: Space, eps: float, cfg: SearchConfig,
 def _band(table: PairTable, lo: float, hi: float) -> np.ndarray:
     """Flat indices, as int32, of the table's pairs with lo <= ||x-y|| < hi,
     collected one block of rows at a time."""
-    n = len(table.minus)
+    n = len(table.plus)
     out = []
     for rows in row_blocks(n):
-        block = table.minus[rows]
+        block = table.minus_rows(rows)
         out.append((rows.start * n + np.flatnonzero((block >= lo) & (block < hi)))
                    .astype(np.int32))
     return np.concatenate(out)
@@ -440,13 +443,12 @@ def eps0(space: Space, cfg: SearchConfig | None = None, *,
     if cache is None:
         cache = pair_table(space, cfg)
     threshold = 1e-7
-    minus = None if cache is None else cache.minus.ravel()
 
     def probe(e: float, cells=None) -> tuple[ConstantEstimate, np.ndarray]:
         """The raw geq estimate at e, and those of its starts feasible at e."""
         est, starts = minimize_cells(space, _geq_objective(e), cfg, cache, cells)
-        if minus is not None:
-            starts = starts[minus[starts] >= e - _GEQ_SLACK].astype(np.int32)
+        if cache is not None:
+            starts = starts[cache.minus_at(starts) >= e - _GEQ_SLACK].astype(np.int32)
         return _feasible(est, e), starts
 
     est_two, carried = probe(2.0)
@@ -464,11 +466,11 @@ def eps0(space: Space, cfg: SearchConfig | None = None, *,
             lo = mid
             witness = est
             if band is not None:
-                band = band[minus[band] >= mid - _GEQ_SLACK]
+                band = band[cache.minus_at(band) >= mid - _GEQ_SLACK]
         else:
             hi, carried = mid, starts
             if band is not None:
-                band = band[minus[band] < mid - _GEQ_SLACK]
+                band = band[cache.minus_at(band) < mid - _GEQ_SLACK]
             elif cache is not None:
                 band = _band(cache, lo - _GEQ_SLACK, mid - _GEQ_SLACK)
     return ConstantEstimate(

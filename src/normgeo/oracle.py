@@ -4,7 +4,10 @@ This module is the cross-check for the polished search: it scans a plain
 theta x phi angular grid over [0, 2pi)^2, maps angles straight to sphere
 points through the gauge, and reduces with no refinement step at all.  It
 shares nothing with the search module except the gauge itself, so agreement
-between the two is meaningful evidence.
+between the two is meaningful evidence.  Weighted lp takes its directions in
+lp's coordinates (Space.scale), so the grid is uniform on the isometric lp
+sphere; a raw-coordinate grid crowds onto one axis when the weights are far
+apart.
 """
 from __future__ import annotations
 
@@ -15,7 +18,9 @@ import numpy as np
 
 from .spaces import Space
 
-_CHUNK_PAIRS = 4_000_000
+# Pairs per chunk.  The polygon gauge holds a (pairs, facets) float
+# temporary: 64 MB per chunk on an 8-facet polygon.
+_CHUNK_PAIRS = 1_000_000
 
 
 def _quiet_eval(fn, *args) -> np.ndarray:
@@ -36,6 +41,8 @@ class OracleResult:
 def _unit_circle_points(space: Space, grid_size: int) -> np.ndarray:
     angles = 2.0 * np.pi * np.arange(grid_size) / grid_size
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    if space.scale is not None:
+        dirs = dirs * space.scale
     return dirs / np.asarray(space.gauge(dirs))[:, None]
 
 

@@ -19,6 +19,14 @@ surface points are distinct directions, and doubling k refines the lattice in
 place, so grids nest.  Weighted lp takes its directions in lp's coordinates
 (Space.scale), so its grids are uniform on the isometric lp sphere.
 sphere_points is the one map from parameters to unit vectors.
+
+Antipodal grids: every grid is H u -H, its second half the exact negations
+of its first.  Every gauge is bitwise even and (-x) + y = -(x - y) exactly in
+IEEE arithmetic, so ||x - y_j|| is ||x + y_(j+n/2)|| and the pair norms of
+(-x, y) are those of (x, y) swapped, bit for bit.  The pair table stores
+||x + y|| alone, and every grid walk calls the gauge on x + y for x in H
+only (pair_norms, antipodal_pair_norms); the combines still run on every
+cell, so starts, ties and counts are those of a full scan of the grid.
 """
 from __future__ import annotations
 
@@ -155,17 +163,29 @@ def sphere_points(space: Space, params: np.ndarray) -> np.ndarray:
 
 
 def sphere_grid(space: Space, grid_per_dim: int) -> SphereGrid:
+    """The grid H u -H: point j + n/2 is the exact negation of point j.
+
+    dim 2: the angles 2 pi j / n, n = grid_per_dim rounded up to even; the
+    vectors of j >= n/2 are the negated vectors of j - n/2.  dim >= 3: the
+    first half of the cube-surface lattice in lexicographic order, then its
+    negation.  Negation reverses the lexicographic order of the lattice and
+    no surface point is its own antipode, so the negated half is the other
+    half of the lattice.
+    """
     if space.dim == 2:
-        n = grid_per_dim
+        n = grid_per_dim + grid_per_dim % 2
         thetas = TWO_PI * np.arange(n) / n
-        return SphereGrid(thetas[:, None], sphere_points(space, thetas[:, None]), TWO_PI / n)
+        half = sphere_points(space, thetas[:n // 2, None])
+        return SphereGrid(thetas[:, None], np.concatenate([half, -half]), TWO_PI / n)
     k = grid_per_dim
     axis = -1.0 + 2.0 * np.arange(k + 1) / k
     mesh = np.stack(np.meshgrid(*([axis] * space.dim), indexing="ij"), axis=-1)
     pts = mesh.reshape(-1, space.dim)
     # Keep the cube surface only: interior points duplicate surface directions.
     pts = pts[np.abs(pts).max(axis=1) >= 1.0 - 1e-12]
-    return SphereGrid(pts, sphere_points(space, pts), 2.0 / k)
+    pts = pts[:len(pts) // 2]
+    half = sphere_points(space, pts)
+    return SphereGrid(np.concatenate([pts, -pts]), np.concatenate([half, -half]), 2.0 / k)
 
 
 def lattice_edges(grid: SphereGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -195,20 +215,77 @@ def lattice_edges(grid: SphereGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 # Pair tables
 # --------------------------------------------------------------------------
 
+def antipodal(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """a with the halves of an H u -H grid axis swapped: entry j of the
+    result is entry (j + n/2) mod n of a, the entry of j's antipode."""
+    return np.roll(a, a.shape[axis] // 2, axis=axis)
+
+
+def pair_norms(space: Space, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """||x+y|| and ||x-y|| for every x of xs (..., m, dim) and every y of ys
+    (..., n, dim), an H u -H grid or its multiple by a scalar t (the
+    negation commutes with t), as two (..., m, n) arrays.  One gauge call
+    on x + y: ||x - y_j|| is ||x + y_(j+n/2)||."""
+    plus = np.asarray(space.gauge(xs[..., :, None, :] + ys[..., None, :, :]))
+    return plus, antipodal(plus)
+
+
+def antipodal_pair_norms(space: Space, xs: np.ndarray, ys: np.ndarray):
+    """pair_norms of the rows xs, points of H, and then of their antipodes
+    -xs: ((||x+y||, ||x-y||) of xs, the same of -xs), from the one gauge call
+    of pair_norms(xs, ys), since ||-x +- y|| = ||x -+ y||."""
+    plus, minus = pair_norms(space, xs, ys)
+    return (plus, minus), (minus, plus)
+
+
 @dataclass
 class PairTable:
-    """Stored ||x+y|| and ||x-y|| over the full grid (kept at dim-2 sizes)."""
+    """Stored ||x+y|| over the full H u -H grid (kept at dim-2 sizes).
+    ||x_i - y|| is the row of i's antipode, (i + n/2) mod n."""
 
     grid: SphereGrid
     plus: np.ndarray    # (n, n)
-    minus: np.ndarray   # (n, n)
+
+    def minus_rows(self, rows: slice) -> np.ndarray:
+        """||x-y|| over the rows of a row_blocks block: a view of plus."""
+        return self.plus[mirror_rows(rows, len(self.plus))]
+
+    def minus_at(self, cells: np.ndarray) -> np.ndarray:
+        """||x-y|| at the pairs numbered cells (flat indices), read from the
+        antipodal rows CHUNK_PAIRS cells at a time."""
+        n = len(self.plus)
+        flat = self.plus.ravel()
+        out = np.empty(len(cells))
+        for c0 in range(0, len(cells), CHUNK_PAIRS):
+            chunk = np.asarray(cells[c0:c0 + CHUNK_PAIRS], dtype=np.intp)
+            out[c0:c0 + CHUNK_PAIRS] = flat[(chunk + n // 2 * n) % flat.size]
+        return out
+
+    @property
+    def minus(self) -> np.ndarray:
+        """||x-y|| over the whole grid: a new (n, n) array, not stored."""
+        return antipodal(self.plus, axis=0)
 
 
 def row_blocks(n: int) -> list[slice]:
     """The rows of an n x n pair grid in blocks of whole rows, CHUNK_PAIRS
-    pairs at most (one row at least): every grid walk goes through here."""
+    pairs at most (one row at least), none crossing row n/2, so that the
+    antipodes of a block's rows are a block too: every grid walk goes
+    through here."""
     rows = max(1, CHUNK_PAIRS // n)
-    return [slice(i0, i0 + rows) for i0 in range(0, n, rows)]
+    return [slice(i0, min(i0 + rows, end))
+            for start, end in ((0, n // 2), (n // 2, n)) for i0 in range(start, end, rows)]
+
+
+def mirror_rows(rows: slice, n: int) -> slice:
+    """The antipodes of a row_blocks block of an H u -H grid of n points."""
+    shift = n // 2 if rows.start < n // 2 else -(n // 2)
+    return slice(rows.start + shift, rows.stop + shift)
+
+
+def half_blocks(n: int) -> list[slice]:
+    """The row_blocks blocks of H, the first n/2 rows."""
+    return [rows for rows in row_blocks(n) if rows.start < n // 2]
 
 
 def pair_table(space: Space, cfg: SearchConfig) -> PairTable | None:
@@ -218,13 +295,10 @@ def pair_table(space: Space, cfg: SearchConfig) -> PairTable | None:
     if n * n > _STORED_PAIR_LIMIT:
         return None
     plus = np.empty((n, n))
-    minus = np.empty((n, n))
-    for rows in row_blocks(n):
-        xs = grid.vectors[rows, None, :]
-        ys = grid.vectors[None, :, :]
-        plus[rows] = space.gauge(xs + ys)
-        minus[rows] = space.gauge(xs - ys)
-    return PairTable(grid, plus, minus)
+    for rows in half_blocks(n):
+        (plus[rows], _), (plus[mirror_rows(rows, n)], _) = antipodal_pair_norms(
+            space, grid.vectors[rows], grid.vectors)
+    return PairTable(grid, plus)
 
 
 # --------------------------------------------------------------------------
@@ -343,7 +417,7 @@ def _pair_values(space: Space, objective: PairNormObjective, xs, ys, exclude: bo
             ys = t[:, None] * ys
         elif objective.t != 1.0:
             ys = objective.t * ys
-        if np.ndim(xs) > 2:   # a block of grid rows: one norm array at a time
+        if np.ndim(xs) > 2:   # t's inner zoom: one norm array at a time
             plus, minus = np.asarray(space.gauge(xs + ys)), np.asarray(space.gauge(xs - ys))
         else:   # zoom rows: x + (-1 * ty) is exactly x - ty, one gauge call
             plus, minus = np.asarray(space.gauge(xs + _PLUS_MINUS[:, None, None] * ys))
@@ -450,13 +524,21 @@ def _scan(space: Space, objective: PairNormObjective, grid: SphereGrid,
 
     The pair norms of a t = 1 pair-norm objective come from the rows of the
     shared table cache when there is one; otherwise from the gauge, which
-    needs less memory than building a table for one use.
+    needs less memory than building a table for one use, on the blocks of H
+    only: each is yielded with its antipodal block.
     """
-    table = cache if objective.t == 1.0 else None
-    for rows in row_blocks(len(grid.vectors)):
-        norms = None if table is None else (table.plus[rows], table.minus[rows])
-        yield rows.start, *_pair_values(space, objective, grid.vectors[rows, None, :],
-                                        grid.vectors, exclude, eta, sign, norms=norms)
+    n = len(grid.vectors)
+    if cache is not None and objective.t == 1.0:
+        for rows in row_blocks(n):
+            yield rows.start, *_pair_values(space, objective, None, None, exclude, eta, sign,
+                                            norms=(cache.plus[rows], cache.minus_rows(rows)))
+        return
+    ys = objective.t * grid.vectors   # still H u -H: t * (-y) = -(t * y)
+    for rows in half_blocks(n):
+        both = antipodal_pair_norms(space, grid.vectors[rows], ys)
+        for i0, norms in zip((rows.start, mirror_rows(rows, n).start), both):
+            yield i0, *_pair_values(space, objective, None, None, exclude, eta, sign,
+                                    norms=norms)
 
 
 def _scan_cells(space: Space, objective, cache: PairTable, exclude: bool, eta: float,
@@ -464,11 +546,11 @@ def _scan_cells(space: Space, objective, cache: PairTable, exclude: bool, eta: f
     """_scan over the pairs numbered cells (flat indices into the table
     cache) of a t = 1 pair-norm objective, CHUNK_PAIRS at a time: yields each
     chunk's cells, values and evaluation count."""
-    plus, minus = cache.plus.ravel(), cache.minus.ravel()
+    plus = cache.plus.ravel()
     for c0 in range(0, len(cells), CHUNK_PAIRS):
         chunk = cells[c0:c0 + CHUNK_PAIRS]
         yield chunk, *_pair_values(space, objective, None, None, exclude, eta, sign,
-                                   norms=(plus[chunk], minus[chunk]))
+                                   norms=(plus[chunk], cache.minus_at(chunk)))
 
 
 def _extremize(space: Space, objective, cfg: SearchConfig, mode: str, exclude: bool,
@@ -564,13 +646,14 @@ def infsup_pair(space: Space, objective: PairNormObjective, cfg: SearchConfig | 
     # Points of the inner solve are stored coordinate-major: the gauges
     # reduce over the coordinate axis, which numpy does faster when that axis
     # is the outermost in memory (the lp gauge about 1.5-2x on these arrays).
-    G = np.asfortranarray(grid.vectors)
+    G = np.asfortranarray(objective.t * grid.vectors)
 
     def inner_sup(X):
         """sup over y for each row x of X: the values and the y vectors."""
         nonlocal evaluations
         X = np.asfortranarray(X)
-        vals, count = _pair_values(space, objective, X[:, None, :], G, False, cfg.eta, 1.0)
+        vals, count = _pair_values(space, objective, None, None, False, cfg.eta, 1.0,
+                                   norms=pair_norms(space, X, G))
         cells = np.concatenate([top_cells(row, 1.0, _INNER_STARTS) for row in vals])
         rows = np.repeat(np.arange(len(X)), _INNER_STARTS)
         xs = X[rows, None, :]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from normgeo import constants as con
+from normgeo import oracle
 from normgeo.oracle import (oracle_infsup, oracle_pair_extremum,
                             oracle_pair_norm_extrema)
 from normgeo.spaces import build_space, parse_space_spec
@@ -88,3 +89,27 @@ def test_ties_resolve_first_row_major(l2):
 def test_excluded_everything_raises(l2):
     with pytest.raises(ValueError):
         oracle_pair_extremum(l2, sp_objective(l2), "sup", grid_size=100, eta=10.0)
+
+
+def test_results_independent_of_chunk_size(monkeypatch, hexagon, l15):
+    """A chunk size that divides nothing evenly leaves every value and angle
+    of the shared scan and of the inf-sup as they are."""
+    combines = {"sp": (con.pair_cosine, "sup"), "james": (con.min_norm, "sup"),
+                "schaffer": (con.max_norm, "inf"), "T": (con.geom_mean, "sup")}
+    for space in (hexagon, l15):
+        ref = (oracle_pair_norm_extrema(space, combines, grid_size=240, eta=1e-6),
+               oracle_infsup(space, con.geom_mean, grid_size=240, eta=1e-6))
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_CHUNK_PAIRS", 997)
+            chunked = (oracle_pair_norm_extrema(space, combines, grid_size=240, eta=1e-6),
+                       oracle_infsup(space, con.geom_mean, grid_size=240, eta=1e-6))
+        assert chunked == ref
+
+
+def test_weighted_lp_in_lp_coordinates():
+    """Weighted lp is an isometric copy of lp; with weights 3e-308 and 1 a
+    raw-coordinate grid crowds onto one axis and read S = 1.5874.  In lp's
+    coordinates the oracle finds lp1.5's S = 2^(1/3) within its 1e-3 gate."""
+    space = build_space(parse_space_spec("wlp:p=1.5,w=[3e-308,1]"))
+    r = oracle_pair_norm_extrema(space, {"schaffer": (con.max_norm, "inf")})["schaffer"]
+    assert r.value == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-3)

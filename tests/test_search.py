@@ -76,6 +76,22 @@ def test_sphere_grid_3d_surface_only():
     assert (np.abs(g.params).max(axis=1) >= 1.0 - 1e-12).all()
 
 
+@pytest.mark.parametrize("dim, grids", [(2, (8, 9, 720, 721)), (3, (3, 8, 9, 24)), (4, (3, 8))])
+def test_sphere_grid_is_antipodal(dim, grids):
+    """Every grid is H u -H: its second half holds the exact negations of
+    its first, vectors and, in dim >= 3, parameters alike.  An odd 2D count
+    is rounded up to even; in dim >= 3 the whole cube-surface lattice is
+    kept."""
+    sp = build_space(parse_space_spec(f"lp:p=1.5,dim={dim}"))
+    for k in grids:
+        g = sphere_grid(sp, k)
+        n = len(g.vectors)
+        assert n == (k + k % 2 if dim == 2 else (k + 1) ** dim - (k - 1) ** dim)
+        assert np.array_equal(g.vectors[n // 2:], -g.vectors[:n // 2])
+        if dim > 2:
+            assert np.array_equal(g.params[n // 2:], -g.params[:n // 2])
+
+
 def test_sphere_grid_doubling_nests():
     sp = build_space(parse_space_spec("lp:p=1,dim=3"))
     coarse = sphere_grid(sp, 8)
@@ -215,13 +231,27 @@ def test_evaluation_count_positive(l2):
 # --------------------------------------------------------------------------
 
 def test_pair_table_values(l1):
+    """The stored ||x+y|| and the ||x-y|| read from the antipodal rows match
+    Space.norm, in every quadrant of H u -H."""
     cfg = SearchConfig(grid_per_dim=64)
     table = pair_table(l1, cfg)
     assert table is not None
     g = sphere_grid(l1, 64)
-    i, j = 5, 41
-    assert table.plus[i, j] == pytest.approx(l1.norm(g.vectors[i] + g.vectors[j]), abs=1e-14)
-    assert table.minus[i, j] == pytest.approx(l1.norm(g.vectors[i] - g.vectors[j]), abs=1e-14)
+    minus = table.minus
+    for i, j in ((5, 41), (41, 5), (37, 60), (2, 3)):
+        x, y = g.vectors[i], g.vectors[j]
+        assert table.plus[i, j] == pytest.approx(l1.norm(x + y), abs=1e-14)
+        assert minus[i, j] == pytest.approx(l1.norm(x - y), abs=1e-14)
+        assert table.minus_at(np.array([i * 64 + j]))[0] == minus[i, j]
+        rows = slice(i, i + 1)
+        assert table.minus_rows(rows)[0, j] == minus[i, j]
+
+
+def test_pair_table_stores_n_squared_floats(l15):
+    """The table stores ||x+y|| alone: n^2 floats in all its arrays."""
+    table = pair_table(l15, SearchConfig(grid_per_dim=64))
+    arrays = [getattr(table, f.name) for f in fields(table)]
+    assert sum(a.size for a in arrays if isinstance(a, np.ndarray)) == 64 * 64
 
 
 def test_pair_table_shared_results_match(l15):
@@ -301,6 +331,81 @@ def test_scan_independent_of_block_size(monkeypatch):
         assert delta(space, 1.0, cfg).value == pytest.approx(ref[4].value, abs=1e-12)
 
 
+def _direct_pair_norms(space, xs, ys):
+    """||x+y|| and ||x-y|| of every pair, each by its own gauge call."""
+    x, y = xs[..., :, None, :], ys[..., None, :, :]
+    return np.asarray(space.gauge(x + y)), np.asarray(space.gauge(x - y))
+
+
+class _FullTable(search.PairTable):
+    """A pair table that stores ||x-y|| as well, both by direct gauge calls."""
+
+    def __init__(self, space, cfg):
+        grid = sphere_grid(space, cfg.grid_per_dim)
+        plus, self.stored_minus = _direct_pair_norms(space, grid.vectors, grid.vectors)
+        super().__init__(grid, plus)
+
+    def minus_rows(self, rows):
+        return self.stored_minus[rows]
+
+    def minus_at(self, cells):
+        return self.stored_minus.ravel()[cells]
+
+
+@pytest.mark.parametrize("spec, grid", [("lp:p=1.5,dim=2", 48), ("lp:p=1.5,dim=3", 8),
+                                        ("hexagon", 48), ("polygon0", 48)])
+def test_half_grid_walks_match_full_scan(monkeypatch, spec, grid):
+    """The grid walks call the gauge on x in H only and score the rows of
+    -H with the two norms swapped.  A reference full n x n scan of the same
+    H u -H grid (a table storing both norms, and every pair norm of every
+    walk by its own gauge call) gives the same starts, values, witnesses and
+    evaluation counts, bit for bit, at the default block size and at 997
+    pairs per block."""
+    space = build_space(battery_specs(7, 20)[0] if spec == "polygon0" else parse_space_spec(
+        "polyv:v=[[1,0],[0.5,0.8660254037844386],[-0.5,0.8660254037844386]]"
+        if spec == "hexagon" else spec))
+    cfg = SearchConfig(grid_per_dim=grid, refine_iters=20, multistart=4)
+    engine = search.refine_starts
+
+    def run(cache):
+        starts = []
+
+        def record(f, P, values, *args, **kwargs):
+            starts.append((np.array(P), np.array(values)))
+            return engine(f, P, values, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(search, "refine_starts", record)
+            out = [search._extremize(space, PairNormObjective(fn), cfg, mode, exclude, cache)
+                   for fn, mode, exclude in ((constants.pair_cosine, "sup", True),
+                                             (constants.min_norm, "sup", False),
+                                             (constants.max_norm, "inf", False))]
+            ests = [est for est, _ in out]
+            ests += [infsup_pair(space, PairNormObjective(constants.geom_mean), cfg, cache=cache),
+                     eps0(space, cfg, cache=cache), gamma(space, 0.5, cfg),
+                     *constants.cnj_and_zbaganu(space, cfg)]
+        return [cells for _, cells in out], ests, starts
+
+    with monkeypatch.context() as m:
+        m.setattr(search, "pair_norms", _direct_pair_norms)
+        for mod in (search, constants):
+            m.setattr(mod, "antipodal_pair_norms", lambda space, xs, ys: (
+                _direct_pair_norms(space, xs, ys), _direct_pair_norms(space, -xs, ys)))
+        ref = run(_FullTable(space, cfg))
+    for chunk in (search.CHUNK_PAIRS, 997):
+        with monkeypatch.context() as m:
+            m.setattr(search, "CHUNK_PAIRS", chunk)
+            cells, ests, starts = run(pair_table(space, cfg))
+        assert [c.tolist() for c in cells] == [c.tolist() for c in ref[0]]
+        for a, b in zip(ests, ref[1]):
+            assert (a.value, a.evaluations, a.t, a.converged) == (b.value, b.evaluations, b.t,
+                                                                   b.converged)
+            assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+        assert len(starts) == len(ref[2])
+        for (P, v), (Pr, vr) in zip(starts, ref[2]):
+            assert np.array_equal(P, Pr) and np.array_equal(v, vr)
+
+
 def test_cell_scan_independent_of_cell_order(monkeypatch):
     """minimize_cells picks its starts by value, then by flat index, however
     the given cells are ordered and split into chunks: every cell, shuffled,
@@ -311,7 +416,7 @@ def test_cell_scan_independent_of_cell_order(monkeypatch):
     cache = pair_table(space, cfg)
     objective = PairNormObjective(lambda a, b: np.round(a + b, 1))
     ref, ref_starts = search.minimize_cells(space, objective, cfg, cache)
-    cells = np.random.default_rng(3).permutation(cache.minus.size).astype(np.int32)
+    cells = np.random.default_rng(3).permutation(cache.plus.size).astype(np.int32)
     with monkeypatch.context() as m:
         m.setattr(search, "CHUNK_PAIRS", 997)
         est, starts = search.minimize_cells(space, objective, cfg, cache, cells)

@@ -228,6 +228,14 @@ def test_build_accepts_large_p_that_holds(text):
     assert validate_space(space) == []
 
 
+@pytest.mark.parametrize("text", ["wlp:p=2,w=[1,1e20]", "wlp:p=3,w=[1,1e100]"])
+def test_build_accepts_far_apart_weights(text):
+    # Norms whose sampled triangle excess is one ulp of gauge(x) + gauge(y)
+    # (8.2e9 and 4.1e33): the triangle tolerance is relative.
+    space = build_space(parse_space_spec(text))
+    assert validate_space(space) == []
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 70.0, 400.0, 1e6])
 @pytest.mark.parametrize("r", [1e300, 1.0, 3e-5, 6.5e-215, 1e-300])
 def test_lp_gauge_has_no_underflow_or_overflow(p, r):
@@ -347,3 +355,28 @@ def test_triangle_inequality(x0, x1, y0, y1):
     x = np.array([x0, x1])
     y = np.array([y0, y1])
     assert sp.norm(x + y) <= sp.norm(x) + sp.norm(y) + 1e-12
+
+
+_EVEN_SPECS = ["lp:p=1,dim=2", "lp:p=1.5,dim=2", "lp:p=3,dim=2", "lp:p=2,dim=3", "linf:dim=2",
+               "wlp:p=1.5,w=[1,9]",
+               "polyv:v=[[1,0],[0.5,0.8660254037844386],[-0.5,0.8660254037844386]]",
+               "polygon0", "polyf:f=[[1,1,0],[1,-1,0],[1,0,1],[1,0,-1],[0,1,1],[0,1,-1]]"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=st.sampled_from(_EVEN_SPECS), data=st.data())
+def test_gauge_evenness_bitwise(text, data):
+    """Every gauge is bitwise even, and (-x) + y = -(x - y) exactly, so
+    gauge((-x) + y) is gauge(x - y) bit for bit, for a lone vector and in a
+    batch.  The antipodal grids read ||x - y|| as ||(-x) + y|| on this."""
+    space = build_space(battery_specs(7, 20)[0] if text == "polygon0"
+                        else parse_space_spec(text))
+    coords = st.floats(-1e3, 1e3, allow_subnormal=True)
+    rows = st.lists(st.lists(coords, min_size=space.dim, max_size=space.dim),
+                    min_size=2, max_size=6)
+    x, y = (np.array(data.draw(rows)) for _ in range(2))
+    y = np.resize(y, x.shape)
+    for v in (x, x[0]):
+        assert np.array_equal(np.asarray(space.gauge(-v)), np.asarray(space.gauge(v)))
+    for a, b in ((x, y), (x[0], y[0])):
+        assert np.array_equal(np.asarray(space.gauge(-a + b)), np.asarray(space.gauge(a - b)))
