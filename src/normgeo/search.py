@@ -417,10 +417,9 @@ def _pair_values(space: Space, objective: PairNormObjective, xs, ys, exclude: bo
             ys = t[:, None] * ys
         elif objective.t != 1.0:
             ys = objective.t * ys
-        if np.ndim(xs) > 2:   # t's inner zoom: one norm array at a time
-            plus, minus = np.asarray(space.gauge(xs + ys)), np.asarray(space.gauge(xs - ys))
-        else:   # zoom rows: x + (-1 * ty) is exactly x - ty, one gauge call
-            plus, minus = np.asarray(space.gauge(xs + _PLUS_MINUS[:, None, None] * ys))
+        # x + (-1 * ty) is exactly x - ty: both norms in one gauge call.
+        signs = _PLUS_MINUS.reshape((2,) + (1,) * np.ndim(ys))
+        plus, minus = np.asarray(space.gauge(xs + signs * ys))
     vals = np.asarray(objective(plus, minus) if t is None else objective(plus, minus, t),
                       dtype=float)
     bad = np.isnan(vals)
@@ -616,7 +615,7 @@ def minimize_cells(space: Space, objective, cfg: SearchConfig, cache: PairTable 
 # inf-sup search
 # --------------------------------------------------------------------------
 
-_INNER_STARTS = 4        # best grid cells of each row that the inner zoom refines
+_INNER_STARTS = 2        # best grid cells of each row's H half that the inner zoom refines
 
 
 def infsup_pair(space: Space, objective: PairNormObjective, cfg: SearchConfig | None = None,
@@ -626,14 +625,19 @@ def infsup_pair(space: Space, objective: PairNormObjective, cfg: SearchConfig | 
     Stage 1 takes the exact inner sup on the grid.  Stage 2 zooms the outer
     starts with the engine, re-solving the inner problem at every outer
     lattice point for all of them at once: a scan of their grid rows, then
-    a zoom, by the same engine, from each row's _INNER_STARTS best cells.
-    One start per row is not enough, because the objective is usually
-    symmetric under y -> -y, and the mirror cells of a broad basin can
-    crowd out a sharp peak.  The outer problem is the costly one, so its
-    lattice is the sparsest: +-1 on the angle in 2D, the coordinate axes in
-    dim >= 3.  The inner lattice is denser: offsets -4..4 on the angle in
-    2D, the cube {-1, 0, 1}^dim around a direction vector in dim >= 3.  The
-    reported value, x and y come from one inner solve.
+    a zoom, by the same engine, from the _INNER_STARTS best cells of each
+    row's H half.  Each mirror pair is zoomed once.  The pair norms of
+    (-x, y) are those of (x, -y), so on the H u -H grid rows i and i + n/2
+    hold the same values in another order, and the same sup, bit for bit:
+    the outer starts are the H representatives (i mod n/2) of the
+    multistart best rows.  The combine must be symmetric in its two norms,
+    as t's geometric mean is: then y and -y score alike, each row's second
+    half repeats its first, and the inner starts come from H alone.  The
+    outer problem is the costly one, so its lattice is the sparsest: +-1 on
+    the angle in 2D, the coordinate axes in dim >= 3.  The inner lattice is
+    denser: offsets -4..4 on the angle in 2D, the cube {-1, 0, 1}^dim around
+    a direction vector in dim >= 3.  The reported value, x and y come from
+    one inner solve.
     """
     cfg = cfg or SearchConfig.for_dim(space.dim)
     grid = cache.grid if cache is not None else sphere_grid(space, cfg.grid_per_dim)
@@ -643,9 +647,10 @@ def infsup_pair(space: Space, objective: PairNormObjective, cfg: SearchConfig | 
     project = sphere_domain(space, 1)
     inner_radius = 4 if space.dim == 2 else 1
     inner_lattice = box_lattice(inner_radius, k)
-    # Points of the inner solve are stored coordinate-major: the gauges
-    # reduce over the coordinate axis, which numpy does faster when that axis
-    # is the outermost in memory (the lp gauge about 1.5-2x on these arrays).
+    # Points of the inner solve, in its row scans and its zoom alike, are
+    # stored coordinate-major: the gauges reduce over the coordinate axis,
+    # which numpy does faster when that axis is the outermost in memory (the
+    # lp gauge about 1.5-2x on the scan's arrays).
     G = np.asfortranarray(objective.t * grid.vectors)
 
     def inner_sup(X):
@@ -654,13 +659,13 @@ def infsup_pair(space: Space, objective: PairNormObjective, cfg: SearchConfig | 
         X = np.asfortranarray(X)
         vals, count = _pair_values(space, objective, None, None, False, cfg.eta, 1.0,
                                    norms=pair_norms(space, X, G))
-        cells = np.concatenate([top_cells(row, 1.0, _INNER_STARTS) for row in vals])
+        cells = np.concatenate([top_cells(row[:n // 2], 1.0, _INNER_STARTS) for row in vals])
         rows = np.repeat(np.arange(len(X)), _INNER_STARTS)
-        xs = X[rows, None, :]
+        xs = np.asfortranarray(X[rows, None, :])
 
         def f(params):
-            return _pair_values(space, objective, xs, sphere_points(space, params),
-                                False, cfg.eta, 1.0)[0]
+            ys = sphere_points(space, np.asfortranarray(params))
+            return _pair_values(space, objective, xs, ys, False, cfg.eta, 1.0)[0]
 
         P, V, _, _, zoomed = refine_starts(f, grid.params[cells], vals[rows, cells],
                                            grid.step / inner_radius, inner_lattice, 1.0,
@@ -677,7 +682,7 @@ def infsup_pair(space: Space, objective: PairNormObjective, cfg: SearchConfig | 
         evaluations += count
     if evaluations == 0:
         raise ValueError("no admissible grid pair; eta is too large for this grid")
-    start_rows = top_cells(row_sup, -1.0, cfg.multistart)
+    start_rows = np.unique(top_cells(row_sup, -1.0, cfg.multistart) % (n // 2))
 
     # Stage 2: outer zoom.  Its own count is left out: each outer evaluation
     # is an inner solve, whose pair evaluations are counted above.

@@ -94,15 +94,15 @@ class NormSpec:
                     raise ValueError(f"weighted-lp weight w[{i}] = {w!r} is not finite")
             if any(not (w > 0.0) for w in self.weights):
                 raise ValueError(f"weighted-lp weights must be strictly positive, got {self.weights}")
-            # The scaled lp gauge's power sum lies in [min w, sum w]: both
-            # ends must be normal floats.
+            # The accepted weights: normal floats with a finite sum.  At p = 1
+            # the gauge of (1, ..., 1) is that sum.
             for i, w in enumerate(self.weights):
                 if w < _NORMAL_MIN:
                     raise ValueError(f"weighted-lp weight w[{i}] = {w!r} is below 2^-1022")
             if not math.isfinite(sum(self.weights)):
                 raise ValueError(f"weighted-lp weights {list(self.weights)} sum past the "
-                                 "largest float: the gauge of (1, ..., 1) overflows, so it "
-                                 "fails the positivity axiom")
+                                 "largest float; at p = 1 the gauge of (1, ..., 1) overflows, "
+                                 "so it fails the positivity axiom")
             if len(self.weights) < 2:
                 raise ValueError("dim must be >= 2; provide at least two weights")
         elif self.family == "poly-functionals":
@@ -182,30 +182,35 @@ _TINY = np.finfo(float).smallest_subnormal      # 2^-1074
 def _lp_gauge(p: float, weights: np.ndarray | None = None) -> Gauge:
     """(sum_i w_i |z_i|^p)^(1/p), with w_i = 1 when unweighted.
 
+    Weighted lp is lp's gauge of (w_i^(1/p) z_i), the isometry of
+    Space.scale: each coordinate is weighted before the power, never after
+    it, so each power is the weighted term w_i |z_i|^p itself and leaves
+    the float range only where that term does.  The factor itself stays in
+    range: w^(1/p) <= w for w > 1 and >= w for w < 1.
+
     For p other than 1 the power sum is added up one column at a time (a
     sum over the short last axis costs more than the powers), and a point
     whose power sum leaves the normal float range is evaluated again scaled
-    by m = max_i |z_i|, as m (sum_i w_i (|z_i|/m)^p)^(1/p), whose power sum
-    lies in [min w, sum w].  Unscaled, the sum underflows for tiny
-    coordinates or large p (lp1.5 of (0, 6.5e-215) is 2e-3 relative off,
-    lp400 of (1e-3, 0) is 0, lp2 of (3e-160, 4e-160) is 6e-6 relative low)
-    and overflows for huge ones (lp2 of (1e200, 0)).  p = 2 takes its root
+    by m = max_i |z_i|, as m (sum_i (|z_i|/m)^p)^(1/p), whose power sum
+    lies in [1, dim].  Unscaled, the sum underflows for tiny coordinates
+    or large p (lp1.5 of (0, 6.5e-215) is 2e-3 relative off, lp400 of
+    (1e-3, 0) is 0, lp2 of (3e-160, 4e-160) is 6e-6 relative low) and
+    overflows for huge ones (lp2 of (1e200, 0)).  p = 2 takes its root
     with sqrt.  Which formula a point gets depends on that point alone,
     never on the rest of the batch, and the gauge is homogeneous to rounding
     for every finite z and p.
     """
-    w = None if weights is None else np.asarray(weights, dtype=float)
+    if weights is not None:
+        factor = np.asarray(weights, dtype=float) ** (1.0 / p)
+        lp = _lp_gauge(p)
+        return lambda z: lp(np.asarray(z, dtype=float) * factor)
     if p == 1.0:
-        if w is None:
-            return lambda z: np.abs(z).sum(axis=-1)
-        return lambda z: (w * np.abs(z)).sum(axis=-1)
+        return lambda z: np.abs(z).sum(axis=-1)
     pinv = 1.0 / p
     root = np.sqrt if p == 2.0 else (lambda s: s ** pinv)
 
     def power_sum(a):          # a = |z|, a fresh array that is overwritten
         a **= p
-        if w is not None:
-            a *= w
         s = a[..., 0] + a[..., 1]
         for i in range(2, a.shape[-1]):
             s += a[..., i]
@@ -331,8 +336,8 @@ def build_space(spec: NormSpec) -> Space:
     """Validate a spec and construct the Space realizing it.
 
     lp and weighted-lp gauges are also sample-checked against the norm
-    axioms (validate_space): extreme weights make their power sums
-    overflow, and a violation raises ValueError naming the axiom.  The
+    axioms (validate_space), and a violation raises ValueError naming the
+    axiom.  The
     polygon families are checked by NormSpec.validate.
     """
     spec.validate()

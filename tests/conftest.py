@@ -47,6 +47,14 @@ def battery_spaces():
 
 
 @pytest.fixture(scope="session")
+def battery_t_and_T(battery_spaces):
+    """(t, T) per battery space at the default config, computed once for the
+    acceptance criteria and the pinned t values."""
+    from normgeo import constants as con
+    return [con.t_and_T(s) for s in battery_spaces]
+
+
+@pytest.fixture(scope="session")
 def quasi_half():
     """(|x1|^(1/2) + |x2|^(1/2))^2: homogeneous but not convex, so not a norm.
     build_space would refuse it; the verification must fail on it."""

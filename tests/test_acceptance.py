@@ -35,9 +35,9 @@ def battery_reports(battery_spaces):
 
 
 @pytest.fixture(scope="session")
-def battery_T(battery_spaces):
+def battery_T(battery_t_and_T):
     """Geometric-mean supremum per battery space (not part of run_checks)."""
-    return [con.t_and_T(s)[1].value for s in battery_spaces]
+    return [T.value for _, T in battery_t_and_T]
 
 
 @pytest.fixture(scope="session")

@@ -249,6 +249,26 @@ class TestPairConstantValues:
         # the inner supremum tops out near 1.2837.
         assert all_consts["l15"]["t"].value == pytest.approx(1.2836760322, abs=1e-6)
 
+    # t at the default config as it was when each mirror pair of outer starts
+    # and of inner starts was zoomed twice (16 outer starts, 4 inner starts
+    # per row over all of H u -H): battery_specs(7, 20), then the hexagon,
+    # lp1.5 and lp1.5 in dim 3.  Zooming each pair once must not move them.
+    PINNED_T = [
+        1.333216148346108, 1.276459683337194, 1.3110738242036044, 1.3506099267061349,
+        1.4044984130218898, 1.252683574691575, 1.3274867155158891, 1.331597991074179,
+        1.3599424862998124, 1.3358084383865516, 1.3569291421412177, 1.3062614301957638,
+        1.3760531811269536, 1.3359142854910513, 1.2949466600177788, 1.2782929068514768,
+        1.3863062143418143, 1.2659891743770366, 1.3405227598537073, 1.3752043744140245,
+        1.4472135955000278, 1.283676032238388, 1.3864252741685013,
+    ]
+
+    def test_t_matches_pinned_values(self, battery_t_and_T, all_consts, l15_3d):
+        got = [t.value for t, _ in battery_t_and_T[:20]]
+        got += [all_consts["hex"]["t"].value, all_consts["l15"]["t"].value,
+                search.infsup_pair(l15_3d, search.PairNormObjective(con.geom_mean)).value]
+        for i, (g, w) in enumerate(zip(got, self.PINNED_T, strict=True)):
+            assert g == pytest.approx(w, abs=1e-12), i
+
     def test_t_and_T_euclidean_3d(self, l2_3d):
         # dim 3 runs the inf-sup polish in lockstep; every inner sup of the
         # Euclidean ball is sqrt(2).

@@ -406,6 +406,27 @@ def test_half_grid_walks_match_full_scan(monkeypatch, spec, grid):
             assert np.array_equal(P, Pr) and np.array_equal(v, vr)
 
 
+@pytest.mark.parametrize("spec, grid", [
+    ("lp:p=1.5,dim=2", None), ("lp:p=1.5,dim=3", 12), ("hexagon", None), ("polygon0", None),
+    ("polyf:f=[[1,1,0],[1,-1,0],[1,0,1],[1,0,-1],[0,1,1],[0,1,-1]]", 12)])
+def test_geom_mean_rows_are_mirror_pairs(spec, grid):
+    """The premise of infsup_pair's starts: on the H u -H grid, t's grid
+    rows i and i + n/2 have the same sup, and each row's second half repeats
+    its first, bit for bit, so each mirror pair is zoomed once."""
+    space = build_space(battery_specs(7, 20)[0] if spec == "polygon0" else parse_space_spec(
+        "polyv:v=[[1,0],[0.5,0.8660254037844386],[-0.5,0.8660254037844386]]"
+        if spec == "hexagon" else spec))
+    cfg = SearchConfig.for_dim(space.dim)
+    if grid is not None:
+        cfg = SearchConfig(grid_per_dim=grid)
+    cache = pair_table(space, cfg)
+    vals = constants.geom_mean(cache.plus, cache.minus)
+    h = len(vals) // 2
+    sups = vals.max(axis=1)
+    assert np.array_equal(sups[:h], sups[h:])
+    assert np.array_equal(vals[:, :h], vals[:, h:])
+
+
 def test_cell_scan_independent_of_cell_order(monkeypatch):
     """minimize_cells picks its starts by value, then by flat index, however
     the given cells are ordered and split into chunks: every cell, shuffled,

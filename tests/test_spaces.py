@@ -252,17 +252,32 @@ def test_lp_gauge_has_no_underflow_or_overflow(p, r):
     assert batch[2] == 0.0
 
 
+def test_weighted_lp_weights_before_the_power():
+    # Weighted after the power, |z|^p = (0, 5e-324) would leave the sum one
+    # scaled subnormal, in the normal range, and the gauge 0.397; weighted
+    # before it, the spec builds and the gauge matches a log-domain sum.
+    p, w = 726.1267488450687, (3.163817100932328e+263, 5.196916940422011e+31)
+    space = build_space(parse_space_spec(f"wlp:p={p!r},w=[{w[0]!r},{w[1]!r}]"))
+    z = (0.3194, -0.3589)
+    logs = [math.log(wi) + p * math.log(abs(zi)) for wi, zi in zip(w, z)]
+    top = max(logs)
+    ref = math.exp((top + math.log(sum(math.exp(t - top) for t in logs))) / p)
+    assert ref == pytest.approx(0.7365792954337337, rel=1e-15)
+    assert space.norm(z) == pytest.approx(ref, rel=1e-14)
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_lp2_gauge_keeps_normal_range_bits(dim):
     # Points whose sum of squares lies in the normal range get the bits of
-    # the plain formula sqrt(sum_i w_i z_i^2).
+    # the plain formula sqrt(sum_i z_i^2), weighted lp that of lp at the
+    # coordinates w_i^(1/2) z_i.
     rng = np.random.default_rng(dim)
     z = rng.normal(size=(1000, dim)) * 10.0 ** rng.uniform(-150, 150, (1000, 1))
     w = rng.uniform(0.5, 3.0, dim)
     plain = build_space(parse_space_spec(f"lp:p=2,dim={dim}"))
     weighted = build_space(NormSpec("weighted-lp", dim=dim, p=2.0, weights=tuple(w)))
     assert np.array_equal(plain.gauge(z), np.sqrt((z ** 2).sum(axis=-1)))
-    assert np.array_equal(weighted.gauge(z), np.sqrt((w * z ** 2).sum(axis=-1)))
+    assert np.array_equal(weighted.gauge(z), np.sqrt(((w ** 0.5 * z) ** 2).sum(axis=-1)))
 
 
 def test_parse_skeleton_for_sweeps():
