@@ -21,7 +21,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import constants as con
-from .oracle import oracle_infsup, oracle_pair_norm_extrema
+from .oracle import oracle_pair_norm_extrema
 from .search import ConstantEstimate, SearchConfig, sphere_grid
 from .spaces import NormSpec, battery_specs, build_space, parse_space_spec
 from .verify import VerificationReport, run_checks
@@ -129,9 +129,6 @@ def _parse_battery(text: str) -> tuple[int, int]:
 # constants
 # --------------------------------------------------------------------------
 
-_ORACLE_CONSTANTS = ("sp", "james", "cnj_prime", "schaffer", "T", "t")
-
-
 def cmd_constants(args) -> int:
     space = _space_from(args)
     cfg = _config_for(space.dim, args)
@@ -152,18 +149,16 @@ def cmd_constants(args) -> int:
             "cnj_prime": (con.mean_square_quarter, "sup"),
             "schaffer": (con.max_norm, "inf"),
             "T": (con.geom_mean, "sup"),
+            "t": (con.geom_mean, "infsup"),
         }
         oracle_vals = oracle_pair_norm_extrema(space, combines,
                                                grid_size=args.oracle_grid,
                                                eta=cfg.eta)
-        t_oracle = oracle_infsup(space, con.geom_mean, grid_size=args.oracle_grid,
-                                 eta=cfg.eta)
         oracle_section = {"grid_size": args.oracle_grid}
-        for name in _ORACLE_CONSTANTS:
-            ov = t_oracle.value if name == "t" else oracle_vals[name].value
+        for name, ov in oracle_vals.items():
             oracle_section[name] = {
-                "value": _jnum(ov),
-                "optimizer_delta": _jnum(ests[name].value - ov),
+                "value": _jnum(ov.value),
+                "optimizer_delta": _jnum(ests[name].value - ov.value),
             }
     elapsed = time.perf_counter() - t0
 

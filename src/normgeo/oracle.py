@@ -8,6 +8,13 @@ between the two is meaningful evidence.  Weighted lp takes its directions in
 lp's coordinates (Space.scale), so the grid is uniform on the isometric lp
 sphere; a raw-coordinate grid crowds onto one axis when the weights are far
 apart.
+
+Every pair-norm reduction, the inf-sup of t included, comes from one scan of
+the upper triangle of the grid pairs.  Pair (j, i) carries the bits of pair
+(i, j): x_j + x_i is the same float vector as x_i + x_j, and x_j - x_i is its
+exact negation, which the gauge maps to the same bits (it is even bit for
+bit).  The scan runs in row chunks of about _CHUNK_PAIRS pairs, sized so the
+gauge's temporaries stay in L2.
 """
 from __future__ import annotations
 
@@ -19,8 +26,12 @@ import numpy as np
 from .spaces import Space
 
 # Pairs per chunk.  The polygon gauge holds a (pairs, facets) float
-# temporary: 64 MB per chunk on an 8-facet polygon.
-_CHUNK_PAIRS = 1_000_000
+# temporary: 1 MB per chunk on an 8-facet polygon, which with the combines'
+# arrays stays in L2.  With 1 M-pair chunks (64 MB) the gauge ran several
+# times slower.
+_CHUNK_PAIRS = 16_384
+
+_MODES = ("sup", "inf", "infsup")
 
 
 def _quiet_eval(fn, *args) -> np.ndarray:
@@ -52,7 +63,9 @@ def _scan(space: Space, pts: np.ndarray, eta: float, upper: bool = False):
     as (1, m, 2), a = ||x+y||, b = ||x-y||, and the pairs with a or b below
     eta (none at eta 0, as norms are never negative).  j0 is 0, or i0 with
     upper, which pairs each chunk only with the points from its own first
-    row onward."""
+    row onward: every pair below that is the mirror of a pair an earlier
+    chunk held, with the same bits of a and b.  Each chunk has about
+    _CHUNK_PAIRS pairs (at least one row), so the gauge works in cache."""
     n = len(pts)
     i0 = 0
     while i0 < n:
@@ -100,57 +113,94 @@ def oracle_pair_extremum(space: Space, objective, mode: str = "sup",
                         float(2.0 * np.pi * j / n), grid_size)
 
 
+class _RowSups:
+    """The sup over every column of each grid row, from upper-triangle chunks.
+
+    Row i of a chunk starting at row i0 holds columns i0 onward; columns
+    below i0 are the mirrors held as column i by the earlier chunks, whose
+    running column maxima are kept here.  Ties go to the lowest column, so
+    each row's value and argmax equal those of a scan of its full row.
+    """
+
+    def __init__(self, n: int):
+        self.col_best = np.full(n, -np.inf)
+        self.col_arg = np.zeros(n, dtype=int)
+        self.sup = np.empty(n)
+        self.arg = np.empty(n, dtype=int)
+
+    def add(self, i0: int, v: np.ndarray) -> None:
+        rows = slice(i0, i0 + len(v))
+        ra = v.argmax(axis=1)
+        rv = v[np.arange(len(v)), ra]
+        below = self.col_best[rows] >= rv     # lower columns win a tie
+        self.sup[rows] = np.where(below, self.col_best[rows], rv)
+        self.arg[rows] = np.where(below, self.col_arg[rows], ra + i0)
+        ca = v.argmax(axis=0)
+        cv = v[ca, np.arange(v.shape[1])]
+        up = cv > self.col_best[i0:]          # earlier rows win a tie
+        self.col_best[i0:][up] = cv[up]
+        self.col_arg[i0:][up] = ca[up] + i0
+
+
 def oracle_pair_norm_extrema(space: Space, combines: dict[str, tuple[Callable, str]],
                              grid_size: int = 3600, eta: float = 0.0
                              ) -> dict[str, OracleResult]:
     """Several pair-norm reductions from one shared scan.
 
-    combines maps name -> (fn(a, b), "sup" | "inf") where a = ||x+y|| and
-    b = ||x-y|| over the dense grid.  One scan serves all entries, which is
-    what makes sweeping a whole battery against the oracle affordable.
+    combines maps name -> (fn(a, b), mode) where a = ||x+y|| and
+    b = ||x-y|| over the dense grid.  mode "sup" or "inf" takes the extremum
+    over all pairs, ties to the first (theta, phi) in row-major order;
+    "infsup" takes the inf over theta of the sup over phi, ties to the
+    lowest phi and then the lowest theta.  One scan serves all entries,
+    which is what makes sweeping a whole battery against the oracle
+    affordable.
 
     Both pair norms are unchanged by swapping x and y, so each chunk only
     scans second-point indices from its own first row onward: the mirror of
     every skipped pair was already visited in an earlier row, which halves
-    the work without touching values, witnesses, or tie order.
+    the work without touching values, witnesses, or tie order.  An inf-sup
+    row takes its skipped columns from the column maxima of those earlier
+    rows.
     """
     if space.dim != 2:
         raise ValueError("the oracle supports dim 2 only")
+    for name, (_, mode) in combines.items():
+        if mode not in _MODES:
+            raise ValueError(f"mode of {name!r} must be one of {_MODES}, got {mode!r}")
     pts = _unit_circle_points(space, grid_size)
     n = grid_size
-    state = {name: (-np.inf, -1) for name in combines}
+    state = {name: _RowSups(n) if mode == "infsup" else (-np.inf, -1)
+             for name, (_, mode) in combines.items()}
     for i0, j0, _, _, a, b, excl in _scan(space, pts, eta, upper=True):
         for name, (fn, mode) in combines.items():
-            sign = 1.0 if mode == "sup" else -1.0
+            sign = -1.0 if mode == "inf" else 1.0
             v = _masked(sign * _quiet_eval(fn, a, b), excl)
+            if mode == "infsup":
+                state[name].add(i0, v)
+                continue
             flat = int(v.argmax())
             if v.ravel()[flat] > state[name][0]:
                 ri, ci = divmod(flat, a.shape[1])
                 state[name] = (v.ravel()[flat], (i0 + ri) * n + (j0 + ci))
     out = {}
-    for name, (fn, mode) in combines.items():
-        sign = 1.0 if mode == "sup" else -1.0
-        best, flat = state[name]
-        if flat < 0:
-            raise ValueError(f"every oracle grid pair was excluded for {name!r}")
-        i, j = divmod(flat, n)
+    for name, (_, mode) in combines.items():
+        if mode == "infsup":
+            rows = state[name]
+            i = int(rows.sup.argmin())
+            best, j = rows.sup[i], rows.arg[i]
+        else:
+            best, flat = state[name]
+            i, j = divmod(flat, n)
+        if best == -np.inf:   # no admissible pair (in some row, for an inf-sup)
+            where = " in a row" if mode == "infsup" else ""
+            raise ValueError(f"every oracle grid pair{where} was excluded for {name!r}")
+        sign = -1.0 if mode == "inf" else 1.0
         out[name] = OracleResult(float(sign * best), float(2.0 * np.pi * i / n),
                                  float(2.0 * np.pi * j / n), grid_size)
     return out
 
 
 def oracle_infsup(space: Space, fn, grid_size: int = 3600, eta: float = 0.0) -> OracleResult:
-    """inf over theta of sup over phi of fn(||x+y||, ||x-y||), dense grid."""
-    if space.dim != 2:
-        raise ValueError("the oracle supports dim 2 only")
-    pts = _unit_circle_points(space, grid_size)
-    n = grid_size
-    row_sup = np.empty(n)
-    row_arg = np.empty(n, dtype=int)
-    for i0, _, _, _, a, b, excl in _scan(space, pts, eta):
-        vals = _masked(_quiet_eval(fn, a, b), excl)
-        row_sup[i0:i0 + len(vals)] = vals.max(axis=1)
-        row_arg[i0:i0 + len(vals)] = vals.argmax(axis=1)
-    i = int(row_sup.argmin())
-    return OracleResult(float(row_sup[i]), float(2.0 * np.pi * i / n),
-                        float(2.0 * np.pi * row_arg[i] / n), grid_size)
+    """inf over theta of sup over phi of fn(||x+y||, ||x-y||), dense grid:
+    the "infsup" reduction of oracle_pair_norm_extrema."""
+    return oracle_pair_norm_extrema(space, {"infsup": (fn, "infsup")}, grid_size, eta)["infsup"]

@@ -89,6 +89,41 @@ def test_constants_oracle_flag(capsys):
     assert abs(rep["oracle"]["sp"]["optimizer_delta"]) < 1e-3
 
 
+# The oracle sections of `constants --space SPACE --oracle --oracle-grid 720`
+# at the default search config, as printed when t's oracle had its own
+# full-grid scan: one shared scan must print the same numbers.
+_ORACLE_720 = {
+    "polyv:v=[[1,0],[0.5,0.8660254037844386],[-0.5,0.8660254037844386]]": {
+        "sp": (0.25, 0.0), "james": (1.5, 0.0), "cnj_prime": (1.25, 0.0),
+        "schaffer": (1.33667657142, -0.00334323808376), "T": (1.5, 0.0),
+        "t": (1.44733522538, -0.000121629880662)},
+    ("polyv:v=[[0.7858313674021201,-0.5921664096036845],"
+     "[0.14413548292338202,-0.8899193478079512],"
+     "[0.13757045672648927,0.8785065645059619],"
+     "[-0.272598308979969,0.8340155750102037],"
+     "[0.681661001281639,-0.6936632744049768],"
+     "[1.0017230951406,0.03323057755708036],"
+     "[0.4436434705169979,-0.9259553524937753],"
+     "[0.3627237032597195,-1.1938642851048182]]"): {
+        "sp": (0.394840862696, 0.00205792127266),
+        "james": (1.81515032282, 0.00128972848846),
+        "cnj_prime": (1.65242981492, 0.00563227004834),
+        "schaffer": (1.10196686552, -0.000912086117459),
+        "T": (1.81790360733, 0.00309053273559),
+        "t": (1.33287468853, 0.000341459812536)},
+}
+
+
+@pytest.mark.parametrize("space", list(_ORACLE_720), ids=["hexagon", "polygon0"])
+def test_constants_oracle_section_pinned(capsys, space):
+    code, out, _ = run_cli(capsys, "constants", "--space", space,
+                           "--oracle", "--oracle-grid", "720")
+    assert code == 0
+    expected = {name: {"value": v, "optimizer_delta": d}
+                for name, (v, d) in _ORACLE_720[space].items()}
+    assert json.loads(out)["oracle"] == {"grid_size": 720, **expected}
+
+
 def test_constants_oracle_rejects_3d(capsys):
     code, _, err = run_cli(capsys, "constants", "--space", "lp:p=2,dim=3",
                            "--oracle")

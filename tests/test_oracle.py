@@ -7,7 +7,7 @@ from normgeo import constants as con
 from normgeo import oracle
 from normgeo.oracle import (oracle_infsup, oracle_pair_extremum,
                             oracle_pair_norm_extrema)
-from normgeo.spaces import build_space, parse_space_spec
+from normgeo.spaces import battery_specs, build_space, parse_space_spec
 
 
 def sp_objective(space):
@@ -91,12 +91,85 @@ def test_excluded_everything_raises(l2):
         oracle_pair_extremum(l2, sp_objective(l2), "sup", grid_size=100, eta=10.0)
 
 
+def test_infsup_excluded_everything_raises(l2):
+    """An inf-sup with no admissible pair raises, naming its combine, as the
+    sup and inf reductions do, rather than returning -inf."""
+    with pytest.raises(ValueError, match="every oracle grid pair.* was excluded"):
+        oracle_infsup(l2, con.geom_mean, grid_size=100, eta=10.0)
+    combines = {"T": (con.geom_mean, "sup"), "t": (con.geom_mean, "infsup")}
+    with pytest.raises(ValueError, match="excluded for 'T'"):
+        oracle_pair_norm_extrema(l2, combines, grid_size=100, eta=10.0)
+    with pytest.raises(ValueError, match="excluded for 't'"):
+        oracle_pair_norm_extrema(l2, {"t": combines["t"]}, grid_size=100, eta=10.0)
+
+
+def test_rejects_unknown_reduction(l2):
+    with pytest.raises(ValueError, match="mode of 'x'"):
+        oracle_pair_norm_extrema(l2, {"x": (con.geom_mean, "supinf")}, grid_size=100)
+
+
+def _full_grid_infsup(space, grid_size, eta):
+    """inf over rows of the sup over each full row, every pair of the n x n
+    grid through the gauge: the first argmax column, then the first argmin row."""
+    pts = oracle._unit_circle_points(space, grid_size)
+    a = np.asarray(space.gauge(pts[:, None, :] + pts[None, :, :]))
+    b = np.asarray(space.gauge(pts[:, None, :] - pts[None, :, :]))
+    v = con.geom_mean(a, b)
+    v = np.where(np.isnan(v) | (a < eta) | (b < eta), -np.inf, v)
+    cols = v.argmax(axis=1)
+    sups = v[np.arange(grid_size), cols]
+    i = int(sups.argmin())
+    return (float(sups[i]), float(2.0 * np.pi * i / grid_size),
+            float(2.0 * np.pi * cols[i] / grid_size))
+
+
+@pytest.mark.parametrize("chunk", [oracle._CHUNK_PAIRS, 997])
+@pytest.mark.parametrize("grid_size", [240, 241])
+@pytest.mark.parametrize("spec", [
+    "polyv:v=[[1,0],[0.5,0.8660254037844386],[-0.5,0.8660254037844386]]",
+    "lp:p=1.5,dim=2", "polygon0", "lp:p=2,dim=2", "linf:dim=2"],
+    ids=["hexagon", "lp1.5", "polygon0", "l2", "linf"])
+def test_infsup_matches_full_grid_reference(monkeypatch, spec, grid_size, chunk):
+    """The inf-sup from the upper-triangle scan (row maxima merged with the
+    column maxima of the earlier chunks) equals a scan of every full row,
+    bit for bit in value, theta and phi.  l2 ties nearly everywhere."""
+    space = build_space(battery_specs(7, 20)[0] if spec == "polygon0"
+                        else parse_space_spec(spec))
+    ref = _full_grid_infsup(space, grid_size, 1e-6)
+    monkeypatch.setattr(oracle, "_CHUNK_PAIRS", chunk)
+    combines = {"sp": (con.pair_cosine, "sup"), "t": (con.geom_mean, "infsup"),
+                "schaffer": (con.max_norm, "inf")}
+    shared = oracle_pair_norm_extrema(space, combines, grid_size=grid_size, eta=1e-6)["t"]
+    alone = oracle_infsup(space, con.geom_mean, grid_size=grid_size, eta=1e-6)
+    for r in (shared, alone):
+        assert (r.value, r.theta, r.phi) == ref
+        assert r.grid_size == grid_size
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7, 50])
+def test_row_sups_break_ties_as_full_rows(rows):
+    """Every row's sup and argmax from upper-triangle chunks of a symmetric
+    matrix with ties nearly everywhere (and excluded -inf cells) equal those
+    of its full rows: the lowest column wins, from either half of the merge."""
+    rng = np.random.default_rng(5)
+    n = 50
+    m = rng.integers(0, 3, size=(n, n)).astype(float)
+    m[m == 0] = -np.inf
+    m = np.triu(m) + np.triu(m, 1).T
+    merged = oracle._RowSups(n)
+    for i0 in range(0, n, rows):
+        merged.add(i0, m[i0:i0 + rows, i0:])
+    assert np.array_equal(merged.arg, m.argmax(axis=1))
+    assert np.array_equal(merged.sup, m.max(axis=1))
+
+
 def test_results_independent_of_chunk_size(monkeypatch, hexagon, l15):
     """A chunk size that divides nothing evenly leaves every value and angle
     of the shared scan and of the inf-sup as they are."""
     combines = {"sp": (con.pair_cosine, "sup"), "james": (con.min_norm, "sup"),
-                "schaffer": (con.max_norm, "inf"), "T": (con.geom_mean, "sup")}
-    for space in (hexagon, l15):
+                "schaffer": (con.max_norm, "inf"), "T": (con.geom_mean, "sup"),
+                "t": (con.geom_mean, "infsup")}
+    for space in (hexagon, l15, build_space(battery_specs(7, 20)[0])):
         ref = (oracle_pair_norm_extrema(space, combines, grid_size=240, eta=1e-6),
                oracle_infsup(space, con.geom_mean, grid_size=240, eta=1e-6))
         with monkeypatch.context() as m:
