@@ -73,7 +73,8 @@ def _report_dict(report: VerificationReport) -> dict:
 _CFG_FLAGS = {
     "grid": ("grid_per_dim", int, "grid points per parameter"),
     "refine": ("refine_iters", int, "zoom levels per start"),
-    "multistart": ("multistart", int, "grid cells refined per extremum"),
+    "multistart": ("multistart", int,
+                   "best grid cells kept per extremum; one per mirror class is refined"),
     "eta": ("eta", float, "degeneracy exclusion radius"),
 }
 

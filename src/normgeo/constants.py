@@ -23,6 +23,8 @@ from .search import (
     infsup_pair,
     lattice_edges,
     maximize_pair,
+    maximize_pairs,
+    mirror_representatives,
     minimize_cells,
     minimize_pair,
     pair_table,
@@ -154,17 +156,25 @@ def _exact_estimate(space: Space, value: float) -> ConstantEstimate:
     return ConstantEstimate(value=value, x=e1, y=e1.copy(), converged=True, evaluations=0)
 
 
+def _gamma_combine(a, b):
+    return (a * a + b * b) / 2.0
+
+
+def _gamma_objective(t: float) -> PairNormObjective:
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"gamma is defined for t in [0, 1], got {t}")
+    return PairNormObjective(_gamma_combine, t=t)
+
+
 def gamma(space: Space, t: float, cfg: SearchConfig | None = None) -> ConstantEstimate:
     """Smoothness-type modulus: sup of (||x+ty||^2 + ||x-ty||^2)/2 over unit pairs.
 
     Equals 1 exactly at t = 0, and 1 + t^2 on any inner-product space.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"gamma is defined for t in [0, 1], got {t}")
+    objective = _gamma_objective(t)
     if t == 0.0:
         return _exact_estimate(space, 1.0)
-    return maximize_pair(
-        space, PairNormObjective(lambda a, b: (a * a + b * b) / 2.0, t=t), cfg)
+    return maximize_pair(space, objective, cfg)
 
 
 def rho(space: Space, t: float, cfg: SearchConfig | None = None) -> ConstantEstimate:
@@ -180,18 +190,22 @@ def rho(space: Space, t: float, cfg: SearchConfig | None = None) -> ConstantEsti
 def gamma_profile(space: Space, ts, cfg: SearchConfig | None = None) -> list[ConstantEstimate]:
     """gamma at each t of a grid, each estimate carrying its t.
 
-    Runs gamma on a reduced pair grid with four starts.  Used by the
-    verification checks, where a full default-grid scan per t would dominate
-    the runtime; agreement with gamma() is covered by tests.
+    Each estimate is gamma(space, t, reduced), count included, where
+    reduced is cfg on a pair grid of at most 180 points (8 per axis in
+    dim >= 3) with four starts: the verification checks use it, where a
+    full default-grid scan per t would dominate the runtime.  The zooms of
+    all t run in one lockstep call (search.maximize_pairs), which gives
+    each t the bits of its own call wherever the gauge rounds a point alike
+    in any batch.
     """
     cfg = cfg or SearchConfig.for_dim(space.dim)
     reduced = replace(cfg, grid_per_dim=min(cfg.grid_per_dim, 180 if space.dim == 2 else 8),
                       multistart=4)
-    out = []
-    for t in map(float, ts):
-        est = gamma(space, t, reduced)
-        out.append(est if t == 0.0 else replace(est, t=t))
-    return out
+    objectives = [_gamma_objective(float(t)) for t in ts]
+    zoomed = [o for o in objectives if o.t != 0.0]
+    found = iter(maximize_pairs(space, zoomed, reduced) if zoomed else [])
+    return [_exact_estimate(space, 1.0) if o.t == 0.0 else replace(next(found), t=o.t)
+            for o in objectives]
 
 
 # --------------------------------------------------------------------------
@@ -205,9 +219,11 @@ def _scaled_extremum(space: Space, fns, cfg: SearchConfig) -> list[ConstantEstim
     Stage 1 sweeps a t-grid of 101 points over a reduced pair grid in
     vectorized blocks, computing the pair norms of each block once for all
     combines (search.antipodal_pair_norms); stage 2 refines (u, v, t)
-    jointly, per combine.  The reduction to ||u|| = 1 >= t = ||v||-scale is
-    exact for the quotients used here, which are scale-invariant and
-    symmetric in the pair.
+    jointly, per combine, from one start of each class {(u, v, t),
+    (-u, -v, t)} of its best cells (search.mirror_representatives), whose
+    members carry the same value bit for bit.  The reduction to
+    ||u|| = 1 >= t = ||v||-scale is exact for the quotients used here, which
+    are scale-invariant and symmetric in the pair.
     """
     if space.dim == 2:
         grid = sphere_grid(space, max(48, cfg.grid_per_dim // 8))
@@ -238,6 +254,7 @@ def _scaled_extremum(space: Space, fns, cfg: SearchConfig) -> list[ConstantEstim
     for fn, fn_cells, fn_values in zip(fns, cells, values):
         fn_cells, fn_values = np.concatenate(fn_cells), np.concatenate(fn_values)
         best = top_cells(fn_values, 1.0, cfg.multistart, fn_cells)
+        best = best[mirror_representatives(fn_cells[best], m, False, _T_GRID)]
         ij, ti = np.divmod(fn_cells[best], _T_GRID)
         i, j = np.divmod(ij, m)
         out.append(refine_pairs(

@@ -27,6 +27,18 @@ IEEE arithmetic, so ||x - y_j|| is ||x + y_(j+n/2)|| and the pair norms of
 ||x + y|| alone, and every grid walk calls the gauge on x + y for x in H
 only (pair_norms, antipodal_pair_norms); the combines still run on every
 cell, so starts, ties and counts are those of a full scan of the grid.
+
+Mirror classes: two maps of a pair leave both pair norms unchanged, bit for
+bit, for every combine.  (x, y) -> (-x, -y) at any fixed t, since
+(-x) +- t(-y) is exactly -(x +- ty) and every gauge is bitwise even; and
+(x, y) -> (y, x) at t = 1, since y + x is the float vector x + y and y - x
+the exact negation of x - y.  On the H u -H grid -x_i is x_(i+n/2), so with
+i+ for (i + n/2) mod n the cell (i, j) has the class {(i, j), (i+, j+)},
+and at t = 1 also (j, i) and (j+, i+) (mirror_representatives).  Members
+of a class carry one scan value and zoom to the same value up to rounding,
+so the engine zooms one member of each class among an objective's starts.
+x -> -x alone swaps the two norms, which only a combine symmetric in them
+ignores, so it forms no class.
 """
 from __future__ import annotations
 
@@ -348,7 +360,7 @@ def sphere_domain(space: Space, blocks: int):
 
 
 def refine_starts(f, starts, values, h, lattice, sign: float, cfg: SearchConfig,
-                  project=None):
+                  project=None, groups=None):
     """Multistart refinement of grid starts by a lockstep lattice zoom.
 
     Each level evaluates the lattice P + h * lattice around every start P in
@@ -367,6 +379,12 @@ def refine_starts(f, starts, values, h, lattice, sign: float, cfg: SearchConfig,
     value (largest for sign +1, smallest for -1), then by the smallest
     parameter tuple.  Returns the points, their values, the converged
     flags, the index of the winner and the evaluation count.
+
+    groups, when given, labels each start with its group 0..G-1, every label
+    used.  Then the winner and the count are (G,) arrays, each group's those
+    of a call with its starts alone: the winner within the group, and the
+    levels until the group's own starts stopped, times its starts, times the
+    lattice points, plus its starts.
     """
     P = np.array(starts, dtype=float)
     val = sign * np.array(values, dtype=float)
@@ -375,13 +393,16 @@ def refine_starts(f, starts, values, h, lattice, sign: float, cfg: SearchConfig,
     h = np.full(n, float(h))
     conv = h < _ZOOM_TOL
     s = np.arange(n)
-    count = 0
+    g = np.zeros(n, dtype=np.intp) if groups is None else np.asarray(groups, dtype=np.intp)
+    size = np.bincount(g)
+    levels = np.zeros(len(size), dtype=np.intp)
     for _ in range(cfg.refine_iters):
-        if conv.all():
+        running = np.bincount(g[~conv], minlength=len(size)) > 0
+        if not running.any():
             break
+        levels += running
         cand = P[:, None, :] + h[:, None, None] * offsets      # (n, points, k)
         v = sign * np.asarray(f(cand), dtype=float)
-        count += v.size
         j = v.argmax(axis=1)
         vj = v[s, j]
         move = (vj > val) & ~conv
@@ -393,8 +414,12 @@ def refine_starts(f, starts, values, h, lattice, sign: float, cfg: SearchConfig,
         h[~gain] *= 0.5
         conv |= h < _ZOOM_TOL
     vals = np.asarray(f(P[:, None, :]), dtype=float)[:, 0]
-    best = int(np.lexsort((*P.T[::-1], -sign * vals))[0])
-    return P, vals, conv, best, count + n
+    order = np.lexsort((*P.T[::-1], -sign * vals, g))
+    best = order[np.searchsorted(g[order], np.arange(len(size)))]
+    count = size * (levels * len(offsets) + 1)
+    if groups is None:
+        return P, vals, conv, int(best[0]), int(count[0])
+    return P, vals, conv, best, count
 
 
 # --------------------------------------------------------------------------
@@ -408,8 +433,9 @@ def _pair_values(space: Space, objective: PairNormObjective, xs, ys, exclude: bo
                  eta: float, sign: float, t=None, norms=None):
     """Objective at the broadcast pairs, with excluded and NaN pairs scored
     -sign * inf, and the number of the other pairs.  t (one value per row of
-    ys) overrides the objective's own t; norms, the pair norms
-    (||x+y||, ||x-y||) when they are already known, replaces the gauge."""
+    ys) overrides the objective's own t, and is the combine's third argument
+    when the objective searches t; norms, the pair norms (||x+y||, ||x-y||)
+    when they are already known, replaces the gauge."""
     if norms is not None:
         plus, minus = norms
     else:
@@ -420,8 +446,8 @@ def _pair_values(space: Space, objective: PairNormObjective, xs, ys, exclude: bo
         # x + (-1 * ty) is exactly x - ty: both norms in one gauge call.
         signs = _PLUS_MINUS.reshape((2,) + (1,) * np.ndim(ys))
         plus, minus = np.asarray(space.gauge(xs + signs * ys))
-    vals = np.asarray(objective(plus, minus) if t is None else objective(plus, minus, t),
-                      dtype=float)
+    vals = np.asarray(objective(plus, minus) if objective.t is not None
+                      else objective(plus, minus, t), dtype=float)
     bad = np.isnan(vals)
     if exclude:
         bad |= (plus < eta) | (minus < eta)
@@ -429,9 +455,11 @@ def _pair_values(space: Space, objective: PairNormObjective, xs, ys, exclude: bo
 
 
 def _pair_batch(space: Space, objective: PairNormObjective, exclude: bool, eta: float,
-                sign: float):
-    """Zoom evaluator f(params) over (..., 2k[+1]) parameter rows (x, y[, t]).
-    Excluded, NaN and out-of-range-t pairs score -sign * inf."""
+                sign: float, ts: np.ndarray | None):
+    """Zoom evaluator f(params) over (starts, points, 2k[+1]) parameter rows
+    (x, y[, t]): t is the last parameter when the objective searches it, and
+    ts[s], one fixed t per start s, otherwise.  Excluded, NaN and
+    out-of-range-t pairs score -sign * inf."""
     k = 1 if space.dim == 2 else space.dim
     search_t = objective.t is None
 
@@ -440,7 +468,7 @@ def _pair_batch(space: Space, objective: PairNormObjective, exclude: bool, eta: 
         # x and y of every row in one gauge call.
         xy = sphere_points(space, np.concatenate([rows[:, :k], rows[:, k:2 * k]]))
         xs, ys = xy[:len(rows)], xy[len(rows):]
-        t = rows[:, 2 * k] if search_t else None
+        t = rows[:, 2 * k] if search_t else np.repeat(ts, params.shape[-2])
         vals = _pair_values(space, objective, xs, ys, exclude, eta, sign, t)[0]
         if search_t:
             vals = np.where((t >= 0.0) & (t <= 1.0), vals, -sign * np.inf)
@@ -461,11 +489,31 @@ def refine_pairs(space: Space, objective: PairNormObjective, starts, values, ste
     box would have 3^(2 dim) points, the coordinate axes.  evaluations, the
     scan's count, is added to the engine's.
     """
+    return refine_pair_groups(space, [objective], [starts], [values], step, cfg, mode,
+                              evaluations=[evaluations], exclude=exclude, t_step=t_step)[0]
+
+
+def refine_pair_groups(space: Space, objectives, starts, values, step: float, cfg: SearchConfig,
+                       mode: str, *, evaluations, exclude: bool = False,
+                       t_step: float | None = None) -> list[ConstantEstimate]:
+    """refine_pairs of several groups of starts in one lockstep zoom:
+    group g holds the starts[g] and values[g] of objectives[g], and the scan
+    count evaluations[g].  The objectives share one combine and differ in
+    their fixed t, or all search t.  Each group's estimate is the one
+    refine_pairs reports for it alone, count included; the engine keeps
+    every start independent of the others."""
     sign = 1.0 if mode == "sup" else -1.0
-    keep = [i for i, v in enumerate(values) if math.isfinite(v)]
-    if not keep:
-        raise ValueError("no admissible grid pair; eta is too large for this grid")
-    search_t = objective.t is None
+    search_t = objectives[0].t is None
+    P0, V0 = [], []
+    for group_starts, group_values in zip(starts, values):
+        group_values = np.asarray(group_values, dtype=float)
+        keep = np.isfinite(group_values)
+        if not keep.any():
+            raise ValueError("no admissible grid pair; eta is too large for this grid")
+        P0.append(np.asarray(group_starts, dtype=float)[keep])
+        V0.append(group_values[keep])
+    groups = np.repeat(np.arange(len(P0)), [len(v) for v in V0])
+    ts = None if search_t else np.array([o.t for o in objectives], dtype=float)[groups]
     k = 1 if space.dim == 2 else space.dim
     if space.dim == 2:
         radius = 2 if search_t else 3
@@ -475,13 +523,14 @@ def refine_pairs(space: Space, objective: PairNormObjective, starts, values, ste
     if search_t:
         lattice[:, -1] *= t_step / step
     P, vals, conv, best, count = refine_starts(
-        _pair_batch(space, objective, exclude, cfg.eta, sign),
-        np.asarray(starts, dtype=float)[keep], np.asarray(values, dtype=float)[keep],
-        h, lattice, sign, cfg, sphere_domain(space, 2))
-    return ConstantEstimate(
-        value=float(vals[best]), x=sphere_point(space, P[best, :k]),
-        y=sphere_point(space, P[best, k:2 * k]), converged=bool(conv[best]),
-        evaluations=evaluations + count, t=float(P[best, -1]) if search_t else None)
+        _pair_batch(space, objectives[0], exclude, cfg.eta, sign, ts),
+        np.concatenate(P0), np.concatenate(V0), h, lattice, sign, cfg,
+        sphere_domain(space, 2), groups if len(P0) > 1 else None)
+    return [ConstantEstimate(
+        value=float(vals[b]), x=sphere_point(space, P[b, :k]),
+        y=sphere_point(space, P[b, k:2 * k]), converged=bool(conv[b]),
+        evaluations=e + int(c), t=float(P[b, -1]) if search_t else None)
+        for b, c, e in zip(np.atleast_1d(best), np.atleast_1d(count), evaluations)]
 
 
 # --------------------------------------------------------------------------
@@ -552,33 +601,69 @@ def _scan_cells(space: Space, objective, cache: PairTable, exclude: bool, eta: f
                                    norms=(plus[chunk], cache.minus_at(chunk)))
 
 
+def mirror_representatives(cells, n: int, swap: bool, inner: int = 1) -> np.ndarray:
+    """Positions in cells of one cell per mirror class, the lowest-index
+    member present, in the order of cells.
+
+    cells are flat indices (i n + j) inner + r of an n x n pair grid on
+    H u -H with inner further cells r per pair (a t grid).  With i+ for
+    (i + n/2) mod n, the class of (i, j, r) is {(i, j, r), (i+, j+, r)},
+    and with swap (a t = 1 objective) also (j, i, r) and (j+, i+, r).
+    """
+    cells = np.asarray(cells, dtype=np.intp)
+    ij, r = np.divmod(cells, inner)
+    i, j = np.divmod(ij, n)
+    ih, jh = (i + n // 2) % n, (j + n // 2) % n
+    members = [ij, ih * n + jh] + ([j * n + i, jh * n + ih] if swap else [])
+    key = np.min(members, axis=0) * inner + r
+    order = np.lexsort((cells, key))
+    return np.sort(order[np.unique(key[order], return_index=True)[1]])
+
+
 def _extremize(space: Space, objective, cfg: SearchConfig, mode: str, exclude: bool,
                cache: PairTable | None, cells: np.ndarray | None = None):
     """Scan, pick the starts and refine them: returns the estimate and the
-    flat grid indices of its starts.  cells, when given, limits the scan to
-    those pairs of the table cache (see _scan_cells)."""
+    flat grid indices of its starts, the cfg.multistart best cells by value
+    and then by flat index.  Of each mirror class among them (see the module
+    docstring) only the lowest-index cell is zoomed, from its own scan value.
+    cells, when given, limits the scan to those pairs of the table cache
+    (see _scan_cells)."""
+    ests, starts = _extremize_groups(space, [objective], cfg, mode, exclude, cache, cells)
+    return ests[0], starts[0]
+
+
+def _extremize_groups(space: Space, objectives, cfg: SearchConfig, mode: str, exclude: bool,
+                      cache: PairTable | None, cells: np.ndarray | None = None):
+    """_extremize of each objective, the zooms of all in one
+    refine_pair_groups call: returns the estimates and, per objective, its
+    starts."""
     sign = 1.0 if mode == "sup" else -1.0
     grid = cache.grid if cache is not None else sphere_grid(space, cfg.grid_per_dim)
     n = len(grid.vectors)
-    if cells is None:
-        blocks = ((i0 * n, vals, count) for i0, vals, count
-                  in _scan(space, objective, grid, cache, exclude, cfg.eta, sign))
-    else:
-        blocks = _scan_cells(space, objective, cache, exclude, cfg.eta, sign, cells)
-    found, values, evaluations = [], [], 0
-    for where, vals, count in blocks:
-        idx = top_cells(vals, sign, cfg.multistart, None if cells is None else where)
-        found.append(where + idx if cells is None else where[idx])
-        values.append(vals.ravel()[idx])
-        evaluations += count
-    found, values = np.concatenate(found), np.concatenate(values)
-    best = top_cells(values, sign, cfg.multistart, found)
-    starts = found[best]
-    i, j = np.divmod(starts, n)
-    est = refine_pairs(space, objective, np.hstack([grid.params[i], grid.params[j]]),
-                       values[best], grid.step, cfg, mode,
-                       evaluations=evaluations, exclude=exclude)
-    return est, starts
+    starts, params, start_values, scans = [], [], [], []
+    for objective in objectives:
+        if cells is None:
+            blocks = ((i0 * n, vals, count) for i0, vals, count
+                      in _scan(space, objective, grid, cache, exclude, cfg.eta, sign))
+        else:
+            blocks = _scan_cells(space, objective, cache, exclude, cfg.eta, sign, cells)
+        found, values, evaluations = [], [], 0
+        for where, vals, count in blocks:
+            idx = top_cells(vals, sign, cfg.multistart, None if cells is None else where)
+            found.append(where + idx if cells is None else where[idx])
+            values.append(vals.ravel()[idx])
+            evaluations += count
+        found, values = np.concatenate(found), np.concatenate(values)
+        best = top_cells(values, sign, cfg.multistart, found)
+        rep = best[mirror_representatives(found[best], n, objective.t == 1.0)]
+        i, j = np.divmod(found[rep], n)
+        starts.append(found[best])
+        params.append(np.hstack([grid.params[i], grid.params[j]]))
+        start_values.append(values[rep])
+        scans.append(evaluations)
+    ests = refine_pair_groups(space, objectives, params, start_values, grid.step, cfg, mode,
+                              evaluations=scans, exclude=exclude)
+    return ests, starts
 
 
 def maximize_pair(space: Space, objective: PairNormObjective, cfg: SearchConfig | None = None,
@@ -591,6 +676,16 @@ def maximize_pair(space: Space, objective: PairNormObjective, cfg: SearchConfig 
     """
     cfg = cfg or SearchConfig.for_dim(space.dim)
     return _extremize(space, objective, cfg, "sup", exclude_degenerate, cache)[0]
+
+
+def maximize_pairs(space: Space, objectives, cfg: SearchConfig | None = None
+                   ) -> list[ConstantEstimate]:
+    """maximize_pair of each objective, with the zooms of all in one
+    lockstep call: bit for bit the separate calls wherever the gauge rounds
+    a point alike in any batch.  The objectives share one combine and differ
+    in their fixed t."""
+    cfg = cfg or SearchConfig.for_dim(space.dim)
+    return _extremize_groups(space, objectives, cfg, "sup", False, None)[0]
 
 
 def minimize_pair(space: Space, objective: PairNormObjective, cfg: SearchConfig | None = None,

@@ -198,7 +198,9 @@ def _lp_gauge(p: float, weights: np.ndarray | None = None) -> Gauge:
     overflows for huge ones (lp2 of (1e200, 0)).  p = 2 takes its root
     with sqrt.  Which formula a point gets depends on that point alone,
     never on the rest of the batch, and the gauge is homogeneous to rounding
-    for every finite z and p.
+    for every finite z and p.  numpy powers a lone float64 on another path
+    than an array, which rounds differently, so a lone vector is evaluated
+    as a one-row batch: it gets the bits it gets in any batch.
     """
     if weights is not None:
         factor = np.asarray(weights, dtype=float) ** (1.0 / p)
@@ -224,13 +226,13 @@ def _lp_gauge(p: float, weights: np.ndarray | None = None) -> Gauge:
 
     def gauge(z):
         z = np.asarray(z, dtype=float)
+        if z.ndim == 1:
+            return gauge(z[None])[0]
         with np.errstate(over="ignore"):          # an overflowed row is redone scaled
             s = power_sum(np.abs(z))
         g = root(s)
         if s.min() >= _NORMAL_MIN and s.max() < np.inf:
             return g
-        if g.ndim == 0:
-            return scaled(z)
         redo = ~((s >= _NORMAL_MIN) & (s < np.inf))   # NaN rows too
         g[redo] = scaled(z[redo])
         return g

@@ -420,6 +420,26 @@ class TestGammaRho:
         with pytest.raises(ValueError):
             con.gamma(l2, 1.1)
 
+    @pytest.mark.parametrize("spec", ["lp:p=1.5,dim=2", HEXAGON, POLYGON0, "lp:p=1.5,dim=3",
+                                      "polyf:f=[[1,1,0],[1,-1,0],[1,0,1],[1,0,-1],[0,1,1],"
+                                      "[0,1,-1]]"])
+    def test_gamma_profile_is_gamma_on_the_reduced_grid(self, spec):
+        """gamma_profile zooms every t in one lockstep call; each estimate is
+        gamma's on the reduced grid with four starts, bit for bit, count
+        included, although the t's stop at different levels."""
+        space = build_space(parse_space_spec(spec))
+        cfg = SearchConfig.for_dim(space.dim)
+        reduced = replace(cfg, grid_per_dim=min(cfg.grid_per_dim, 180 if space.dim == 2 else 8),
+                          multistart=4)
+        ts = [i / 10.0 for i in range(11)]
+        for t, est in zip(ts, con.gamma_profile(space, ts, cfg)):
+            ref = con.gamma(space, t, reduced)
+            assert (est.value, est.converged, est.evaluations, est.t) == (
+                ref.value, ref.converged, ref.evaluations, t if t else None), t
+            assert np.array_equal(est.x, ref.x) and np.array_equal(est.y, ref.y), t
+        with pytest.raises(ValueError):
+            con.gamma_profile(space, [0.5, 1.1], cfg)
+
     def test_rho_at_zero_is_exactly_zero(self, l15):
         assert con.rho(l15, 0.0).value == 0.0
 

@@ -427,6 +427,74 @@ def test_geom_mean_rows_are_mirror_pairs(spec, grid):
     assert np.array_equal(vals[:, :h], vals[:, h:])
 
 
+def _space(spec):
+    return build_space(battery_specs(7, 20)[0] if spec == "polygon0" else parse_space_spec(
+        "polyv:v=[[1,0],[0.5,0.8660254037844386],[-0.5,0.8660254037844386]]"
+        if spec == "hexagon" else spec))
+
+
+def _scan_values(space, objective, cache, cfg):
+    """The (n, n) values of a full _scan of the grid."""
+    grid = cache.grid if cache is not None else sphere_grid(space, cfg.grid_per_dim)
+    out = np.empty((len(grid.vectors),) * 2)
+    for i0, vals, _ in search._scan(space, objective, grid, cache, False, cfg.eta, 1.0):
+        out[i0:i0 + len(vals)] = vals
+    return out
+
+
+@pytest.mark.parametrize("spec, grid", [
+    ("lp:p=1.5,dim=2", None), ("hexagon", None), ("polygon0", None), ("lp:p=1.5,dim=3", 12)])
+def test_mirror_class_members_tie(spec, grid):
+    """The premise of the zoom's mirror classes: cells (i, j) and
+    (i + n/2, j + n/2) of the H u -H grid carry the same scan value at any
+    t, and at t = 1 so do (j, i) and (j + n/2, i + n/2), bit for bit, from
+    the stored table and from the gauge, for either pair norm alone.  So do
+    the t-sweep cells (u, v, t) and (-u, -v, t) of C_NJ and C_Z."""
+    space = _space(spec)
+    cfg = SearchConfig.for_dim(space.dim) if grid is None else SearchConfig(grid_per_dim=grid)
+    cache = pair_table(space, cfg)
+    for t, table in ((1.0, cache), (1.0, None), (0.5, None)):
+        for fn in (lambda a, b: a, lambda a, b: b):
+            V = _scan_values(space, PairNormObjective(fn, t=t), table, cfg)
+            h = len(V) // 2
+            assert np.array_equal(V, np.roll(V, (h, h), axis=(0, 1))), (t, table is None)
+            if t == 1.0:
+                assert np.array_equal(V, V.T), table is None
+    sweep = []
+
+    def record(a, b, t):
+        if np.ndim(a) == 3:   # the sweep's (t, u, v) blocks, not the zoom's rows
+            sweep.extend((a.copy(), b.copy()))
+        return a
+
+    constants._scaled_extremum(space, [record], SearchConfig(
+        grid_per_dim=cfg.grid_per_dim, refine_iters=0))
+    h = sweep[0].shape[1] // 2
+    for v in sweep:
+        assert np.array_equal(v, np.roll(v, (h, h), axis=(1, 2)))
+
+
+@pytest.mark.parametrize("spec", ["hexagon", "polygon0"])
+@pytest.mark.parametrize("t", [1.0, 0.5])
+@pytest.mark.parametrize("mode", ["sup", "inf"])
+@pytest.mark.parametrize("multistart, refine_iters", [(16, 60), (48 * 48, 0)])
+def test_mirror_classes_do_not_over_reduce(monkeypatch, spec, t, mode, multistart, refine_iters):
+    """A combine that is not symmetric in the two norms (||x+ty|| alone)
+    gives, within 1e-12, the estimate of a reference that zooms every top
+    cell.  With every cell a start and no zoom levels, the estimate is the
+    best start: a class that also held x -> -x, which swaps the two norms,
+    would drop the best cell of the inf for a worse one."""
+    space = _space(spec)
+    cfg = SearchConfig(grid_per_dim=48, refine_iters=refine_iters, multistart=multistart)
+    objective = PairNormObjective(lambda a, b: a, t=t)
+    est = search._extremize(space, objective, cfg, mode, False, None)[0]
+    with monkeypatch.context() as m:
+        m.setattr(search, "mirror_representatives", lambda cells, *args: np.arange(len(cells)))
+        ref = search._extremize(space, objective, cfg, mode, False, None)[0]
+    assert est.value == pytest.approx(ref.value, rel=0.0, abs=1e-12)
+    assert est.evaluations <= ref.evaluations
+
+
 def test_cell_scan_independent_of_cell_order(monkeypatch):
     """minimize_cells picks its starts by value, then by flat index, however
     the given cells are ordered and split into chunks: every cell, shuffled,
@@ -536,6 +604,26 @@ def test_refine_starts_matches_single_start_zoom(extra, h, budget, sign, lattice
         assert conv[0] and levels[0] <= 40
     if sign < 0:
         assert not conv[1] and levels[1] == budget
+
+
+def test_refine_starts_groups_match_separate_calls():
+    """With groups, each group's points, values, flags, winner and count
+    are those of a call with its starts alone.  Group 0, on the plateau
+    alone, stops at another level than the others."""
+    starts = np.vstack([[(5.0, 0.0)], np.random.default_rng(7).uniform(-4.0, 2.5, (7, 2))])
+    groups = np.array([0, 1, 1, 2, 2, 2, 1, 2])
+    cfg = SearchConfig(refine_iters=200)
+    lattice = box_lattice(1, 2)
+    P, vals, conv, best, count = refine_starts(_bowl, starts, _bowl(starts), 0.5, lattice,
+                                               1.0, cfg, groups=groups)
+    for g in range(3):
+        idx = np.flatnonzero(groups == g)
+        Pg, vg, cg, bg, ng = refine_starts(_bowl, starts[idx], _bowl(starts[idx]), 0.5,
+                                           lattice, 1.0, cfg)
+        assert np.array_equal(P[idx], Pg) and np.array_equal(vals[idx], vg)
+        assert np.array_equal(conv[idx], cg)
+        assert (best[g], count[g]) == (idx[bg], ng)
+    assert len(set(count // np.bincount(groups))) > 1   # levels per start
 
 
 @pytest.mark.parametrize("exclude", [False, True])

@@ -252,6 +252,18 @@ def test_lp_gauge_has_no_underflow_or_overflow(p, r):
     assert batch[2] == 0.0
 
 
+@pytest.mark.parametrize("text", ["lp:p=1.5,dim=2", "lp:p=1.5,dim=3", "lp:p=3,dim=3",
+                                  "wlp:p=1.5,w=[2,0.5]"])
+def test_lp_gauge_lone_vector_bits_of_batch(text):
+    # numpy powers a lone float64 on another path than an array; evaluated
+    # that way, about 5% of these points got other last bits alone.
+    sp = build_space(parse_space_spec(text))
+    z = np.random.default_rng(0).standard_normal((5000, sp.dim))
+    lone = [sp.gauge(v) for v in z]
+    assert all(np.ndim(g) == 0 for g in lone)
+    assert np.array_equal(lone, sp.gauge(z))
+
+
 def test_weighted_lp_weights_before_the_power():
     # Weighted after the power, |z|^p = (0, 5e-324) would leave the sum one
     # scaled subnormal, in the normal range, and the gauge 0.397; weighted
