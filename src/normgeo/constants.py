@@ -20,12 +20,11 @@ from .search import (
     SearchConfig,
     antipodal_pair_norms,
     axis_lattice,
+    extremize,
     infsup_pair,
     lattice_edges,
     maximize_pair,
-    maximize_pairs,
     mirror_representatives,
-    minimize_cells,
     minimize_pair,
     pair_table,
     refine_pairs,
@@ -194,16 +193,16 @@ def gamma_profile(space: Space, ts, cfg: SearchConfig | None = None) -> list[Con
     reduced is cfg on a pair grid of at most 180 points (8 per axis in
     dim >= 3) with four starts: the verification checks use it, where a
     full default-grid scan per t would dominate the runtime.  The zooms of
-    all t run in one lockstep call (search.maximize_pairs), which gives
-    each t the bits of its own call wherever the gauge rounds a point alike
-    in any batch.
+    all t run in one lockstep call (search.extremize), which gives each t
+    the bits of its own call wherever the gauge rounds a point alike in any
+    batch.
     """
     cfg = cfg or SearchConfig.for_dim(space.dim)
     reduced = replace(cfg, grid_per_dim=min(cfg.grid_per_dim, 180 if space.dim == 2 else 8),
                       multistart=4)
     objectives = [_gamma_objective(float(t)) for t in ts]
     zoomed = [o for o in objectives if o.t != 0.0]
-    found = iter(maximize_pairs(space, zoomed, reduced) if zoomed else [])
+    found = iter(extremize(space, zoomed, reduced, "sup")[0] if zoomed else [])
     return [_exact_estimate(space, 1.0) if o.t == 0.0 else replace(next(found), t=o.t)
             for o in objectives]
 
@@ -257,10 +256,10 @@ def _scaled_extremum(space: Space, fns, cfg: SearchConfig) -> list[ConstantEstim
         best = best[mirror_representatives(fn_cells[best], m, False, _T_GRID)]
         ij, ti = np.divmod(fn_cells[best], _T_GRID)
         i, j = np.divmod(ij, m)
-        out.append(refine_pairs(
-            space, PairNormObjective(fn, t=None),
-            np.hstack([grid.params[i], grid.params[j], ts[ti, None]]), fn_values[best],
-            grid.step, cfg, "sup", evaluations=m * m * _T_GRID, t_step=ts[1] - ts[0]))
+        out += refine_pairs(
+            space, [PairNormObjective(fn, t=None)],
+            [np.hstack([grid.params[i], grid.params[j], ts[ti, None]])], [fn_values[best]],
+            grid.step, cfg, "sup", evaluations=[m * m * _T_GRID], t_step=ts[1] - ts[0])
     return out
 
 
@@ -289,14 +288,6 @@ def zbaganu(space: Space, cfg: SearchConfig | None = None) -> ConstantEstimate:
     return _scaled_extremum(space, [_zbaganu_combine], cfg)[0]
 
 
-def cnj_and_zbaganu(space: Space, cfg: SearchConfig | None = None
-                    ) -> tuple[ConstantEstimate, ConstantEstimate]:
-    """cnj and zbaganu from one t-sweep, bit for bit the separate calls."""
-    cfg = cfg or SearchConfig.for_dim(space.dim)
-    cnj_est, zbaganu_est = _scaled_extremum(space, [_cnj_combine, _zbaganu_combine], cfg)
-    return cnj_est, zbaganu_est
-
-
 # --------------------------------------------------------------------------
 # Modulus of convexity
 # --------------------------------------------------------------------------
@@ -323,7 +314,8 @@ def delta(space: Space, eps: float, cfg: SearchConfig | None = None,
     cfg = cfg or SearchConfig.for_dim(space.dim)
     if mode == "eq":
         return _delta_boundary(space, eps, cfg, cache)
-    est = _delta_geq(space, eps, cfg, cache)
+    # The raw constrained inf: the grid + zoom alone.
+    est = _feasible(minimize_pair(space, _geq_objective(eps), cfg, cache=cache), eps)
     # The pair zoom zigzags against the feasibility wall when the
     # constraint binds; the boundary solve slides along it instead.  Its
     # witness sits within the documented 1e-12 feasibility slack, so the
@@ -347,12 +339,6 @@ def _feasible(est: ConstantEstimate, eps: float) -> ConstantEstimate:
     if not math.isfinite(est.value):
         raise ValueError(f"no unit pair satisfies ||x-y|| >= {eps}")
     return est
-
-
-def _delta_geq(space: Space, eps: float, cfg: SearchConfig,
-               cache: PairTable | None) -> ConstantEstimate:
-    """Raw constrained inf: the grid + zoom alone."""
-    return _feasible(minimize_pair(space, _geq_objective(eps), cfg, cache=cache), eps)
 
 
 def _delta_boundary(space: Space, eps: float, cfg: SearchConfig,
@@ -417,14 +403,14 @@ def _delta_boundary(space: Space, eps: float, cfg: SearchConfig,
         raise ValueError(f"no unit pair satisfies ||x-y|| = {eps} on the grid")
 
     starts = top_cells(row_vals, -1.0, min(cfg.multistart, feasible))
-    P, vals, conv, best, count = refine_starts(
+    P, vals, conv, (best,), (count,) = refine_starts(
         lambda params: row_values(params.reshape(-1, k))[0].reshape(params.shape[:-1]),
         grid.params[starts], row_vals[starts], grid.step, axis_lattice(k), -1.0, cfg,
         sphere_domain(space, 1))
     witness = row_values(P)[1]   # the engine's last call, repeated for the witness
     return ConstantEstimate(
         value=float(vals[best]), x=sphere_point(space, P[best]),
-        y=witness[best], converged=bool(conv[best]), evaluations=evaluations + count)
+        y=witness[best], converged=bool(conv[best]), evaluations=evaluations + int(count))
 
 
 def _band(table: PairTable, lo: float, hi: float) -> np.ndarray:
@@ -463,7 +449,8 @@ def eps0(space: Space, cfg: SearchConfig | None = None, *,
 
     def probe(e: float, cells=None) -> tuple[ConstantEstimate, np.ndarray]:
         """The raw geq estimate at e, and those of its starts feasible at e."""
-        est, starts = minimize_cells(space, _geq_objective(e), cfg, cache, cells)
+        (est,), (starts,) = extremize(space, [_geq_objective(e)], cfg, "inf", cache=cache,
+                                     cells=cells)
         if cache is not None:
             starts = starts[cache.minus_at(starts) >= e - _GEQ_SLACK].astype(np.int32)
         return _feasible(est, e), starts
@@ -516,7 +503,8 @@ def pair_constants(space: Space, cfg: SearchConfig,
     and C_Z come from one t-sweep; a failure of it names 'cnj'."""
     out = {"sp": guarded("sp", lambda: sp_constant(space, cfg, cache=cache)),
            "james": guarded("james", lambda: james(space, cfg, cache=cache))}
-    out["cnj"], zbaganu_est = guarded("cnj", lambda: cnj_and_zbaganu(space, cfg))
+    out["cnj"], zbaganu_est = guarded(
+        "cnj", lambda: _scaled_extremum(space, [_cnj_combine, _zbaganu_combine], cfg))
     out["cnj_prime"] = guarded("cnj_prime", lambda: cnj_prime(space, cfg, cache=cache))
     out["zbaganu"] = zbaganu_est
     out["schaffer"] = guarded("schaffer", lambda: schaffer(space, cfg, cache=cache))

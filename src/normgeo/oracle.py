@@ -34,13 +34,6 @@ _CHUNK_PAIRS = 16_384
 _MODES = ("sup", "inf", "infsup")
 
 
-def _quiet_eval(fn, *args) -> np.ndarray:
-    """Evaluate a combine on a grid chunk; degenerate pairs may divide by
-    zero and are masked by the caller, so the warnings are noise."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.asarray(fn(*args), dtype=float)
-
-
 @dataclass(frozen=True)
 class OracleResult:
     value: float
@@ -57,60 +50,24 @@ def _unit_circle_points(space: Space, grid_size: int) -> np.ndarray:
     return dirs / np.asarray(space.gauge(dirs))[:, None]
 
 
-def _scan(space: Space, pts: np.ndarray, eta: float, upper: bool = False):
-    """Yield (i0, j0, xs, ys, a, b, excluded) over row chunks of the grid pairs:
-    first points xs = pts[i0:i1] as (rows, 1, 2), second points ys = pts[j0:]
-    as (1, m, 2), a = ||x+y||, b = ||x-y||, and the pairs with a or b below
-    eta (none at eta 0, as norms are never negative).  j0 is 0, or i0 with
-    upper, which pairs each chunk only with the points from its own first
-    row onward: every pair below that is the mirror of a pair an earlier
-    chunk held, with the same bits of a and b.  Each chunk has about
-    _CHUNK_PAIRS pairs (at least one row), so the gauge works in cache."""
+def _scan(space: Space, pts: np.ndarray, eta: float):
+    """Yield (i0, a, b, excluded) over row chunks of the upper triangle of
+    the grid pairs: rows i0:i1 of pts, each paired with the points from row
+    i0 onward, a = ||x+y||, b = ||x-y||, and the pairs with a or b below eta
+    (none at eta 0, as norms are never negative).  Every pair below the
+    triangle is the mirror of a pair an earlier chunk held, with the same
+    bits of a and b.  Each chunk has about _CHUNK_PAIRS pairs (at least one
+    row), so the gauge works in cache."""
     n = len(pts)
     i0 = 0
     while i0 < n:
-        j0 = i0 if upper else 0
-        rows = max(1, _CHUNK_PAIRS // (n - j0))
+        rows = max(1, _CHUNK_PAIRS // (n - i0))
         xs = pts[i0:i0 + rows, None, :]
-        ys = pts[None, j0:, :]
+        ys = pts[None, i0:, :]
         a = np.asarray(space.gauge(xs + ys))
         b = np.asarray(space.gauge(xs - ys))
-        yield i0, j0, xs, ys, a, b, (a < eta) | (b < eta)
+        yield i0, a, b, (a < eta) | (b < eta)
         i0 += rows
-
-
-def _masked(vals: np.ndarray, excluded: np.ndarray) -> np.ndarray:
-    return np.where(np.isnan(vals) | excluded, -np.inf, vals)
-
-
-def oracle_pair_extremum(space: Space, objective, mode: str = "sup",
-                         grid_size: int = 3600, eta: float = 0.0) -> OracleResult:
-    """Dense-grid extremum of objective(x, y) over sphere pairs, dim 2 only.
-
-    objective is a vectorized callable on broadcastable (..., 2) arrays.
-    Pairs with ||x+y|| or ||x-y|| below eta are skipped when eta > 0.  Ties
-    resolve to the first (theta, phi) in row-major grid order.
-    """
-    if space.dim != 2:
-        raise ValueError("the oracle supports dim 2 only")
-    if mode not in ("sup", "inf"):
-        raise ValueError(f"mode must be 'sup' or 'inf', got {mode!r}")
-    sign = 1.0 if mode == "sup" else -1.0
-    pts = _unit_circle_points(space, grid_size)
-    best = -np.inf
-    best_flat = -1
-    n = grid_size
-    for i0, _, xs, ys, _, _, excl in _scan(space, pts, eta):
-        v = _masked(sign * _quiet_eval(objective, xs, ys), excl)
-        flat = int(v.argmax())
-        if v.ravel()[flat] > best:
-            best = v.ravel()[flat]
-            best_flat = i0 * n + flat
-    if best_flat < 0:
-        raise ValueError("every oracle grid pair was excluded")
-    i, j = divmod(best_flat, n)
-    return OracleResult(float(sign * best), float(2.0 * np.pi * i / n),
-                        float(2.0 * np.pi * j / n), grid_size)
 
 
 class _RowSups:
@@ -171,17 +128,20 @@ def oracle_pair_norm_extrema(space: Space, combines: dict[str, tuple[Callable, s
     n = grid_size
     state = {name: _RowSups(n) if mode == "infsup" else (-np.inf, -1)
              for name, (_, mode) in combines.items()}
-    for i0, j0, _, _, a, b, excl in _scan(space, pts, eta, upper=True):
+    for i0, a, b, excl in _scan(space, pts, eta):
         for name, (fn, mode) in combines.items():
             sign = -1.0 if mode == "inf" else 1.0
-            v = _masked(sign * _quiet_eval(fn, a, b), excl)
+            # Degenerate pairs may divide by zero; they are masked here.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                v = sign * np.asarray(fn(a, b), dtype=float)
+            v = np.where(np.isnan(v) | excl, -np.inf, v)
             if mode == "infsup":
                 state[name].add(i0, v)
                 continue
             flat = int(v.argmax())
             if v.ravel()[flat] > state[name][0]:
                 ri, ci = divmod(flat, a.shape[1])
-                state[name] = (v.ravel()[flat], (i0 + ri) * n + (j0 + ci))
+                state[name] = (v.ravel()[flat], (i0 + ri) * n + (i0 + ci))
     out = {}
     for name, (_, mode) in combines.items():
         if mode == "infsup":

@@ -378,13 +378,13 @@ def refine_starts(f, starts, values, h, lattice, sign: float, cfg: SearchConfig,
     The zoomed points are evaluated again, and the winner is picked by
     value (largest for sign +1, smallest for -1), then by the smallest
     parameter tuple.  Returns the points, their values, the converged
-    flags, the index of the winner and the evaluation count.
+    flags, and per group the index of the winner and the evaluation count.
 
-    groups, when given, labels each start with its group 0..G-1, every label
-    used.  Then the winner and the count are (G,) arrays, each group's those
-    of a call with its starts alone: the winner within the group, and the
-    levels until the group's own starts stopped, times its starts, times the
-    lattice points, plus its starts.
+    groups labels each start with its group 0..G-1, every label used; by
+    default all starts form one group.  The winner and the count are (G,)
+    arrays, each group's those of a call with its starts alone: the winner
+    within the group, and the levels until the group's own starts stopped,
+    times its starts, times the lattice points, plus its starts.
     """
     P = np.array(starts, dtype=float)
     val = sign * np.array(values, dtype=float)
@@ -416,10 +416,7 @@ def refine_starts(f, starts, values, h, lattice, sign: float, cfg: SearchConfig,
     vals = np.asarray(f(P[:, None, :]), dtype=float)[:, 0]
     order = np.lexsort((*P.T[::-1], -sign * vals, g))
     best = order[np.searchsorted(g[order], np.arange(len(size)))]
-    count = size * (levels * len(offsets) + 1)
-    if groups is None:
-        return P, vals, conv, int(best[0]), int(count[0])
-    return P, vals, conv, best, count
+    return P, vals, conv, best, size * (levels * len(offsets) + 1)
 
 
 # --------------------------------------------------------------------------
@@ -477,39 +474,34 @@ def _pair_batch(space: Space, objective: PairNormObjective, exclude: bool, eta: 
     return f
 
 
-def refine_pairs(space: Space, objective: PairNormObjective, starts, values, step: float,
-                 cfg: SearchConfig, mode: str, *, evaluations: int = 0, exclude: bool = False,
-                 t_step: float | None = None) -> ConstantEstimate:
-    """Run grid starts (x-params, y-params[, t]) of a pair objective through
-    refine_starts and report the winner.
+def refine_pairs(space: Space, objectives, starts, values, step: float, cfg: SearchConfig,
+                 mode: str, *, evaluations, exclude: bool = False,
+                 t_step: float | None = None) -> list[ConstantEstimate]:
+    """Run groups of grid starts (x-params, y-params[, t]) of pair objectives
+    through one lockstep refine_starts call and report each group's winner.
+
+    Group g holds the starts[g] and values[g] of objectives[g], and the scan
+    count evaluations[g], which is added to the engine's.  The objectives
+    share one combine and differ in their fixed t, or all search t.  Each
+    group's estimate is the one a call with that group alone reports, count
+    included; the engine keeps every start independent of the others.
 
     Non-finite starts are dropped.  The first zoom lattice spans one grid
     step, step on the sphere parameters and t_step on a searched t
     (objective.t None).  In 2D it is a box of points, in dim >= 3, where a
-    box would have 3^(2 dim) points, the coordinate axes.  evaluations, the
-    scan's count, is added to the engine's.
+    box would have 3^(2 dim) points, the coordinate axes.
     """
-    return refine_pair_groups(space, [objective], [starts], [values], step, cfg, mode,
-                              evaluations=[evaluations], exclude=exclude, t_step=t_step)[0]
-
-
-def refine_pair_groups(space: Space, objectives, starts, values, step: float, cfg: SearchConfig,
-                       mode: str, *, evaluations, exclude: bool = False,
-                       t_step: float | None = None) -> list[ConstantEstimate]:
-    """refine_pairs of several groups of starts in one lockstep zoom:
-    group g holds the starts[g] and values[g] of objectives[g], and the scan
-    count evaluations[g].  The objectives share one combine and differ in
-    their fixed t, or all search t.  Each group's estimate is the one
-    refine_pairs reports for it alone, count included; the engine keeps
-    every start independent of the others."""
     sign = 1.0 if mode == "sup" else -1.0
     search_t = objectives[0].t is None
     P0, V0 = [], []
     for group_starts, group_values in zip(starts, values):
         group_values = np.asarray(group_values, dtype=float)
         keep = np.isfinite(group_values)
-        if not keep.any():
-            raise ValueError("no admissible grid pair; eta is too large for this grid")
+        if not keep.any():   # excluded and NaN pairs score -sign * inf
+            raise ValueError(
+                "no admissible grid pair; eta is too large for this grid"
+                if exclude and (group_values == -sign * np.inf).all() else
+                "no finite grid start; the combine is NaN or infinite at the best grid pairs")
         P0.append(np.asarray(group_starts, dtype=float)[keep])
         V0.append(group_values[keep])
     groups = np.repeat(np.arange(len(P0)), [len(v) for v in V0])
@@ -525,12 +517,12 @@ def refine_pair_groups(space: Space, objectives, starts, values, step: float, cf
     P, vals, conv, best, count = refine_starts(
         _pair_batch(space, objectives[0], exclude, cfg.eta, sign, ts),
         np.concatenate(P0), np.concatenate(V0), h, lattice, sign, cfg,
-        sphere_domain(space, 2), groups if len(P0) > 1 else None)
+        sphere_domain(space, 2), groups)
     return [ConstantEstimate(
         value=float(vals[b]), x=sphere_point(space, P[b, :k]),
         y=sphere_point(space, P[b, k:2 * k]), converged=bool(conv[b]),
         evaluations=e + int(c), t=float(P[b, -1]) if search_t else None)
-        for b, c, e in zip(np.atleast_1d(best), np.atleast_1d(count), evaluations)]
+        for b, c, e in zip(best, count, evaluations)]
 
 
 # --------------------------------------------------------------------------
@@ -620,23 +612,25 @@ def mirror_representatives(cells, n: int, swap: bool, inner: int = 1) -> np.ndar
     return np.sort(order[np.unique(key[order], return_index=True)[1]])
 
 
-def _extremize(space: Space, objective, cfg: SearchConfig, mode: str, exclude: bool,
-               cache: PairTable | None, cells: np.ndarray | None = None):
-    """Scan, pick the starts and refine them: returns the estimate and the
-    flat grid indices of its starts, the cfg.multistart best cells by value
-    and then by flat index.  Of each mirror class among them (see the module
-    docstring) only the lowest-index cell is zoomed, from its own scan value.
-    cells, when given, limits the scan to those pairs of the table cache
-    (see _scan_cells)."""
-    ests, starts = _extremize_groups(space, [objective], cfg, mode, exclude, cache, cells)
-    return ests[0], starts[0]
+def extremize(space: Space, objectives, cfg: SearchConfig | None, mode: str, *,
+              exclude: bool = False, cache: PairTable | None = None,
+              cells: np.ndarray | None = None):
+    """The one scan-and-zoom: the sup (mode "sup") or inf ("inf") over
+    unit-sphere pairs (x, y) of each objective, a PairNormObjective with a
+    fixed t, at (||x+ty||, ||x-ty||).  With exclude, pairs with
+    ||x+ty|| < eta or ||x-ty|| < eta are skipped.  cache, the shared pair
+    table, supplies the norms of a t = 1 objective; cells, when given,
+    limits the scan to those pairs of it (flat indices, see _scan_cells).
 
-
-def _extremize_groups(space: Space, objectives, cfg: SearchConfig, mode: str, exclude: bool,
-                      cache: PairTable | None, cells: np.ndarray | None = None):
-    """_extremize of each objective, the zooms of all in one
-    refine_pair_groups call: returns the estimates and, per objective, its
-    starts."""
+    Returns the estimates and, per objective, the flat grid indices of its
+    starts: the cfg.multistart best cells by value and then by flat index.
+    Of each mirror class among them (see the module docstring) only the
+    lowest-index cell is zoomed, from its own scan value.  The objectives
+    share one combine, and the zooms of all run in one refine_pairs call:
+    bit for bit the separate calls wherever the gauge rounds a point alike
+    in any batch.
+    """
+    cfg = cfg or SearchConfig.for_dim(space.dim)
     sign = 1.0 if mode == "sup" else -1.0
     grid = cache.grid if cache is not None else sphere_grid(space, cfg.grid_per_dim)
     n = len(grid.vectors)
@@ -661,49 +655,23 @@ def _extremize_groups(space: Space, objectives, cfg: SearchConfig, mode: str, ex
         params.append(np.hstack([grid.params[i], grid.params[j]]))
         start_values.append(values[rep])
         scans.append(evaluations)
-    ests = refine_pair_groups(space, objectives, params, start_values, grid.step, cfg, mode,
-                              evaluations=scans, exclude=exclude)
+    ests = refine_pairs(space, objectives, params, start_values, grid.step, cfg, mode,
+                        evaluations=scans, exclude=exclude)
     return ests, starts
 
 
 def maximize_pair(space: Space, objective: PairNormObjective, cfg: SearchConfig | None = None,
                   exclude_degenerate: bool = False, *,
                   cache: PairTable | None = None) -> ConstantEstimate:
-    """sup over unit-sphere pairs (x, y) of objective, a PairNormObjective
-    with a fixed t, at (||x+ty||, ||x-ty||).  With exclude_degenerate, pairs
-    with ||x+ty|| < eta or ||x-ty|| < eta are skipped.  cache, the shared
-    pair table, supplies the norms of a t = 1 objective.
-    """
-    cfg = cfg or SearchConfig.for_dim(space.dim)
-    return _extremize(space, objective, cfg, "sup", exclude_degenerate, cache)[0]
-
-
-def maximize_pairs(space: Space, objectives, cfg: SearchConfig | None = None
-                   ) -> list[ConstantEstimate]:
-    """maximize_pair of each objective, with the zooms of all in one
-    lockstep call: bit for bit the separate calls wherever the gauge rounds
-    a point alike in any batch.  The objectives share one combine and differ
-    in their fixed t."""
-    cfg = cfg or SearchConfig.for_dim(space.dim)
-    return _extremize_groups(space, objectives, cfg, "sup", False, None)[0]
+    """extremize's sup of one objective."""
+    return extremize(space, [objective], cfg, "sup", exclude=exclude_degenerate, cache=cache)[0][0]
 
 
 def minimize_pair(space: Space, objective: PairNormObjective, cfg: SearchConfig | None = None,
                   exclude_degenerate: bool = False, *,
                   cache: PairTable | None = None) -> ConstantEstimate:
-    """inf over unit-sphere pairs of objective; see maximize_pair."""
-    cfg = cfg or SearchConfig.for_dim(space.dim)
-    return _extremize(space, objective, cfg, "inf", exclude_degenerate, cache)[0]
-
-
-def minimize_cells(space: Space, objective, cfg: SearchConfig, cache: PairTable | None,
-                   cells: np.ndarray | None = None) -> tuple[ConstantEstimate, np.ndarray]:
-    """minimize_pair for a t = 1 pair-norm objective, scanning only the
-    pairs numbered cells (flat indices into the stored table cache) when
-    cells is given, or every pair.  Returns the estimate and the flat grid
-    indices of its starts: the cfg.multistart best scanned cells, by value
-    and then by index."""
-    return _extremize(space, objective, cfg, "inf", False, cache, cells)
+    """extremize's inf of one objective."""
+    return extremize(space, [objective], cfg, "inf", exclude=exclude_degenerate, cache=cache)[0][0]
 
 
 # --------------------------------------------------------------------------
@@ -762,10 +730,10 @@ def infsup_pair(space: Space, objective: PairNormObjective, cfg: SearchConfig | 
             ys = sphere_points(space, np.asfortranarray(params))
             return _pair_values(space, objective, xs, ys, False, cfg.eta, 1.0)[0]
 
-        P, V, _, _, zoomed = refine_starts(f, grid.params[cells], vals[rows, cells],
-                                           grid.step / inner_radius, inner_lattice, 1.0,
-                                           cfg, project)
-        evaluations += count + zoomed
+        P, V, _, _, (zoomed,) = refine_starts(f, grid.params[cells], vals[rows, cells],
+                                              grid.step / inner_radius, inner_lattice, 1.0,
+                                              cfg, project)
+        evaluations += count + int(zoomed)
         V = V.reshape(len(X), _INNER_STARTS)
         win = np.arange(len(X)) * _INNER_STARTS + V.argmax(axis=1)
         return V.max(axis=1), sphere_points(space, P[win])
@@ -776,12 +744,12 @@ def infsup_pair(space: Space, objective: PairNormObjective, cfg: SearchConfig | 
         row_sup[i0:i0 + len(vals)] = vals.max(axis=1)
         evaluations += count
     if evaluations == 0:
-        raise ValueError("no admissible grid pair; eta is too large for this grid")
+        raise ValueError("no grid pair has a value; the combine is NaN at every one")
     start_rows = np.unique(top_cells(row_sup, -1.0, cfg.multistart) % (n // 2))
 
     # Stage 2: outer zoom.  Its own count is left out: each outer evaluation
     # is an inner solve, whose pair evaluations are counted above.
-    P, vals, conv, best, _ = refine_starts(
+    P, vals, conv, (best,), _ = refine_starts(
         lambda params: inner_sup(sphere_points(space, params.reshape(-1, k)))[0]
         .reshape(params.shape[:-1]),
         grid.params[start_rows], row_sup[start_rows], grid.step, axis_lattice(k), -1.0, cfg,

@@ -94,15 +94,17 @@ class NormSpec:
                     raise ValueError(f"weighted-lp weight w[{i}] = {w!r} is not finite")
             if any(not (w > 0.0) for w in self.weights):
                 raise ValueError(f"weighted-lp weights must be strictly positive, got {self.weights}")
-            # The accepted weights: normal floats with a finite sum.  At p = 1
-            # the gauge of (1, ..., 1) is that sum.
-            for i, w in enumerate(self.weights):
-                if w < _NORMAL_MIN:
-                    raise ValueError(f"weighted-lp weight w[{i}] = {w!r} is below 2^-1022")
-            if not math.isfinite(sum(self.weights)):
-                raise ValueError(f"weighted-lp weights {list(self.weights)} sum past the "
-                                 "largest float; at p = 1 the gauge of (1, ..., 1) overflows, "
-                                 "so it fails the positivity axiom")
+            # The gauge scales coordinate i by w_i^(1/p), and the grids map
+            # lp's coordinates in by Space.scale, w_i^(-1/p): both factors
+            # must be normal floats, as the code computes them.
+            w = np.asarray(self.weights)
+            with np.errstate(over="ignore", under="ignore"):
+                factors = (w ** (1.0 / self.p)).tolist(), (w ** (-1.0 / self.p)).tolist()
+            for i, (wi, f, s) in enumerate(zip(self.weights, *factors)):
+                if not (_NORMAL_MIN <= min(f, s) and max(f, s) < math.inf):
+                    raise ValueError(f"weighted-lp weight w[{i}] = {wi!r} gives w^(1/p) = "
+                                     f"{f!r} and w^(-1/p) = {s!r}; both must be finite "
+                                     "and at least 2^-1022")
             if len(self.weights) < 2:
                 raise ValueError("dim must be >= 2; provide at least two weights")
         elif self.family == "poly-functionals":

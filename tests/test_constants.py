@@ -356,8 +356,10 @@ class TestRatioConstants:
 
     @pytest.mark.parametrize("spec", ["lp:p=1.5,dim=2", HEXAGON])
     def test_one_sweep_matches_separate_calls(self, spec):
+        # pair_constants takes C_NJ and C_Z from one t-sweep.
         space = build_space(parse_space_spec(spec))
-        pair = con.cnj_and_zbaganu(space)
+        found = con.pair_constants(space, SearchConfig.for_dim(2), None)
+        pair = found["cnj"], found["zbaganu"]
         for one, alone in zip(pair, (con.cnj(space), con.zbaganu(space))):
             assert (one.value, one.t, one.evaluations) == (alone.value, alone.t, alone.evaluations)
             assert np.array_equal(one.x, alone.x) and np.array_equal(one.y, alone.y)
@@ -574,12 +576,16 @@ class TestEps0:
         if space.dim > 2:
             cfg = replace(cfg, grid_per_dim=12)
         cache = pair_table(space, cfg)
-        est = con._delta_geq(space, 2.0, cfg, cache)
+
+        def raw(e):   # delta's raw geq inf: the grid + zoom alone
+            return con._feasible(con.minimize_pair(space, con._geq_objective(e), cfg,
+                                                   cache=cache), e)
+        est = raw(2.0)
         assert est.value > 1e-7
         lo, hi, witness, evaluations = 0.0, 2.0, None, est.evaluations
         while hi - lo > 1e-4:
             mid = 0.5 * (lo + hi)
-            est = con._delta_geq(space, mid, cfg, cache)
+            est = raw(mid)
             evaluations += est.evaluations
             if est.value <= 1e-7:
                 lo, witness = mid, est
@@ -706,6 +712,21 @@ def test_weighted_lp_matches_lp(spec):
     assert list(got) == list(want)
     for key in got:
         assert got[key].value == pytest.approx(want[key].value, abs=1e-8), key
+
+
+@pytest.mark.parametrize("spec", ["wlp:p=1.5,w=[1e308,1e308]", "wlp:p=1.5,w=[5e-324,5e-324]",
+                                  "wlp:p=1.5,w=[1,1e-320]"])
+def test_extreme_weights_match_lp(spec):
+    """Weights at both ends of the float range, whose gauge factors
+    w^(1/p) and scales w^(-1/p) are normal floats, build and give lp1.5's
+    pair constants."""
+    cfg = SearchConfig(grid_per_dim=180)
+    got, want = (con.pair_constants(space, cfg, pair_table(space, cfg))
+                 for space in (build_space(parse_space_spec(spec)),
+                               build_space(parse_space_spec("lp:p=1.5,dim=2"))))
+    assert list(got) == list(want)
+    for key in got:
+        assert got[key].value == pytest.approx(want[key].value, rel=0.0, abs=1e-12), key
 
 
 _FUZZ_CFG = SearchConfig(grid_per_dim=48, refine_iters=40, multistart=2)

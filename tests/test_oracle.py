@@ -5,72 +5,80 @@ import pytest
 
 from normgeo import constants as con
 from normgeo import oracle
-from normgeo.oracle import (oracle_infsup, oracle_pair_extremum,
-                            oracle_pair_norm_extrema)
+from normgeo.oracle import oracle_infsup, oracle_pair_norm_extrema
 from normgeo.spaces import battery_specs, build_space, parse_space_spec
 
 
-def sp_objective(space):
-    def obj(x, y):
-        a = np.asarray(space.gauge(x + y))
-        b = np.asarray(space.gauge(x - y))
-        return (a * a + b * b - 4.0) / (2.0 * a * b)
-    return obj
+def _zero(a, b):
+    return np.zeros(np.shape(a))
 
 
 def test_l1_sp_value(l1):
-    r = oracle_pair_extremum(l1, sp_objective(l1), "sup", grid_size=3600, eta=1e-6)
+    r = oracle_pair_norm_extrema(l1, {"sp": (con.pair_cosine, "sup")},
+                                 grid_size=3600, eta=1e-6)["sp"]
     assert r.value == pytest.approx(0.5, abs=1e-3)
 
 
 def test_l2_james_value(l2):
-    def james_obj(x, y):
-        return np.minimum(np.asarray(l2.gauge(x + y)), np.asarray(l2.gauge(x - y)))
-    r = oracle_pair_extremum(l2, james_obj, "sup", grid_size=3600)
+    r = oracle_pair_norm_extrema(l2, {"james": (con.min_norm, "sup")}, grid_size=3600)["james"]
     assert r.value == pytest.approx(math.sqrt(2.0), abs=1e-3)
 
 
 def test_constant_objective_trivial(l2, hexagon):
     for sp in (l2, hexagon):
         for mode in ("sup", "inf"):
-            r = oracle_pair_extremum(sp, lambda x, y: np.full(np.broadcast(x, y).shape[:-1], 7.25),
-                                     mode, grid_size=100)
+            combine = (lambda a, b: np.full(np.shape(a), 7.25), mode)
+            r = oracle_pair_norm_extrema(sp, {"c": combine}, grid_size=100)["c"]
             assert r.value == 7.25
 
 
 def test_rejects_high_dim():
     sp3 = build_space(parse_space_spec("lp:p=2,dim=3"))
-    with pytest.raises(ValueError):
-        oracle_pair_extremum(sp3, lambda x, y: np.zeros(np.broadcast(x, y).shape[:-1]), "sup")
+    with pytest.raises(ValueError, match="dim 2 only"):
+        oracle_pair_norm_extrema(sp3, {"zero": (_zero, "sup")})
 
 
 def test_rejects_bad_mode(l2):
-    with pytest.raises(ValueError):
-        oracle_pair_extremum(l2, sp_objective(l2), "max")
+    with pytest.raises(ValueError, match="mode of 'sp'"):
+        oracle_pair_norm_extrema(l2, {"sp": (con.pair_cosine, "max")})
 
 
 def test_grid_doubling_convergence(hexagon):
     """|value(2N) - value(N)| decreases monotonically for N >= 900."""
-    obj = sp_objective(hexagon)
-    vals = [oracle_pair_extremum(hexagon, obj, "sup", grid_size=n, eta=1e-6).value
+    vals = [oracle_pair_norm_extrema(hexagon, {"sp": (con.pair_cosine, "sup")},
+                                     grid_size=n, eta=1e-6)["sp"].value
             for n in (900, 1800, 3600)]
     d1 = abs(vals[1] - vals[0])
     d2 = abs(vals[2] - vals[1])
     assert d2 <= d1
 
 
+def _full_grid(space, fn, grid_size, eta):
+    """fn(||x+y||, ||x-y||) at every pair of the n x n grid, every pair norm
+    through the gauge, with excluded and NaN pairs -inf."""
+    pts = oracle._unit_circle_points(space, grid_size)
+    a = np.asarray(space.gauge(pts[:, None, :] + pts[None, :, :]))
+    b = np.asarray(space.gauge(pts[:, None, :] - pts[None, :, :]))
+    v = fn(a, b)
+    return np.where(np.isnan(v) | (a < eta) | (b < eta), -np.inf, v)
+
+
 def test_shared_scan_matches_single(l15):
+    """The shared upper-triangle scan gives the sup and the inf of a full
+    n x n scan, bit for bit in value, theta and phi: argmax takes the first
+    pair in row-major order among ties."""
     combines = {
         "james": (con.min_norm, "sup"),
         "schaffer": (con.max_norm, "inf"),
     }
-    shared = oracle_pair_norm_extrema(l15, combines, grid_size=720, eta=1e-6)
-
-    def james_obj(x, y):
-        return np.minimum(np.asarray(l15.gauge(x + y)), np.asarray(l15.gauge(x - y)))
-    single = oracle_pair_extremum(l15, james_obj, "sup", grid_size=720, eta=1e-6)
-    assert shared["james"].value == single.value
-    assert (shared["james"].theta, shared["james"].phi) == (single.theta, single.phi)
+    n = 720
+    shared = oracle_pair_norm_extrema(l15, combines, grid_size=n, eta=1e-6)
+    for name, (fn, mode) in combines.items():
+        sign = 1.0 if mode == "sup" else -1.0
+        v = _full_grid(l15, lambda a, b: sign * fn(a, b), n, 1e-6)
+        i, j = divmod(int(v.argmax()), n)
+        ref = (sign * v[i, j], 2.0 * np.pi * i / n, 2.0 * np.pi * j / n)
+        assert (shared[name].value, shared[name].theta, shared[name].phi) == ref
 
 
 def test_infsup_l2_value(l2):
@@ -81,14 +89,13 @@ def test_infsup_l2_value(l2):
 def test_ties_resolve_first_row_major(l2):
     # A constant objective ties everywhere; the reported witness must be the
     # first grid pair.
-    r = oracle_pair_extremum(l2, lambda x, y: np.zeros(np.broadcast(x, y).shape[:-1]),
-                             "sup", grid_size=100)
+    r = oracle_pair_norm_extrema(l2, {"zero": (_zero, "sup")}, grid_size=100)["zero"]
     assert (r.theta, r.phi) == (0.0, 0.0)
 
 
 def test_excluded_everything_raises(l2):
-    with pytest.raises(ValueError):
-        oracle_pair_extremum(l2, sp_objective(l2), "sup", grid_size=100, eta=10.0)
+    with pytest.raises(ValueError, match="every oracle grid pair was excluded for 'sp'"):
+        oracle_pair_norm_extrema(l2, {"sp": (con.pair_cosine, "sup")}, grid_size=100, eta=10.0)
 
 
 def test_infsup_excluded_everything_raises(l2):
@@ -109,13 +116,9 @@ def test_rejects_unknown_reduction(l2):
 
 
 def _full_grid_infsup(space, grid_size, eta):
-    """inf over rows of the sup over each full row, every pair of the n x n
-    grid through the gauge: the first argmax column, then the first argmin row."""
-    pts = oracle._unit_circle_points(space, grid_size)
-    a = np.asarray(space.gauge(pts[:, None, :] + pts[None, :, :]))
-    b = np.asarray(space.gauge(pts[:, None, :] - pts[None, :, :]))
-    v = con.geom_mean(a, b)
-    v = np.where(np.isnan(v) | (a < eta) | (b < eta), -np.inf, v)
+    """inf over rows of the sup over each full row of _full_grid: the first
+    argmax column, then the first argmin row."""
+    v = _full_grid(space, con.geom_mean, grid_size, eta)
     cols = v.argmax(axis=1)
     sups = v[np.arange(grid_size), cols]
     i = int(sups.argmin())

@@ -217,7 +217,7 @@ def test_infsup_all_pairs_masked_rejected(l2, shared):
     # Every pair scores NaN, so stage 1 has no admissible pair to start from.
     cfg = SearchConfig(grid_per_dim=90, refine_iters=4, multistart=2)
     obj = PairNormObjective(lambda a, b: np.full_like(a, np.nan))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the combine is NaN at every one"):
         infsup_pair(l2, obj, cfg, cache=pair_table(l2, cfg) if shared else None)
 
 
@@ -376,15 +376,17 @@ def test_half_grid_walks_match_full_scan(monkeypatch, spec, grid):
 
         with monkeypatch.context() as m:
             m.setattr(search, "refine_starts", record)
-            out = [search._extremize(space, PairNormObjective(fn), cfg, mode, exclude, cache)
+            out = [search.extremize(space, [PairNormObjective(fn)], cfg, mode, exclude=exclude,
+                                    cache=cache)
                    for fn, mode, exclude in ((constants.pair_cosine, "sup", True),
                                              (constants.min_norm, "sup", False),
                                              (constants.max_norm, "inf", False))]
-            ests = [est for est, _ in out]
+            ests = [est for (est,), _ in out]
             ests += [infsup_pair(space, PairNormObjective(constants.geom_mean), cfg, cache=cache),
                      eps0(space, cfg, cache=cache), gamma(space, 0.5, cfg),
-                     *constants.cnj_and_zbaganu(space, cfg)]
-        return [cells for _, cells in out], ests, starts
+                     *constants._scaled_extremum(
+                         space, [constants._cnj_combine, constants._zbaganu_combine], cfg)]
+        return [cells for _, (cells,) in out], ests, starts
 
     with monkeypatch.context() as m:
         m.setattr(search, "pair_norms", _direct_pair_norms)
@@ -487,31 +489,48 @@ def test_mirror_classes_do_not_over_reduce(monkeypatch, spec, t, mode, multistar
     space = _space(spec)
     cfg = SearchConfig(grid_per_dim=48, refine_iters=refine_iters, multistart=multistart)
     objective = PairNormObjective(lambda a, b: a, t=t)
-    est = search._extremize(space, objective, cfg, mode, False, None)[0]
+    (est,), _ = search.extremize(space, [objective], cfg, mode)
     with monkeypatch.context() as m:
         m.setattr(search, "mirror_representatives", lambda cells, *args: np.arange(len(cells)))
-        ref = search._extremize(space, objective, cfg, mode, False, None)[0]
+        (ref,), _ = search.extremize(space, [objective], cfg, mode)
     assert est.value == pytest.approx(ref.value, rel=0.0, abs=1e-12)
     assert est.evaluations <= ref.evaluations
 
 
 def test_cell_scan_independent_of_cell_order(monkeypatch):
-    """minimize_cells picks its starts by value, then by flat index, however
-    the given cells are ordered and split into chunks: every cell, shuffled,
-    gives the full scan's starts and estimate.  The rounded objective ties
-    many cells at the cut-off value."""
+    """extremize over given cells picks its starts by value, then by flat
+    index, however the cells are ordered and split into chunks: every cell,
+    shuffled, gives the full scan's starts and estimate.  The rounded
+    objective ties many cells at the cut-off value."""
     space = build_space(parse_space_spec("lp:p=1.5,dim=2"))
     cfg = SearchConfig(grid_per_dim=96, refine_iters=40, multistart=4)
     cache = pair_table(space, cfg)
     objective = PairNormObjective(lambda a, b: np.round(a + b, 1))
-    ref, ref_starts = search.minimize_cells(space, objective, cfg, cache)
+    (ref,), (ref_starts,) = search.extremize(space, [objective], cfg, "inf", cache=cache)
     cells = np.random.default_rng(3).permutation(cache.plus.size).astype(np.int32)
     with monkeypatch.context() as m:
         m.setattr(search, "CHUNK_PAIRS", 997)
-        est, starts = search.minimize_cells(space, objective, cfg, cache, cells)
+        (est,), (starts,) = search.extremize(space, [objective], cfg, "inf", cache=cache,
+                                             cells=cells)
     assert starts.tolist() == ref_starts.tolist()
     assert (est.value, est.evaluations) == (ref.value, ref.evaluations)
     assert np.array_equal(est.x, ref.x) and np.array_equal(est.y, ref.y)
+
+
+def test_no_start_errors_name_their_cause():
+    """With the exclusion off eta plays no part, and the error names the
+    combine: S_P's cosine is infinite at its best cells, which are pairs
+    x = +-y rounded off.  Starts that the exclusion scored -inf name eta."""
+    space = build_space(parse_space_spec("lp:p=1.5,dim=2"))
+    cfg = SearchConfig(grid_per_dim=90, refine_iters=20, multistart=2)
+    with pytest.raises(ValueError, match="the combine is NaN or infinite at the best grid pairs"):
+        maximize_pair(space, PairNormObjective(constants.pair_cosine), cfg)
+    objective, starts = PairNormObjective(constants.min_norm), np.zeros((2, 2))
+    for exclude, cause in ((True, "eta is too large for this grid"),
+                           (False, "the combine is NaN or infinite")):
+        with pytest.raises(ValueError, match=cause):
+            refine_pairs(space, [objective], [starts], [np.full(2, -np.inf)], 0.1, cfg, "sup",
+                         evaluations=[0], exclude=exclude)
 
 
 def test_output_independent_of_numpy_dispatch():
@@ -587,7 +606,7 @@ def test_refine_starts_matches_single_start_zoom(extra, h, budget, sign, lattice
         calls.append(pts.shape)
         return _bowl(pts)
 
-    P, vals, conv, best, count = refine_starts(f_batch, starts, f0, h, lattice, sign, cfg)
+    P, vals, conv, (best,), (count,) = refine_starts(f_batch, starts, f0, h, lattice, sign, cfg)
     levels = []
     for i, start in enumerate(starts):
         pi, vi, ci, li = _zoom(lambda q: float(_bowl(np.array(q))), tuple(start),
@@ -618,8 +637,8 @@ def test_refine_starts_groups_match_separate_calls():
                                                1.0, cfg, groups=groups)
     for g in range(3):
         idx = np.flatnonzero(groups == g)
-        Pg, vg, cg, bg, ng = refine_starts(_bowl, starts[idx], _bowl(starts[idx]), 0.5,
-                                           lattice, 1.0, cfg)
+        Pg, vg, cg, (bg,), (ng,) = refine_starts(_bowl, starts[idx], _bowl(starts[idx]), 0.5,
+                                                 lattice, 1.0, cfg)
         assert np.array_equal(P[idx], Pg) and np.array_equal(vals[idx], vg)
         assert np.array_equal(conv[idx], cg)
         assert (best[g], count[g]) == (idx[bg], ng)
@@ -652,15 +671,16 @@ def test_refine_pairs_lockstep_matches_each_start_alone(monkeypatch, exclude):
         return runs[-1]
 
     monkeypatch.setattr(search, "refine_starts", record)
-    batch = refine_pairs(space, objective, starts, values, grid.step, cfg, "sup",
-                         exclude=exclude)
+    (batch,) = refine_pairs(space, [objective], [starts], [values], grid.step, cfg, "sup",
+                            evaluations=[0], exclude=exclude)
     for k in range(16):
-        refine_pairs(space, objective, starts[k:k + 1], values[k:k + 1], grid.step, cfg,
-                     "sup", exclude=exclude)
-    (P, vals, conv, best, count), alone = runs[0], runs[1:]
+        refine_pairs(space, [objective], [starts[k:k + 1]], [values[k:k + 1]], grid.step, cfg,
+                     "sup", evaluations=[0], exclude=exclude)
+    (P, vals, conv, (best,), (count,)), alone = runs[0], runs[1:]
     for k, (Pk, vk, ck, _, _) in enumerate(alone):
         assert np.array_equal(P[k], Pk[0]) and vals[k] == vk[0] and conv[k] == ck[0]
-    levels = [(run[4] - 1) // lattice for run in alone]   # each run ends with one re-evaluation
+    # Each run ends with one re-evaluation.
+    levels = [(run[4][0] - 1) // lattice for run in alone]
     assert count == 16 * (max(levels) * lattice + 1)
     assert len(set(levels)) > 1   # the starts stop at different times
     win = min(range(16), key=lambda k: (-vals[k], tuple(P[k])))

@@ -189,20 +189,22 @@ def test_checked_names_failed_axiom(gauge, axiom):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("wlp:p=1.5,w=[5e-324,5e-324]", "w[0] = 5e-324 is below 2^-1022"),
-    ("wlp:p=1.5,w=[1,1e-320]", "w[1] = 1e-320 is below 2^-1022"),
-    ("wlp:p=1.5,w=[1e308,1e308]", "sum past the largest float"),
+    ("wlp:p=1,w=[1,1e-320]", "w[1] = 1e-320 gives w^(1/p) = 1e-320 and w^(-1/p) = inf"),
+    ("wlp:p=1,w=[1e-310,1e-310]", "w[0] = 1e-310 gives w^(1/p) = 1e-310 and w^(-1/p) = inf"),
+    ("wlp:p=1,w=[1e308,1e308]", "w[0] = 1e+308 gives w^(1/p) = 1e+308 and w^(-1/p) = 1e-308"),
 ])
 def test_spec_rejects_extreme_weights(text, message):
-    # The scaled gauge's power sum lies in [min w, sum w]; the spec check
-    # keeps both ends normal, before any gauge is built or sampled.
+    # The gauge scales by w^(1/p) and the grids by Space.scale, w^(-1/p);
+    # the spec check keeps both normal, before any gauge is built or sampled.
     spec = parse_space_spec(text)
     with pytest.raises(ValueError, match=re.escape(message)):
         spec.validate()
 
 
 @pytest.mark.parametrize("text, axiom", [
-    ("wlp:p=1.5,w=[1e308,1e308]", "positivity"),  # the weighted power sum overflows to inf
+    # At p = 1 the gauge is the weighted sum, which overflows to inf on
+    # sampled vectors with |x_1| + |x_2| > 4.5.
+    ("wlp:p=1,w=[4e307,4e307]", "positivity"),
 ])
 def test_build_rejects_gauge_failing_axioms(text, axiom):
     with pytest.raises(ValueError, match=f"fails the {axiom} axiom"):
