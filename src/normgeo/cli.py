@@ -90,11 +90,6 @@ def _config_for(dim: int, args) -> SearchConfig:
     return replace(SearchConfig.for_dim(dim), **updates)
 
 
-def _space_from(args):
-    spec = parse_space_spec(args.space)
-    return build_space(spec)
-
-
 def _parse_float_list(text: str) -> list[float]:
     try:
         return [float(v) for v in text.split(",") if v != ""]
@@ -108,9 +103,14 @@ def _parse_range(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"expected a range a:b:step, got {text!r}")
     a, b, step = (float(v) for v in parts)
+    if not all(math.isfinite(v) for v in (a, b, step)):
+        raise ValueError(f"range {text!r} needs finite a, b and step")
     if step <= 0.0 or b < a:
         raise ValueError(f"empty or inverted range {text!r}")
-    n = int(math.floor((b - a) / step + 1e-9)) + 1
+    steps = (b - a) / step
+    if not math.isfinite(steps):
+        raise ValueError(f"range {text!r} has too many steps: (b - a)/step overflows")
+    n = int(math.floor(steps + 1e-9)) + 1
     return [a + i * step for i in range(n)]
 
 
@@ -131,13 +131,15 @@ def _parse_battery(text: str) -> tuple[int, int]:
 # --------------------------------------------------------------------------
 
 def cmd_constants(args) -> int:
-    space = _space_from(args)
+    space = build_space(parse_space_spec(args.space))
     cfg = _config_for(space.dim, args)
     gamma_ts = _parse_float_list(args.gamma_t) if args.gamma_t else []
     delta_eps = _parse_float_list(args.delta_eps) if args.delta_eps else []
     rho_ts = _parse_float_list(args.rho_t) if args.rho_t else []
     if args.oracle and space.dim != 2:
         raise ValueError("--oracle requires a 2D space")
+    if args.oracle and args.oracle_grid < 3:
+        raise ValueError(f"--oracle-grid must be at least 3, got {args.oracle_grid}")
 
     t0 = time.perf_counter()
     ests = con.compute_all(space, cfg, gamma_ts=gamma_ts, delta_eps=delta_eps,
@@ -216,7 +218,7 @@ def cmd_sweep(args) -> int:
         print("\n".join(lines))
         return 0
 
-    space = _space_from(args)
+    space = build_space(parse_space_spec(args.space))
     cfg = _config_for(space.dim, args)
     if args.gamma_t:
         lines = ["t,gamma"]
@@ -282,7 +284,7 @@ def cmd_witness(args) -> int:
     if args.constant not in _WITNESS_OPS:
         raise ValueError(f"unknown constant {args.constant!r}; "
                          f"valid names: {', '.join(sorted(_WITNESS_OPS))}")
-    space = _space_from(args)
+    space = build_space(parse_space_spec(args.space))
     cfg = _config_for(space.dim, args)
     est = _WITNESS_OPS[args.constant](space, cfg)
 
@@ -325,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-t", help="comma list of t values for rho")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the dense-grid oracle (2D only)")
-    p.add_argument("--oracle-grid", type=int, default=3600)
+    p.add_argument("--oracle-grid", type=int, default=3600, help="oracle grid points, >= 3")
     _add_cfg_flags(p)
     p.set_defaults(func=cmd_constants)
 

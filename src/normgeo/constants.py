@@ -19,18 +19,16 @@ from .search import (
     PairTable,
     SearchConfig,
     antipodal_pair_norms,
-    axis_lattice,
     extremize,
     infsup_pair,
     lattice_edges,
     maximize_pair,
-    mirror_representatives,
     minimize_pair,
     pair_table,
+    pick_starts,
     refine_pairs,
-    refine_starts,
     row_blocks,
-    sphere_domain,
+    row_infimum,
     sphere_grid,
     sphere_point,
     sphere_points,
@@ -150,6 +148,17 @@ def t_and_T(space: Space, cfg: SearchConfig | None = None, *,
 # t-parameterized moduli
 # --------------------------------------------------------------------------
 
+def check_modulus(name: str, value: float) -> None:
+    """Raise ValueError when value, NaN included, lies outside the domain of
+    the modulus name: "gamma", "delta" or "rho"."""
+    if name == "gamma" and not 0.0 <= value <= 1.0:
+        raise ValueError(f"gamma is defined for t in [0, 1], got {value}")
+    if name == "delta" and not 0.0 <= value <= 2.0:
+        raise ValueError(f"eps must lie in [0, 2], got {value}")
+    if name == "rho" and not 0.0 <= value < math.inf:
+        raise ValueError(f"rho is defined for finite t >= 0, got {value}")
+
+
 def _exact_estimate(space: Space, value: float) -> ConstantEstimate:
     e1 = sphere_point(space, np.eye(space.dim)[0])
     return ConstantEstimate(value=value, x=e1, y=e1.copy(), converged=True, evaluations=0)
@@ -160,8 +169,7 @@ def _gamma_combine(a, b):
 
 
 def _gamma_objective(t: float) -> PairNormObjective:
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"gamma is defined for t in [0, 1], got {t}")
+    check_modulus("gamma", t)
     return PairNormObjective(_gamma_combine, t=t)
 
 
@@ -178,8 +186,7 @@ def gamma(space: Space, t: float, cfg: SearchConfig | None = None) -> ConstantEs
 
 def rho(space: Space, t: float, cfg: SearchConfig | None = None) -> ConstantEstimate:
     """Modulus of smoothness: sup of (||x+ty|| + ||x-ty||)/2 - 1 over unit pairs."""
-    if t < 0.0:
-        raise ValueError(f"rho is defined for t >= 0, got {t}")
+    check_modulus("rho", t)
     if t == 0.0:
         return _exact_estimate(space, 0.0)
     return maximize_pair(
@@ -219,8 +226,8 @@ def _scaled_extremum(space: Space, fns, cfg: SearchConfig) -> list[ConstantEstim
     vectorized blocks, computing the pair norms of each block once for all
     combines (search.antipodal_pair_norms); stage 2 refines (u, v, t)
     jointly, per combine, from one start of each class {(u, v, t),
-    (-u, -v, t)} of its best cells (search.mirror_representatives), whose
-    members carry the same value bit for bit.  The reduction to
+    (-u, -v, t)} of its best cells (search.pick_starts), whose members carry
+    the same value bit for bit.  The reduction to
     ||u|| = 1 >= t = ||v||-scale is exact for the quotients used here, which
     are scale-invariant and symmetric in the pair.
     """
@@ -251,15 +258,10 @@ def _scaled_extremum(space: Space, fns, cfg: SearchConfig) -> list[ConstantEstim
                 fn_values.append(vals[bi].ravel()[idx])
     out = []
     for fn, fn_cells, fn_values in zip(fns, cells, values):
-        fn_cells, fn_values = np.concatenate(fn_cells), np.concatenate(fn_values)
-        best = top_cells(fn_values, 1.0, cfg.multistart, fn_cells)
-        best = best[mirror_representatives(fn_cells[best], m, False, _T_GRID)]
-        ij, ti = np.divmod(fn_cells[best], _T_GRID)
-        i, j = np.divmod(ij, m)
-        out += refine_pairs(
-            space, [PairNormObjective(fn, t=None)],
-            [np.hstack([grid.params[i], grid.params[j], ts[ti, None]])], [fn_values[best]],
-            grid.step, cfg, "sup", evaluations=[m * m * _T_GRID], t_step=ts[1] - ts[0])
+        _, P, V = pick_starts(grid, np.concatenate(fn_cells), np.concatenate(fn_values), 1.0,
+                              cfg.multistart, False, ts)
+        out += refine_pairs(space, [PairNormObjective(fn, t=None)], [P], [V], grid.step, cfg,
+                            "sup", evaluations=[m * m * _T_GRID], t_step=ts[1] - ts[0])
     return out
 
 
@@ -305,8 +307,7 @@ def delta(space: Space, eps: float, cfg: SearchConfig | None = None,
     a lattice of second points and zooms the first point.  Both return 0
     exactly at eps = 0.
     """
-    if not 0.0 <= eps <= 2.0:
-        raise ValueError(f"eps must lie in [0, 2], got {eps}")
+    check_modulus("delta", eps)
     if mode not in ("geq", "eq"):
         raise ValueError(f"mode must be 'geq' or 'eq', got {mode!r}")
     if eps <= 1e-12:
@@ -345,16 +346,16 @@ def _delta_boundary(space: Space, eps: float, cfg: SearchConfig,
                     cache: PairTable | None, geq: bool = False) -> ConstantEstimate:
     """Boundary solve: inf of 1 - ||x+y||/2 over unit pairs on ||x-y|| = eps.
 
-    row_values takes many first-point parameter rows: per row it keeps the
-    lattice points y within _EQ_ROOT_TOL of the constraint and bisects every
-    sign change along an edge of the lattice (search.lattice_edges), all
-    brackets of all rows at once.  The lattice is the grid in 2D, and the
-    grid of 8 per axis in dim >= 3, where its edges join the +-e_i
-    neighbours on the cube surface.  row_values serves the grid stage (every
-    lattice point as x, in chunks), the zoom of the best rows and the
-    witness.  With geq only pairs with ||x-y|| >= eps - _GEQ_SLACK count:
-    lattice points inside that slack and the feasible end of each final
-    bracket, so the witness is feasible.
+    row_values takes many first points x: per row it keeps the lattice
+    points y within _EQ_ROOT_TOL of the constraint and bisects every sign
+    change along an edge of the lattice (search.lattice_edges), all brackets
+    of all rows at once.  The lattice is the grid in 2D, and the grid of 8
+    per axis in dim >= 3, where its edges join the +-e_i neighbours on the
+    cube surface.  row_values serves the grid stage (every lattice point as
+    x), then the shared first-point zoom (search.row_infimum), whose roots
+    are not counted.  With geq only pairs with ||x-y|| >= eps - _GEQ_SLACK
+    count: lattice points inside that slack and the feasible end of each
+    final bracket, so the witness is feasible.
     """
     if space.dim == 2:
         grid = cache.grid if cache is not None else sphere_grid(space, cfg.grid_per_dim)
@@ -365,11 +366,10 @@ def _delta_boundary(space: Space, eps: float, cfg: SearchConfig,
     steps = grid.step * np.eye(k)[axes]
     on_low = -_GEQ_SLACK if geq else -_EQ_ROOT_TOL
 
-    def row_values(params):
-        """Per row: min of 1 - ||x+y||/2 over its roots and the y attaining
-        it (first among ties, lattice points before brackets); and the roots
-        tried."""
-        X = sphere_points(space, params)
+    def row_values(X):
+        """Per row x of X: min of 1 - ||x+y||/2 over its roots and the y
+        attaining it (first among ties, lattice points before brackets); and
+        the roots tried."""
         b = np.asarray(space.gauge(X[:, None, :] - grid.vectors)) - eps
         oi, oj = np.nonzero((b >= on_low) & (b <= _EQ_ROOT_TOL))
         ci, ce = np.nonzero(b[:, tails] * b[:, heads] < 0.0)
@@ -389,28 +389,23 @@ def _delta_boundary(space: Space, eps: float, cfg: SearchConfig,
         vals = 1.0 - np.asarray(space.gauge(X[rows] + Y)) / 2.0
         order = np.lexsort((np.arange(rows.size), vals, rows))
         first = order[np.unique(rows[order], return_index=True)[1]]
-        best = np.full(len(params), np.inf)
+        best = np.full(len(X), np.inf)
         best[rows[first]] = vals[first]
-        witness = np.full((len(params), space.dim), np.nan)
+        witness = np.full((len(X), space.dim), np.nan)
         witness[rows[first]] = Y[first]
         return best, witness, rows.size
 
-    stage = [row_values(grid.params[rows]) for rows in row_blocks(n)]
-    row_vals = np.concatenate([s[0] for s in stage])
-    evaluations = sum(s[2] for s in stage)
+    row_vals, evaluations = np.empty(n), 0
+    for block in row_blocks(n):
+        for rows in block:
+            row_vals[rows], _, tried = row_values(sphere_points(space, grid.params[rows]))
+            evaluations += tried
     feasible = int(np.isfinite(row_vals).sum())
     if feasible == 0:
         raise ValueError(f"no unit pair satisfies ||x-y|| = {eps} on the grid")
-
     starts = top_cells(row_vals, -1.0, min(cfg.multistart, feasible))
-    P, vals, conv, (best,), (count,) = refine_starts(
-        lambda params: row_values(params.reshape(-1, k))[0].reshape(params.shape[:-1]),
-        grid.params[starts], row_vals[starts], grid.step, axis_lattice(k), -1.0, cfg,
-        sphere_domain(space, 1))
-    witness = row_values(P)[1]   # the engine's last call, repeated for the witness
-    return ConstantEstimate(
-        value=float(vals[best]), x=sphere_point(space, P[best]),
-        y=witness[best], converged=bool(conv[best]), evaluations=evaluations + int(count))
+    est = row_infimum(space, grid, row_values, starts, row_vals, cfg)
+    return replace(est, evaluations=evaluations + est.evaluations)
 
 
 def _band(table: PairTable, lo: float, hi: float) -> np.ndarray:
@@ -418,10 +413,11 @@ def _band(table: PairTable, lo: float, hi: float) -> np.ndarray:
     collected one block of rows at a time."""
     n = len(table.plus)
     out = []
-    for rows in row_blocks(n):
-        block = table.minus_rows(rows)
-        out.append((rows.start * n + np.flatnonzero((block >= lo) & (block < hi)))
-                   .astype(np.int32))
+    for block in row_blocks(n):
+        for rows in block:
+            minus = table.minus_rows(rows)
+            out.append((rows.start * n + np.flatnonzero((minus >= lo) & (minus < hi)))
+                       .astype(np.int32))
     return np.concatenate(out)
 
 
@@ -515,9 +511,13 @@ def compute_all(space: Space, cfg: SearchConfig | None = None, *,
                 gamma_ts=(), delta_eps=(), rho_ts=()) -> dict[str, ConstantEstimate]:
     """All constants of one space, sharing a single pair-norm table.
 
-    A failure in any single computation is re-raised as a RuntimeError naming
-    the constant, so callers can report which one broke.
+    A modulus argument outside its domain raises ValueError before any
+    computation.  A failure in any single computation is re-raised as a
+    RuntimeError naming the constant, so callers can report which one broke.
     """
+    for name, values in (("gamma", gamma_ts), ("delta", delta_eps), ("rho", rho_ts)):
+        for v in values:
+            check_modulus(name, float(v))
     cfg = cfg or SearchConfig.for_dim(space.dim)
     cache = pair_table(space, cfg)
     out = pair_constants(space, cfg, cache)
@@ -525,11 +525,7 @@ def compute_all(space: Space, cfg: SearchConfig | None = None, *,
     def compute(key, fn):
         out[key] = guarded(key, fn)
 
-    def both():
-        lo, hi = t_and_T(space, cfg, cache=cache)
-        out["t"] = lo
-        return hi
-    compute("T", both)   # inserts "t" first, then "T"
+    out["t"], out["T"] = guarded("T", lambda: t_and_T(space, cfg, cache=cache))
     compute("eps0", lambda: eps0(space, cfg, cache=cache))
     for t in gamma_ts:
         compute(f"gamma({float(t):.12g})", lambda t=float(t): gamma(space, t, cfg))

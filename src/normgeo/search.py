@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -259,8 +259,10 @@ class PairTable:
     plus: np.ndarray    # (n, n)
 
     def minus_rows(self, rows: slice) -> np.ndarray:
-        """||x-y|| over the rows of a row_blocks block: a view of plus."""
-        return self.plus[mirror_rows(rows, len(self.plus))]
+        """||x-y|| over a row_blocks block of either half: a view of plus."""
+        half = len(self.plus) // 2
+        shift = half if rows.start < half else -half
+        return self.plus[rows.start + shift:rows.stop + shift]
 
     def minus_at(self, cells: np.ndarray) -> np.ndarray:
         """||x-y|| at the pairs numbered cells (flat indices), read from the
@@ -279,25 +281,13 @@ class PairTable:
         return antipodal(self.plus, axis=0)
 
 
-def row_blocks(n: int) -> list[slice]:
-    """The rows of an n x n pair grid in blocks of whole rows, CHUNK_PAIRS
-    pairs at most (one row at least), none crossing row n/2, so that the
-    antipodes of a block's rows are a block too: every grid walk goes
-    through here."""
-    rows = max(1, CHUNK_PAIRS // n)
-    return [slice(i0, min(i0 + rows, end))
-            for start, end in ((0, n // 2), (n // 2, n)) for i0 in range(start, end, rows)]
-
-
-def mirror_rows(rows: slice, n: int) -> slice:
-    """The antipodes of a row_blocks block of an H u -H grid of n points."""
-    shift = n // 2 if rows.start < n // 2 else -(n // 2)
-    return slice(rows.start + shift, rows.stop + shift)
-
-
-def half_blocks(n: int) -> list[slice]:
-    """The row_blocks blocks of H, the first n/2 rows."""
-    return [rows for rows in row_blocks(n) if rows.start < n // 2]
+def row_blocks(n: int) -> list[tuple[slice, slice]]:
+    """The blocks of whole rows of an n x n pair grid on H u -H, CHUNK_PAIRS
+    pairs at most (one row at least): each block of H with the block of its
+    antipodes.  Every grid walk goes through here."""
+    rows, half = max(1, CHUNK_PAIRS // n), n // 2
+    return [(slice(i0, min(i0 + rows, half)), slice(i0 + half, min(i0 + rows, half) + half))
+            for i0 in range(0, half, rows)]
 
 
 def pair_table(space: Space, cfg: SearchConfig) -> PairTable | None:
@@ -307,8 +297,8 @@ def pair_table(space: Space, cfg: SearchConfig) -> PairTable | None:
     if n * n > _STORED_PAIR_LIMIT:
         return None
     plus = np.empty((n, n))
-    for rows in half_blocks(n):
-        (plus[rows], _), (plus[mirror_rows(rows, n)], _) = antipodal_pair_norms(
+    for rows, mirror in row_blocks(n):
+        (plus[rows], _), (plus[mirror], _) = antipodal_pair_norms(
             space, grid.vectors[rows], grid.vectors)
     return PairTable(grid, plus)
 
@@ -560,25 +550,22 @@ def _scan(space: Space, objective: PairNormObjective, grid: SphereGrid,
           cache: PairTable | None, exclude: bool, eta: float, sign: float):
     """Walk the grid pairs in row_blocks: yield each block's first row, its
     (rows, n) values (excluded and NaN pairs scored -sign * inf) and its
-    evaluation count.
+    evaluation count, each block of H followed by its antipodal block.
 
     The pair norms of a t = 1 pair-norm objective come from the rows of the
     shared table cache when there is one; otherwise from the gauge, which
     needs less memory than building a table for one use, on the blocks of H
-    only: each is yielded with its antipodal block.
+    only.
     """
-    n = len(grid.vectors)
-    if cache is not None and objective.t == 1.0:
-        for rows in row_blocks(n):
-            yield rows.start, *_pair_values(space, objective, None, None, exclude, eta, sign,
-                                            norms=(cache.plus[rows], cache.minus_rows(rows)))
-        return
     ys = objective.t * grid.vectors   # still H u -H: t * (-y) = -(t * y)
-    for rows in half_blocks(n):
-        both = antipodal_pair_norms(space, grid.vectors[rows], ys)
-        for i0, norms in zip((rows.start, mirror_rows(rows, n).start), both):
-            yield i0, *_pair_values(space, objective, None, None, exclude, eta, sign,
-                                    norms=norms)
+    for rows, mirror in row_blocks(len(grid.vectors)):
+        if cache is not None and objective.t == 1.0:
+            both = [(cache.plus[r], cache.minus_rows(r)) for r in (rows, mirror)]
+        else:
+            both = antipodal_pair_norms(space, grid.vectors[rows], ys)
+        for block, norms in zip((rows, mirror), both):
+            yield block.start, *_pair_values(space, objective, None, None, exclude, eta, sign,
+                                             norms=norms)
 
 
 def _scan_cells(space: Space, objective, cache: PairTable, exclude: bool, eta: float,
@@ -612,6 +599,23 @@ def mirror_representatives(cells, n: int, swap: bool, inner: int = 1) -> np.ndar
     return np.sort(order[np.unique(key[order], return_index=True)[1]])
 
 
+def pick_starts(grid: SphereGrid, cells, values, sign: float, count: int, swap: bool,
+                ts: np.ndarray | None = None):
+    """The zoom's starts among candidate cells, flat indices (i n + j) of
+    grid's n x n pair grid, or (i n + j) len(ts) + r at t = ts[r]: the count
+    best (top_cells), one per mirror class (mirror_representatives).
+    Returns the best cells, and the parameter rows (x, y[, t]) and the
+    values of their representatives."""
+    n = len(grid.params)
+    inner = 1 if ts is None else len(ts)
+    best = top_cells(values, sign, count, cells)
+    rep = best[mirror_representatives(cells[best], n, swap, inner)]
+    ij, r = np.divmod(cells[rep], inner)
+    i, j = np.divmod(ij, n)
+    params = [grid.params[i], grid.params[j]] + ([] if ts is None else [ts[r, None]])
+    return cells[best], np.hstack(params), values[rep]
+
+
 def extremize(space: Space, objectives, cfg: SearchConfig | None, mode: str, *,
               exclude: bool = False, cache: PairTable | None = None,
               cells: np.ndarray | None = None):
@@ -634,7 +638,7 @@ def extremize(space: Space, objectives, cfg: SearchConfig | None, mode: str, *,
     sign = 1.0 if mode == "sup" else -1.0
     grid = cache.grid if cache is not None else sphere_grid(space, cfg.grid_per_dim)
     n = len(grid.vectors)
-    starts, params, start_values, scans = [], [], [], []
+    picked, scans = [], []
     for objective in objectives:
         if cells is None:
             blocks = ((i0 * n, vals, count) for i0, vals, count
@@ -647,17 +651,13 @@ def extremize(space: Space, objectives, cfg: SearchConfig | None, mode: str, *,
             found.append(where + idx if cells is None else where[idx])
             values.append(vals.ravel()[idx])
             evaluations += count
-        found, values = np.concatenate(found), np.concatenate(values)
-        best = top_cells(values, sign, cfg.multistart, found)
-        rep = best[mirror_representatives(found[best], n, objective.t == 1.0)]
-        i, j = np.divmod(found[rep], n)
-        starts.append(found[best])
-        params.append(np.hstack([grid.params[i], grid.params[j]]))
-        start_values.append(values[rep])
+        picked.append(pick_starts(grid, np.concatenate(found), np.concatenate(values), sign,
+                                  cfg.multistart, objective.t == 1.0))
         scans.append(evaluations)
+    starts, params, start_values = zip(*picked)
     ests = refine_pairs(space, objectives, params, start_values, grid.step, cfg, mode,
                         evaluations=scans, exclude=exclude)
-    return ests, starts
+    return ests, list(starts)
 
 
 def maximize_pair(space: Space, objective: PairNormObjective, cfg: SearchConfig | None = None,
@@ -675,6 +675,29 @@ def minimize_pair(space: Space, objective: PairNormObjective, cfg: SearchConfig 
 
 
 # --------------------------------------------------------------------------
+# First-point zoom
+# --------------------------------------------------------------------------
+
+def row_infimum(space: Space, grid: SphereGrid, row_fn, starts, row_vals,
+                cfg: SearchConfig) -> ConstantEstimate:
+    """inf over unit x of row_fn(X), which maps (m, dim) unit vectors to
+    each row's value and its y as its first two items.  The engine zooms the
+    grid rows starts, valued row_vals[starts], on the lattice +-e_i one grid
+    step wide; row_fn runs once more on the zoomed points for the witness.
+    The estimate's evaluations is the engine's row count."""
+    k = grid.params.shape[1]
+    P, vals, conv, (best,), (count,) = refine_starts(
+        lambda params: row_fn(sphere_points(space, params.reshape(-1, k)))[0]
+        .reshape(params.shape[:-1]),
+        grid.params[starts], row_vals[starts], grid.step, axis_lattice(k), -1.0, cfg,
+        sphere_domain(space, 1))
+    X = sphere_points(space, P)   # the engine's last call, repeated for the witness
+    Y = row_fn(X)[1]
+    return ConstantEstimate(value=float(vals[best]), x=X[best], y=Y[best],
+                            converged=bool(conv[best]), evaluations=int(count))
+
+
+# --------------------------------------------------------------------------
 # inf-sup search
 # --------------------------------------------------------------------------
 
@@ -685,29 +708,26 @@ def infsup_pair(space: Space, objective: PairNormObjective, cfg: SearchConfig | 
                 *, cache: PairTable | None = None) -> ConstantEstimate:
     """inf over unit x of sup over unit y of objective at (||x+ty||, ||x-ty||).
 
-    Stage 1 takes the exact inner sup on the grid.  Stage 2 zooms the outer
-    starts with the engine, re-solving the inner problem at every outer
-    lattice point for all of them at once: a scan of their grid rows, then
-    a zoom, by the same engine, from the _INNER_STARTS best cells of each
-    row's H half.  Each mirror pair is zoomed once.  The pair norms of
+    Stage 1 takes the exact inner sup on the grid.  Stage 2 is the
+    first-point zoom row_infimum, which re-solves the inner problem at every
+    outer lattice point for all of them at once: a scan of their grid rows,
+    then a zoom, by the same engine, from the _INNER_STARTS best cells of
+    each row's H half.  Each mirror pair is zoomed once.  The pair norms of
     (-x, y) are those of (x, -y), so on the H u -H grid rows i and i + n/2
     hold the same values in another order, and the same sup, bit for bit:
     the outer starts are the H representatives (i mod n/2) of the
     multistart best rows.  The combine must be symmetric in its two norms,
     as t's geometric mean is: then y and -y score alike, each row's second
     half repeats its first, and the inner starts come from H alone.  The
-    outer problem is the costly one, so its lattice is the sparsest: +-1 on
-    the angle in 2D, the coordinate axes in dim >= 3.  The inner lattice is
-    denser: offsets -4..4 on the angle in 2D, the cube {-1, 0, 1}^dim around
-    a direction vector in dim >= 3.  The reported value, x and y come from
-    one inner solve.
+    inner lattice is offsets -4..4 on the angle in 2D, the cube
+    {-1, 0, 1}^dim around a direction vector in dim >= 3.  The reported
+    value, x and y come from one inner solve.
     """
     cfg = cfg or SearchConfig.for_dim(space.dim)
     grid = cache.grid if cache is not None else sphere_grid(space, cfg.grid_per_dim)
     n = len(grid.vectors)
     k = 1 if space.dim == 2 else space.dim
     evaluations = 0
-    project = sphere_domain(space, 1)
     inner_radius = 4 if space.dim == 2 else 1
     inner_lattice = box_lattice(inner_radius, k)
     # Points of the inner solve, in its row scans and its zoom alike, are
@@ -732,7 +752,7 @@ def infsup_pair(space: Space, objective: PairNormObjective, cfg: SearchConfig | 
 
         P, V, _, _, (zoomed,) = refine_starts(f, grid.params[cells], vals[rows, cells],
                                               grid.step / inner_radius, inner_lattice, 1.0,
-                                              cfg, project)
+                                              cfg, sphere_domain(space, 1))
         evaluations += count + int(zoomed)
         V = V.reshape(len(X), _INNER_STARTS)
         win = np.arange(len(X)) * _INNER_STARTS + V.argmax(axis=1)
@@ -747,15 +767,7 @@ def infsup_pair(space: Space, objective: PairNormObjective, cfg: SearchConfig | 
         raise ValueError("no grid pair has a value; the combine is NaN at every one")
     start_rows = np.unique(top_cells(row_sup, -1.0, cfg.multistart) % (n // 2))
 
-    # Stage 2: outer zoom.  Its own count is left out: each outer evaluation
-    # is an inner solve, whose pair evaluations are counted above.
-    P, vals, conv, (best,), _ = refine_starts(
-        lambda params: inner_sup(sphere_points(space, params.reshape(-1, k)))[0]
-        .reshape(params.shape[:-1]),
-        grid.params[start_rows], row_sup[start_rows], grid.step, axis_lattice(k), -1.0, cfg,
-        project)
-    # The engine's last call, repeated for the witnesses.
-    X = sphere_points(space, P)
-    vy, Y = inner_sup(X)
-    return ConstantEstimate(value=float(vy[best]), x=X[best], y=Y[best],
-                            converged=bool(conv[best]), evaluations=evaluations)
+    # Stage 2: outer zoom.  The engine's own count is left out: each outer
+    # evaluation is an inner solve, whose pair evaluations are counted above.
+    est = row_infimum(space, grid, inner_sup, start_rows, row_sup, cfg)
+    return replace(est, evaluations=evaluations)

@@ -33,7 +33,6 @@ _FAMILY_TOKENS = {
     "polyf": "poly-functionals",
     "polyv": "poly-vertices",
 }
-_TOKEN_OF_FAMILY = {v: k for k, v in _FAMILY_TOKENS.items()}
 
 
 # --------------------------------------------------------------------------
@@ -72,21 +71,15 @@ class NormSpec:
         """Raise ValueError naming the violated invariant."""
         if self.family not in FAMILIES:
             raise ValueError(f"unknown norm family {self.family!r}; expected one of {FAMILIES}")
-        if self.family == "lp":
+        if self.family in ("lp", "weighted-lp"):
             if self.p is None:
-                raise ValueError("lp spec is missing p")
+                raise ValueError(f"{self.family} spec is missing p")
             if not (1.0 <= self.p < math.inf):
-                raise ValueError(f"lp requires a finite p >= 1, got p={self.p}")
-            if self.dim < 2:
-                raise ValueError(f"dim must be >= 2, got {self.dim}")
-        elif self.family == "linf":
+                raise ValueError(f"{self.family} requires a finite p >= 1, got p={self.p}")
+        if self.family in ("lp", "linf"):
             if self.dim < 2:
                 raise ValueError(f"dim must be >= 2, got {self.dim}")
         elif self.family == "weighted-lp":
-            if self.p is None:
-                raise ValueError("weighted-lp spec is missing p")
-            if not (1.0 <= self.p < math.inf):
-                raise ValueError(f"weighted-lp requires a finite p >= 1, got p={self.p}")
             if not self.weights:
                 raise ValueError("weighted-lp requires a nonempty weight vector")
             for i, w in enumerate(self.weights):
@@ -143,34 +136,6 @@ class NormSpec:
         if self.vertices is not None:
             d["vertices"] = [list(row) for row in self.vertices]
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NormSpec":
-        return cls(
-            family=d["family"],
-            dim=int(d.get("dim", 0)),
-            p=d.get("p"),
-            weights=d.get("weights"),
-            functionals=d.get("functionals"),
-            vertices=d.get("vertices"),
-        )
-
-    def to_string(self) -> str:
-        """Render in the CLI grammar, inverse of parse_space_spec.  Floats
-        are written with repr, so parsing the result gives back an equal spec."""
-        token = _TOKEN_OF_FAMILY[self.family]
-        if self.family == "lp":
-            return f"{token}:p={float(self.p)!r},dim={self.dim}"
-        if self.family == "linf":
-            return f"{token}:dim={self.dim}"
-        if self.family == "weighted-lp":
-            w = "[" + ",".join(repr(x) for x in self.weights) + "]"
-            return f"{token}:p={float(self.p)!r},w={w}"
-        if self.family == "poly-functionals":
-            f = "[" + ",".join("[" + ",".join(repr(c) for c in row) + "]" for row in self.functionals) + "]"
-            return f"{token}:f={f}"
-        v = "[" + ",".join("[" + ",".join(repr(c) for c in row) + "]" for row in self.vertices) + "]"
-        return f"{token}:v={v}"
 
 
 # --------------------------------------------------------------------------
@@ -468,17 +433,14 @@ def parse_space_spec(text: str, allow_missing_p: bool = False) -> NormSpec:
         return kv[key]
 
     try:
+        p = float(kv["p"]) if "p" in kv else None
+        if p is None and token in ("lp", "wlp") and not allow_missing_p:
+            raise ValueError(f"family {token!r} requires parameter 'p'")
         if token == "lp":
-            p = float(kv["p"]) if "p" in kv else None
-            if p is None and not allow_missing_p:
-                raise ValueError("family 'lp' requires parameter 'p'")
             return NormSpec("lp", dim=int(want("dim")), p=p)
         if token == "linf":
             return NormSpec("linf", dim=int(want("dim")))
         if token == "wlp":
-            p = float(kv["p"]) if "p" in kv else None
-            if p is None and not allow_missing_p:
-                raise ValueError("family 'wlp' requires parameter 'p'")
             w = _parse_list(want("w"))
             return NormSpec("weighted-lp", dim=len(w), p=p, weights=tuple(w))
         if token == "polyf":

@@ -131,6 +131,38 @@ def test_constants_oracle_rejects_3d(capsys):
     assert "2D" in err or "dim" in err
 
 
+def _no_computation(*args, **kwargs):
+    raise AssertionError("the input should be rejected before any computation")
+
+
+@pytest.mark.parametrize("grid", ["0", "-5", "2"])
+def test_constants_oracle_grid_rejected_before_computing(capsys, monkeypatch, grid):
+    monkeypatch.setattr(cli.con, "compute_all", _no_computation)
+    code, out, err = run_cli(capsys, "constants", "--space", "lp:p=2,dim=2",
+                             "--oracle", "--oracle-grid", grid)
+    assert (code, out) == (2, "")
+    assert err == f"error: --oracle-grid must be at least 3, got {grid}\n"
+
+
+@pytest.mark.parametrize("flag, value, message, sweep", [
+    ("--delta-eps", "3", "eps must lie in [0, 2], got 3.0", "3:3:1"),
+    ("--gamma-t", "2", "gamma is defined for t in [0, 1], got 2.0", "2:2:1"),
+    ("--rho-t", "-1", "rho is defined for finite t >= 0, got -1.0", None),
+    ("--rho-t", "nan", "rho is defined for finite t >= 0, got nan", None),
+    ("--rho-t", "inf", "rho is defined for finite t >= 0, got inf", None),
+], ids=["delta-3", "gamma-2", "rho-neg", "rho-nan", "rho-inf"])
+def test_constants_bad_modulus_rejected_before_computing(capsys, monkeypatch, flag, value,
+                                                         message, sweep):
+    """A modulus argument outside its domain exits 2 with the message that
+    sweep prints for it, before the pair table is built."""
+    if sweep is not None:
+        code, out, err = run_cli(capsys, "sweep", "--space", "lp:p=2,dim=2", flag, sweep)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    monkeypatch.setattr(cli.con, "pair_table", _no_computation)
+    code, out, err = run_cli(capsys, "constants", "--space", "lp:p=2,dim=2", flag, value)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_constants_bad_space_exit_2(capsys):
     code, _, err = run_cli(capsys, "constants", "--space", "lp:p=0.5,dim=2")
     assert code == 2
@@ -216,6 +248,24 @@ def test_sweep_rejects_inverted_range(capsys):
                            "--gamma-t", "1:0:0.1")
     assert code == 2
     assert "range" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1:inf:1", "range '1:inf:1' needs finite a, b and step"),
+    ("1:2:nan", "range '1:2:nan' needs finite a, b and step"),
+    ("-inf:2:1", "range '-inf:2:1' needs finite a, b and step"),
+    ("-1e308:1e308:1e-10", "range '-1e308:1e308:1e-10' has too many steps"),
+])
+def test_parse_range_rejects_nonfinite(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cli._parse_range(text)
+
+
+@pytest.mark.parametrize("text", ["1:inf:1", "1:2:nan"])
+def test_sweep_nonfinite_range_exit_2(capsys, text):
+    code, out, err = run_cli(capsys, "sweep", "--space", "lp:dim=2", "--p", text)
+    assert (code, out) == (2, "")
+    assert err == f"error: range {text!r} needs finite a, b and step\n"
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -206,10 +207,15 @@ def test_grid_refinement_monotone(hexagon):
         assert fine >= coarse - 1e-12   # doubled 2D grids nest
 
 
-def test_eta_too_large_rejected(l2):
-    obj = PairNormObjective(lambda a, b: a)
-    with pytest.raises(ValueError):
-        maximize_pair(l2, obj, SearchConfig(eta=10.0), exclude_degenerate=True)
+@pytest.mark.parametrize("field, value, message", [
+    ("grid_per_dim", 7, "grid_per_dim must be >= 8, got 7"),
+    ("refine_iters", -1, "refine_iters must be >= 0, got -1"),
+    ("multistart", 0, "multistart must be >= 1, got 0"),
+    ("eta", 10.0, "eta must lie in (0, 1), got 10.0"),
+], ids=["grid_per_dim", "refine_iters", "multistart", "eta"])
+def test_search_config_rejects_out_of_range(field, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SearchConfig(**{field: value})
 
 
 @pytest.mark.parametrize("shared", [True, False])
@@ -224,6 +230,36 @@ def test_infsup_all_pairs_masked_rejected(l2, shared):
 def test_evaluation_count_positive(l2):
     est = maximize_pair(l2, PairNormObjective(lambda a, b: a))
     assert est.evaluations > 720 * 720 / 2   # at least the half-grid scan
+
+
+@pytest.mark.parametrize("spec, grid", [("lp:p=2,dim=2", 16), ("lp:p=2,dim=3", 4)])
+def test_row_infimum_finds_known_minimum(spec, grid):
+    """row_infimum's contract on a row function with a known inf: 1 - <x, u>
+    over unit x of l2 is 0, at x = u.  The witness y is the row function's
+    y at the reported x, and evaluations is the engine's row count: the rows
+    of every row_fn call but the witness's."""
+    space = build_space(parse_space_spec(spec))
+    u = np.arange(1.0, space.dim + 1.0)
+    u /= np.linalg.norm(u)
+    calls = []
+
+    def row_fn(X):
+        calls.append(len(X))
+        return 1.0 - X @ u, -X
+
+    g = sphere_grid(space, grid)
+    vals = row_fn(g.vectors)[0]
+    starts = top_cells(vals, -1.0, 3)
+    calls.clear()
+    est = search.row_infimum(space, g, row_fn, starts, vals, SearchConfig(grid_per_dim=16))
+    assert est.converged
+    assert est.value == pytest.approx(0.0, abs=1e-15)
+    assert est.value == pytest.approx(1.0 - est.x @ u, abs=1e-15)
+    assert space.norm(est.x) == pytest.approx(1.0, abs=1e-15)
+    np.testing.assert_allclose(est.x, u, atol=1e-6)
+    assert np.array_equal(est.y, -est.x)
+    assert calls[-1] == len(starts)   # the witness call: one row per start
+    assert est.evaluations == sum(calls[:-1])
 
 
 # --------------------------------------------------------------------------

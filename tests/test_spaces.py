@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -134,23 +135,40 @@ def test_validate_space_catches_broken_gauge():
 # Spec grammar
 # --------------------------------------------------------------------------
 
-@pytest.mark.parametrize("text,family,dim", [
-    ("lp:p=1.5,dim=2", "lp", 2),
-    ("lp:p=2,dim=3", "lp", 3),
-    ("linf:dim=4", "linf", 4),
-    ("wlp:p=1,w=[1,2,3]", "weighted-lp", 3),
-    ("polyf:f=[[1,0],[0,1],[1,1]]", "poly-functionals", 2),
-    ("polyv:v=[[1,0],[0.6,0.8],[0,1]]", "poly-vertices", 2),
-    ("lp:p=1.2345678,dim=2", "lp", 2),
-] + [pytest.param("polyv:v=[" + ",".join(f"[{x!r},{y!r}]" for x, y in spec.vertices) + "]",
-                  "poly-vertices", 2, id=f"battery7-{i}")
+def _parsed_case(text, expected, as_dict, id=None):
+    return pytest.param(text, expected, as_dict,
+                        id=id or f"{text}-{expected.family}-{expected.effective_dim}")
+
+
+@pytest.mark.parametrize("text, expected, as_dict", [
+    _parsed_case("lp:p=1.5,dim=2", NormSpec("lp", dim=2, p=1.5),
+                 {"family": "lp", "dim": 2, "p": 1.5}),
+    _parsed_case("lp:p=2,dim=3", NormSpec("lp", dim=3, p=2.0),
+                 {"family": "lp", "dim": 3, "p": 2.0}),
+    _parsed_case("linf:dim=4", NormSpec("linf", dim=4), {"family": "linf", "dim": 4}),
+    _parsed_case("wlp:p=1,w=[1,2,3]", NormSpec("weighted-lp", dim=3, p=1.0, weights=(1, 2, 3)),
+                 {"family": "weighted-lp", "dim": 3, "p": 1.0, "weights": [1.0, 2.0, 3.0]}),
+    _parsed_case("polyf:f=[[1,0],[0,1],[1,1]]",
+                 NormSpec("poly-functionals", dim=2, functionals=((1, 0), (0, 1), (1, 1))),
+                 {"family": "poly-functionals", "dim": 2,
+                  "functionals": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}),
+    _parsed_case("polyv:v=[[1,0],[0.6,0.8],[0,1]]",
+                 NormSpec("poly-vertices", dim=2, vertices=((1, 0), (0.6, 0.8), (0, 1))),
+                 {"family": "poly-vertices", "dim": 2,
+                  "vertices": [[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]]}),
+    _parsed_case("lp:p=1.2345678,dim=2", NormSpec("lp", dim=2, p=1.2345678),
+                 {"family": "lp", "dim": 2, "p": 1.2345678}),
+] + [_parsed_case("polyv:v=[" + ",".join(f"[{x!r},{y!r}]" for x, y in spec.vertices) + "]",
+                  spec, {"family": "poly-vertices", "dim": 2,
+                         "vertices": [list(v) for v in spec.vertices]}, id=f"battery7-{i}")
      for i, spec in enumerate(battery_specs(7, 20))])
-def test_parse_roundtrip(text, family, dim):
+def test_parse_roundtrip(text, expected, as_dict):
+    """The parsed spec equals the expected one, field for field (battery
+    vertices written with repr come back bit for bit), and to_dict, which the
+    CLI prints, lists its fields."""
     spec = parse_space_spec(text)
-    assert spec.family == family
-    assert spec.effective_dim == dim
-    again = parse_space_spec(spec.to_string())
-    assert again == spec
+    assert spec == expected
+    assert spec.to_dict() == as_dict
 
 
 def test_parse_whitespace_insensitive():
@@ -302,8 +320,11 @@ def test_parse_skeleton_for_sweeps():
 
 
 def test_spec_json_roundtrip():
+    """The spec's JSON, as the CLI prints it, reads back as its fields."""
     spec = parse_space_spec("polyv:v=[[1,0],[0.6,0.8],[0,1]]")
-    assert NormSpec.from_dict(spec.to_dict()) == spec
+    assert spec == NormSpec("poly-vertices", dim=2, vertices=((1, 0), (0.6, 0.8), (0, 1)))
+    assert json.loads(json.dumps(spec.to_dict())) == {
+        "family": "poly-vertices", "dim": 2, "vertices": [[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]]}
 
 
 # --------------------------------------------------------------------------
