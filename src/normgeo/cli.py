@@ -220,14 +220,17 @@ def cmd_sweep(args) -> int:
 
     space = build_space(parse_space_spec(args.space))
     cfg = _config_for(space.dim, args)
+    values = _parse_range(args.gamma_t or args.delta_eps)
+    for v in values:   # the whole range, before any row is computed
+        con.check_modulus("gamma" if args.gamma_t else "delta", v)
     if args.gamma_t:
         lines = ["t,gamma"]
-        for t in _parse_range(args.gamma_t):
+        for t in values:
             lines.append(f"{fmt(t)},{fmt(con.gamma(space, t, cfg).value)}")
     else:
         cache = con.pair_table(space, cfg)   # one table for every eps
         lines = ["eps,delta"]
-        for e in _parse_range(args.delta_eps):
+        for e in values:
             lines.append(f"{fmt(e)},{fmt(con.delta(space, e, cfg, cache=cache).value)}")
     print("\n".join(lines))
     return 0

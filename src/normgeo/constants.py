@@ -18,12 +18,14 @@ from .search import (
     PairNormObjective,
     PairTable,
     SearchConfig,
-    antipodal_pair_norms,
+    block_cells,
     extremize,
     infsup_pair,
     lattice_edges,
     maximize_pair,
     minimize_pair,
+    mirror_members,
+    pair_norms,
     pair_table,
     pick_starts,
     refine_pairs,
@@ -224,12 +226,14 @@ def _scaled_extremum(space: Space, fns, cfg: SearchConfig) -> list[ConstantEstim
 
     Stage 1 sweeps a t-grid of 101 points over a reduced pair grid in
     vectorized blocks, computing the pair norms of each block once for all
-    combines (search.antipodal_pair_norms); stage 2 refines (u, v, t)
-    jointly, per combine, from one start of each class {(u, v, t),
-    (-u, -v, t)} of its best cells (search.pick_starts), whose members carry
-    the same value bit for bit.  The reduction to
-    ||u|| = 1 >= t = ||v||-scale is exact for the quotients used here, which
-    are scale-invariant and symmetric in the pair.
+    combines.  The cells (u, v, t) and (-u, -v, t) form a mirror class and
+    carry the same value bit for bit, so the combines run on u in H alone:
+    each t's 4 best classes, expanded to their members (search.mirror_members),
+    hold its 4 best cells of the whole grid.  Stage 2 refines (u, v, t)
+    jointly, per combine, from one start of each class among its best cells
+    (search.pick_starts).  The reduction to ||u|| = 1 >= t = ||v||-scale is
+    exact for the quotients used here, which are scale-invariant and
+    symmetric in the pair.
     """
     if space.dim == 2:
         grid = sphere_grid(space, max(48, cfg.grid_per_dim // 8))
@@ -243,19 +247,19 @@ def _scaled_extremum(space: Space, fns, cfg: SearchConfig) -> list[ConstantEstim
     block = max(1, 400_000 // (m * m))
     for t0 in range(0, _T_GRID, block):
         tb = ts[t0:t0 + block]
-        # The gauge runs on u in H only; the rows of -H carry the norms swapped.
-        (a_h, b_h), (a_m, b_m) = antipodal_pair_norms(space, V[:m // 2],
-                                                      tb[:, None, None] * V)
-        a = np.concatenate([a_h, a_m], axis=1)
-        b = np.concatenate([b_h, b_m], axis=1)
+        a, b = pair_norms(space, V[:m // 2], tb[:, None, None] * V)
         for fn, fn_cells, fn_values in zip(fns, cells, values):
             vals = np.asarray(fn(a, b, tb[:, None, None]), dtype=float)
             for bi in range(len(tb)):
+                # Cells (i, j, ti) in row-major order, so that ties go to the
+                # smallest parameter tuple (x-params, y-params, t); a row of
+                # H keeps its flat index i m + j.
                 idx = top_cells(vals[bi], 1.0, 4)
-                # Index (i, j, ti) in row-major order, so that ties go to the
-                # smallest parameter tuple (x-params, y-params, t).
-                fn_cells.append(idx * _T_GRID + t0 + bi)
-                fn_values.append(vals[bi].ravel()[idx])
+                members = mirror_members(idx * _T_GRID + t0 + bi, m, False, _T_GRID).ravel()
+                member_values = np.repeat(vals[bi].ravel()[idx], 2)
+                best = top_cells(member_values, 1.0, 4, members)
+                fn_cells.append(members[best])
+                fn_values.append(member_values[best])
     out = []
     for fn, fn_cells, fn_values in zip(fns, cells, values):
         _, P, V = pick_starts(grid, np.concatenate(fn_cells), np.concatenate(fn_values), 1.0,
@@ -396,8 +400,8 @@ def _delta_boundary(space: Space, eps: float, cfg: SearchConfig,
         return best, witness, rows.size
 
     row_vals, evaluations = np.empty(n), 0
-    for block in row_blocks(n):
-        for rows in block:
+    for i0, i1 in row_blocks(n, False):
+        for rows in (slice(i0, i1), slice(i0 + n // 2, i1 + n // 2)):
             row_vals[rows], _, tried = row_values(sphere_points(space, grid.params[rows]))
             evaluations += tried
     feasible = int(np.isfinite(row_vals).sum())
@@ -409,15 +413,17 @@ def _delta_boundary(space: Space, eps: float, cfg: SearchConfig,
 
 
 def _band(table: PairTable, lo: float, hi: float) -> np.ndarray:
-    """Flat indices, as int32, of the table's pairs with lo <= ||x-y|| < hi,
+    """Flat indices, as int32, of the class walk's cells (one per mirror
+    class of t = 1, search.row_blocks) of the pairs with lo <= ||x-y|| < hi,
     collected one block of rows at a time."""
     n = len(table.plus)
     out = []
-    for block in row_blocks(n):
-        for rows in block:
-            minus = table.minus_rows(rows)
-            out.append((rows.start * n + np.flatnonzero((minus >= lo) & (minus < hi)))
-                       .astype(np.int32))
+    for i0, i1 in row_blocks(n, True):
+        minus = table.block(i0, i1, i0)[:, ::-1]
+        cells = block_cells(n, i0, i0, minus.shape[2],
+                            np.flatnonzero((minus >= lo) & (minus < hi)))
+        # Cells below the block's diagonal repeat cells of its rows above it.
+        out.append(cells[cells % n % (n // 2) >= cells // n].astype(np.int32))
     return np.concatenate(out)
 
 
@@ -433,8 +439,9 @@ def eps0(space: Space, cfg: SearchConfig | None = None, *,
     inside the bracket [lo, hi] scans only the pairs that can be among its
     starts: the feasible starts of the last non-flat probe, which are the
     best pairs with ||x-y|| >= hi - slack, and the band of pairs with
-    lo - slack <= ||x-y|| < hi - slack.  So it picks the same starts as a
-    full scan would.
+    lo - slack <= ||x-y|| < hi - slack, one cell per mirror class, whose
+    members share ||x-y||.  So it picks the same starts as a full scan
+    would.
     """
     cfg = cfg or SearchConfig.for_dim(space.dim)
     if space.dim > 2 and cache is None:
@@ -443,10 +450,10 @@ def eps0(space: Space, cfg: SearchConfig | None = None, *,
         cache = pair_table(space, cfg)
     threshold = 1e-7
 
-    def probe(e: float, cells=None) -> tuple[ConstantEstimate, np.ndarray]:
+    def probe(e: float, cells=None, classes=None) -> tuple[ConstantEstimate, np.ndarray]:
         """The raw geq estimate at e, and those of its starts feasible at e."""
         (est,), (starts,) = extremize(space, [_geq_objective(e)], cfg, "inf", cache=cache,
-                                     cells=cells)
+                                     cells=cells, classes=classes)
         if cache is not None:
             starts = starts[cache.minus_at(starts) >= e - _GEQ_SLACK].astype(np.int32)
         return _feasible(est, e), starts
@@ -460,7 +467,7 @@ def eps0(space: Space, cfg: SearchConfig | None = None, *,
     witness = band = None
     while hi - lo > 1e-4:
         mid = 0.5 * (lo + hi)
-        est, starts = probe(mid, None if band is None else np.concatenate([carried, band]))
+        est, starts = probe(mid, None if band is None else carried, band)
         evaluations += est.evaluations
         if est.value <= threshold:
             lo = mid

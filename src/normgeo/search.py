@@ -25,8 +25,7 @@ of its first.  Every gauge is bitwise even and (-x) + y = -(x - y) exactly in
 IEEE arithmetic, so ||x - y_j|| is ||x + y_(j+n/2)|| and the pair norms of
 (-x, y) are those of (x, y) swapped, bit for bit.  The pair table stores
 ||x + y|| alone, and every grid walk calls the gauge on x + y for x in H
-only (pair_norms, antipodal_pair_norms); the combines still run on every
-cell, so starts, ties and counts are those of a full scan of the grid.
+only (half_pair_norms, pair_norms).
 
 Mirror classes: two maps of a pair leave both pair norms unchanged, bit for
 bit, for every combine.  (x, y) -> (-x, -y) at any fixed t, since
@@ -34,11 +33,23 @@ bit, for every combine.  (x, y) -> (-x, -y) at any fixed t, since
 (x, y) -> (y, x) at t = 1, since y + x is the float vector x + y and y - x
 the exact negation of x - y.  On the H u -H grid -x_i is x_(i+n/2), so with
 i+ for (i + n/2) mod n the cell (i, j) has the class {(i, j), (i+, j+)},
-and at t = 1 also (j, i) and (j+, i+) (mirror_representatives).  Members
-of a class carry one scan value and zoom to the same value up to rounding,
-so the engine zooms one member of each class among an objective's starts.
-x -> -x alone swaps the two norms, which only a combine symmetric in them
-ignores, so it forms no class.
+and at t = 1 also (j, i) and (j+, i+) (mirror_members).  x -> -x alone
+swaps the two norms, which only a combine symmetric in them ignores, so it
+forms no class.
+
+Class walk: every scan scores one cell per class, the class's lowest flat
+index (row_blocks).  At a fixed t != 1 that is the cell whose row lies in
+H, n^2/2 cells; at t = 1 the cells (i, j) with i in H and (j mod n/2) >= i,
+the upper triangles of the H x H and H x -H quadrants, n^2/4 cells.  A
+class counts as many evaluations as it has members (class_sizes: 2, or 4
+at t = 1 unless j = i or j = i+), unless its value is excluded or NaN,
+which holds for all members alike.  The best cells of each block are expanded back to
+the members of their classes (mirror_members).  A class's lowest-index
+cell ranks ahead of its other members by value and then by flat index, so
+the best cells of a full scan of the grid are among those members.
+Starts, ties and evaluation counts are those of a full scan.  Members of a
+class zoom to the same value up to rounding, so the engine zooms one
+member of each class among an objective's starts (mirror_representatives).
 """
 from __future__ import annotations
 
@@ -233,21 +244,27 @@ def antipodal(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.roll(a, a.shape[axis] // 2, axis=axis)
 
 
+def half_pair_norms(space: Space, xs: np.ndarray, ys: np.ndarray, lo: int) -> np.ndarray:
+    """||x+y|| for every x of xs (..., m, dim) and the points lo.. of each
+    half of ys (..., n, dim), an H u -H grid or its multiple by a scalar t
+    (the negation commutes with t), as an (..., m, 2, n/2 - lo) array: the
+    one gauge call on pair sums.  Its two halves swapped are the ||x-y||,
+    since ||x - y_j|| is ||x + y_(j+n/2)||.  Each x gets its own batch of
+    points: the polygon gauges' matrix product rounds a lone point
+    differently, and runs one batch of all points on several threads."""
+    *lead, n, d = ys.shape
+    ys = ys.reshape(*lead, 2, n // 2, d)[..., lo:, :].reshape(*lead, -1, d)
+    plus = np.asarray(space.gauge(xs[..., :, None, :] + ys[..., None, :, :]))
+    return plus.reshape(*plus.shape[:-1], 2, -1)
+
+
 def pair_norms(space: Space, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """||x+y|| and ||x-y|| for every x of xs (..., m, dim) and every y of ys
-    (..., n, dim), an H u -H grid or its multiple by a scalar t (the
-    negation commutes with t), as two (..., m, n) arrays.  One gauge call
-    on x + y: ||x - y_j|| is ||x + y_(j+n/2)||."""
-    plus = np.asarray(space.gauge(xs[..., :, None, :] + ys[..., None, :, :]))
+    (..., n, dim) as two (..., m, n) arrays: half_pair_norms over all of ys,
+    and its halves swapped."""
+    plus = half_pair_norms(space, xs, ys, 0)
+    plus = plus.reshape(*plus.shape[:-2], -1)
     return plus, antipodal(plus)
-
-
-def antipodal_pair_norms(space: Space, xs: np.ndarray, ys: np.ndarray):
-    """pair_norms of the rows xs, points of H, and then of their antipodes
-    -xs: ((||x+y||, ||x-y||) of xs, the same of -xs), from the one gauge call
-    of pair_norms(xs, ys), since ||-x +- y|| = ||x -+ y||."""
-    plus, minus = pair_norms(space, xs, ys)
-    return (plus, minus), (minus, plus)
 
 
 @dataclass
@@ -258,11 +275,11 @@ class PairTable:
     grid: SphereGrid
     plus: np.ndarray    # (n, n)
 
-    def minus_rows(self, rows: slice) -> np.ndarray:
-        """||x-y|| over a row_blocks block of either half: a view of plus."""
-        half = len(self.plus) // 2
-        shift = half if rows.start < half else -half
-        return self.plus[rows.start + shift:rows.stop + shift]
+    def block(self, i0: int, i1: int, lo: int) -> np.ndarray:
+        """||x+y|| over a row_blocks block, rows i0..i1 of H and columns
+        lo.. of each half: an (i1 - i0, 2, n/2 - lo) view of plus, whose
+        halves swapped are the ||x-y||."""
+        return self.plus[i0:i1].reshape(i1 - i0, 2, -1)[:, :, lo:]
 
     def minus_at(self, cells: np.ndarray) -> np.ndarray:
         """||x-y|| at the pairs numbered cells (flat indices), read from the
@@ -281,26 +298,55 @@ class PairTable:
         return antipodal(self.plus, axis=0)
 
 
-def row_blocks(n: int) -> list[tuple[slice, slice]]:
-    """The blocks of whole rows of an n x n pair grid on H u -H, CHUNK_PAIRS
-    pairs at most (one row at least): each block of H with the block of its
-    antipodes.  Every grid walk goes through here."""
-    rows, half = max(1, CHUNK_PAIRS // n), n // 2
-    return [(slice(i0, min(i0 + rows, half)), slice(i0 + half, min(i0 + rows, half) + half))
-            for i0 in range(0, half, rows)]
+def row_blocks(n: int, swap: bool) -> list[tuple[int, int]]:
+    """The blocks (i0, i1) of rows of H of the class walk of an n x n pair
+    grid on H u -H (see the module docstring); every grid walk goes through
+    here.  A block holds the columns lo.. of each half of its rows, lo = 0
+    without swap and lo = i0 with it (a t = 1 walk), at most CHUNK_PAIRS
+    pairs (one row at least).  The cells (i, j) with (j mod n/2) < i of a
+    swap block repeat cells of its own rows above its diagonal; a swap
+    block spans at most half its width, so they stay a quarter of it."""
+    half, blocks, i0 = n // 2, [], 0
+    while i0 < half:
+        width = half - i0 if swap else half
+        rows = max(1, min(CHUNK_PAIRS // (2 * width), width // 2 if swap else half))
+        blocks.append((i0, min(i0 + rows, half)))
+        i0 += rows
+    return blocks
+
+
+def block_cells(n: int, i0: int, lo: int, width: int, idx: np.ndarray) -> np.ndarray:
+    """Flat indices (i n + j) of the positions idx of an (r, 2, width)
+    row_blocks block, whose entry (rho, q, c) is the pair
+    (i0 + rho, q n/2 + lo + c).  Ascending positions give ascending cells."""
+    rho, rest = np.divmod(idx, 2 * width)
+    q, c = np.divmod(rest, width)
+    return (i0 + rho) * n + q * (n // 2) + lo + c
 
 
 def pair_table(space: Space, cfg: SearchConfig) -> PairTable | None:
-    """Precompute pair norms for reuse across objectives; None if too large."""
+    """Precompute pair norms for reuse across objectives; None if too large.
+
+    The gauge runs on the cells of the t = 1 class walk alone (row_blocks),
+    n^2/4 points.  The H x H and H x -H quadrants are symmetric, and the
+    rows of -H are those of H with the halves swapped, so transposes and
+    copies fill in the rest, bit for bit.
+    """
     grid = sphere_grid(space, cfg.grid_per_dim)
     n = len(grid.vectors)
     if n * n > _STORED_PAIR_LIMIT:
         return None
-    plus = np.empty((n, n))
-    for rows, mirror in row_blocks(n):
-        (plus[rows], _), (plus[mirror], _) = antipodal_pair_norms(
-            space, grid.vectors[rows], grid.vectors)
-    return PairTable(grid, plus)
+    half = n // 2
+    table = PairTable(grid, np.empty((n, n)))
+    plus = table.plus
+    for i0, i1 in row_blocks(n, True):
+        table.block(i0, i1, i0)[...] = half_pair_norms(space, grid.vectors[i0:i1],
+                                                       grid.vectors, i0)
+        for q in (0, half):
+            plus[i1:half, q + i0:q + i1] = plus[i0:i1, q + i1:q + half].T
+    plus[half:, :half] = plus[:half, half:]
+    plus[half:, half:] = plus[:half, :half]
+    return table
 
 
 # --------------------------------------------------------------------------
@@ -416,29 +462,32 @@ def refine_starts(f, starts, values, h, lattice, sign: float, cfg: SearchConfig,
 _PLUS_MINUS = np.array([1.0, -1.0])
 
 
-def _pair_values(space: Space, objective: PairNormObjective, xs, ys, exclude: bool,
-                 eta: float, sign: float, t=None, norms=None):
-    """Objective at the broadcast pairs, with excluded and NaN pairs scored
-    -sign * inf, and the number of the other pairs.  t (one value per row of
-    ys) overrides the objective's own t, and is the combine's third argument
-    when the objective searches t; norms, the pair norms (||x+y||, ||x-y||)
-    when they are already known, replaces the gauge."""
-    if norms is not None:
-        plus, minus = norms
-    else:
-        if t is not None:
-            ys = t[:, None] * ys
-        elif objective.t != 1.0:
-            ys = objective.t * ys
-        # x + (-1 * ty) is exactly x - ty: both norms in one gauge call.
-        signs = _PLUS_MINUS.reshape((2,) + (1,) * np.ndim(ys))
-        plus, minus = np.asarray(space.gauge(xs + signs * ys))
+def _score(objective: PairNormObjective, plus, minus, exclude: bool, eta: float, sign: float,
+           t=None):
+    """objective at the pair norms plus = ||x+ty|| and minus = ||x-ty||,
+    with excluded and NaN pairs scored -sign * inf, and the mask of those
+    pairs.  t (one value per pair) is the combine's third argument when the
+    objective searches t."""
     vals = np.asarray(objective(plus, minus) if objective.t is not None
                       else objective(plus, minus, t), dtype=float)
     bad = np.isnan(vals)
     if exclude:
         bad |= (plus < eta) | (minus < eta)
-    return np.where(bad, -sign * np.inf, vals), vals.size - np.count_nonzero(bad)
+    return np.where(bad, -sign * np.inf, vals), bad
+
+
+def _pair_values(space: Space, objective: PairNormObjective, xs, ys, exclude: bool,
+                 eta: float, sign: float, t=None):
+    """_score at the broadcast pairs (xs, ys), from one gauge call.  t (one
+    value per row of ys) overrides the objective's own t."""
+    if t is not None:
+        ys = t[:, None] * ys
+    elif objective.t != 1.0:
+        ys = objective.t * ys
+    # x + (-1 * ty) is exactly x - ty: both norms in one gauge call.
+    signs = _PLUS_MINUS.reshape((2,) + (1,) * np.ndim(ys))
+    plus, minus = np.asarray(space.gauge(xs + signs * ys))
+    return _score(objective, plus, minus, exclude, eta, sign, t)
 
 
 def _pair_batch(space: Space, objective: PairNormObjective, exclude: bool, eta: float,
@@ -546,55 +595,115 @@ def top_cells(vals: np.ndarray, sign: float, count: int, cells=None) -> np.ndarr
     return idx[np.lexsort((idx if cells is None else cells[idx], key[idx]))]
 
 
-def _scan(space: Space, objective: PairNormObjective, grid: SphereGrid,
-          cache: PairTable | None, exclude: bool, eta: float, sign: float):
-    """Walk the grid pairs in row_blocks: yield each block's first row, its
-    (rows, n) values (excluded and NaN pairs scored -sign * inf) and its
-    evaluation count, each block of H followed by its antipodal block.
+def _walk(space: Space, objective: PairNormObjective, grid: SphereGrid,
+          cache: PairTable | None, exclude: bool, eta: float, sign: float, swap: bool):
+    """The class walk (see the module docstring) of a fixed-t objective,
+    with the t = 1 classes when swap is set: yield per row_blocks(n, swap)
+    block its i0 and lo, its (r, 2, w) values (block_cells numbers them;
+    excluded and NaN pairs scored -sign * inf) and the evaluations it
+    stands for (_block_count).
 
-    The pair norms of a t = 1 pair-norm objective come from the rows of the
-    shared table cache when there is one; otherwise from the gauge, which
-    needs less memory than building a table for one use, on the blocks of H
-    only.
+    The pair norms of a t = 1 objective come from the shared table cache
+    when there is one; otherwise from the gauge on the block's pairs, which
+    needs less memory than building a table for one use.
     """
     ys = objective.t * grid.vectors   # still H u -H: t * (-y) = -(t * y)
-    for rows, mirror in row_blocks(len(grid.vectors)):
+    n = len(ys)
+    for i0, i1 in row_blocks(n, swap):
+        lo = i0 if swap else 0
         if cache is not None and objective.t == 1.0:
-            both = [(cache.plus[r], cache.minus_rows(r)) for r in (rows, mirror)]
+            plus = cache.block(i0, i1, lo)
         else:
-            both = antipodal_pair_norms(space, grid.vectors[rows], ys)
-        for block, norms in zip((rows, mirror), both):
-            yield block.start, *_pair_values(space, objective, None, None, exclude, eta, sign,
-                                             norms=norms)
+            plus = half_pair_norms(space, grid.vectors[i0:i1], ys, lo)
+        vals, bad = _score(objective, plus, plus[:, ::-1], exclude, eta, sign)
+        yield i0, lo, vals, _block_count(i0, lo, bad, n, swap)
 
 
-def _scan_cells(space: Space, objective, cache: PairTable, exclude: bool, eta: float,
-                sign: float, cells: np.ndarray):
-    """_scan over the pairs numbered cells (flat indices into the table
-    cache) of a t = 1 pair-norm objective, CHUNK_PAIRS at a time: yields each
-    chunk's cells, values and evaluation count."""
+def _block_count(i0: int, lo: int, bad: np.ndarray, n: int, swap: bool) -> int:
+    """The class_sizes of the cells of a _walk block whose value is neither
+    excluded nor NaN.  Past the first r columns of each half, every cell of
+    the block's r rows lies above its diagonal and has the size of column
+    r."""
+    r, ok = len(bad), ~bad
+    sizes = class_sizes(np.arange(i0, i0 + r)[:, None, None], lo + np.arange(r + 1), n, swap)
+    count = int(np.sum(sizes[..., :r] * ok[..., :r], dtype=np.intp))
+    return count + int(sizes[0, 0, r]) * np.count_nonzero(ok[..., r:])
+
+
+def class_sizes(i, j, n: int, swap: bool) -> np.ndarray:
+    """The members of the mirror class (mirror_members) of each cell
+    (i, j) of the class walk, i in H, with i and j broadcast, as int8: 2,
+    and at t = 1 (swap) 4, but 2 on the diagonals j = i and j = i+.  A
+    t = 1 cell with (j mod n/2) < i repeats a cell above the diagonal of
+    its own row_blocks block and counts 0."""
+    jm = np.asarray(j) % (n // 2)
+    if not swap:
+        return np.full(np.broadcast_shapes(np.shape(i), jm.shape), 2, dtype=np.int8)
+    return 2 * ((jm >= i).astype(np.int8) + (jm > i))
+
+
+def _candidates(space: Space, objective: PairNormObjective, grid: SphereGrid,
+                cache: PairTable | None, exclude: bool, eta: float, sign: float, count: int,
+                cells, classes):
+    """extremize's scan: yield per block the flat indices and values of
+    candidate cells and its evaluation count.  The candidates of all blocks
+    hold the count best cells of the whole scan.
+
+    Without cells and classes, the class walk; otherwise the pairs of the
+    table cache numbered cells, each scored and counted alone, and classes,
+    one cell per class scored and counted for its members, CHUNK_PAIRS at a
+    time.  A block's count best cells, and with them the members of their
+    classes, are its candidates.  A class's lowest-index cell, which a block
+    holds, ranks ahead of its other members, and the cells ahead of it in
+    its block are cells of the grid, so it is among its block's count best
+    when any member is among the count best of the whole scan.
+    """
+    n = len(grid.vectors)
+    swap = objective.t == 1.0
+    if cells is None and classes is None:
+        for i0, lo, vals, evaluations in _walk(space, objective, grid, cache, exclude, eta,
+                                               sign, swap):
+            idx = top_cells(vals, sign, count)
+            members = mirror_members(block_cells(n, i0, lo, vals.shape[2], idx), n, swap)
+            yield members.ravel(), np.repeat(vals.ravel()[idx], members.shape[1]), evaluations
+        return
     plus = cache.plus.ravel()
-    for c0 in range(0, len(cells), CHUNK_PAIRS):
-        chunk = cells[c0:c0 + CHUNK_PAIRS]
-        yield chunk, *_pair_values(space, objective, None, None, exclude, eta, sign,
-                                   norms=(plus[chunk], cache.minus_at(chunk)))
+    for given, as_classes in ((cells, False), (classes, True)):
+        for c0 in range(0, 0 if given is None else len(given), CHUNK_PAIRS):
+            chunk = np.asarray(given[c0:c0 + CHUNK_PAIRS], dtype=np.intp)
+            vals, bad = _score(objective, plus[chunk], cache.minus_at(chunk), exclude, eta, sign)
+            idx = top_cells(vals, sign, count, chunk)
+            if not as_classes:
+                yield chunk[idx], vals[idx], chunk.size - np.count_nonzero(bad)
+                continue
+            members = mirror_members(chunk[idx], n, True)
+            yield (members.ravel(), np.repeat(vals[idx], 4),
+                   int(class_sizes(*np.divmod(chunk[~bad], n), n, True).sum(dtype=np.intp)))
 
 
-def mirror_representatives(cells, n: int, swap: bool, inner: int = 1) -> np.ndarray:
-    """Positions in cells of one cell per mirror class, the lowest-index
-    member present, in the order of cells.
+def mirror_members(cells, n: int, swap: bool, inner: int = 1) -> np.ndarray:
+    """The members of the mirror class of each cell, one row per cell: the
+    inverse of mirror_representatives.
 
     cells are flat indices (i n + j) inner + r of an n x n pair grid on
     H u -H with inner further cells r per pair (a t grid).  With i+ for
-    (i + n/2) mod n, the class of (i, j, r) is {(i, j, r), (i+, j+, r)},
-    and with swap (a t = 1 objective) also (j, i, r) and (j+, i+, r).
+    (i + n/2) mod n, a row holds (i, j, r) and (i+, j+, r), and with swap
+    (a t = 1 objective) also (j, i, r) and (j+, i+, r); a class of two
+    members lists each twice.
     """
     cells = np.asarray(cells, dtype=np.intp)
     ij, r = np.divmod(cells, inner)
     i, j = np.divmod(ij, n)
     ih, jh = (i + n // 2) % n, (j + n // 2) % n
     members = [ij, ih * n + jh] + ([j * n + i, jh * n + ih] if swap else [])
-    key = np.min(members, axis=0) * inner + r
+    return np.stack(members, axis=1) * inner + r[:, None]
+
+
+def mirror_representatives(cells, n: int, swap: bool, inner: int = 1) -> np.ndarray:
+    """Positions in cells of one cell per mirror class (mirror_members),
+    the lowest-index member present, in the order of cells."""
+    cells = np.asarray(cells, dtype=np.intp)
+    key = mirror_members(cells, n, swap, inner).min(axis=1)
     order = np.lexsort((cells, key))
     return np.sort(order[np.unique(key[order], return_index=True)[1]])
 
@@ -618,17 +727,21 @@ def pick_starts(grid: SphereGrid, cells, values, sign: float, count: int, swap: 
 
 def extremize(space: Space, objectives, cfg: SearchConfig | None, mode: str, *,
               exclude: bool = False, cache: PairTable | None = None,
-              cells: np.ndarray | None = None):
+              cells: np.ndarray | None = None, classes: np.ndarray | None = None):
     """The one scan-and-zoom: the sup (mode "sup") or inf ("inf") over
     unit-sphere pairs (x, y) of each objective, a PairNormObjective with a
     fixed t, at (||x+ty||, ||x-ty||).  With exclude, pairs with
     ||x+ty|| < eta or ||x-ty|| < eta are skipped.  cache, the shared pair
-    table, supplies the norms of a t = 1 objective; cells, when given,
-    limits the scan to those pairs of it (flat indices, see _scan_cells).
+    table, supplies the norms of a t = 1 objective.  cells and classes, when
+    either is given, limit the scan of a t = 1 objective to pairs of the
+    table: those numbered cells (flat indices), and the members of the
+    mirror classes of classes, lowest-index cells of their classes (such as
+    the class walk's); the two sets share no pair.
 
     Returns the estimates and, per objective, the flat grid indices of its
     starts: the cfg.multistart best cells by value and then by flat index.
-    Of each mirror class among them (see the module docstring) only the
+    Starts and evaluation counts are those of a scan of every pair (see the
+    module docstring).  Of each mirror class among the starts only the
     lowest-index cell is zoomed, from its own scan value.  The objectives
     share one combine, and the zooms of all run in one refine_pairs call:
     bit for bit the separate calls wherever the gauge rounds a point alike
@@ -637,21 +750,16 @@ def extremize(space: Space, objectives, cfg: SearchConfig | None, mode: str, *,
     cfg = cfg or SearchConfig.for_dim(space.dim)
     sign = 1.0 if mode == "sup" else -1.0
     grid = cache.grid if cache is not None else sphere_grid(space, cfg.grid_per_dim)
-    n = len(grid.vectors)
     picked, scans = [], []
     for objective in objectives:
-        if cells is None:
-            blocks = ((i0 * n, vals, count) for i0, vals, count
-                      in _scan(space, objective, grid, cache, exclude, cfg.eta, sign))
-        else:
-            blocks = _scan_cells(space, objective, cache, exclude, cfg.eta, sign, cells)
         found, values, evaluations = [], [], 0
-        for where, vals, count in blocks:
-            idx = top_cells(vals, sign, cfg.multistart, None if cells is None else where)
-            found.append(where + idx if cells is None else where[idx])
-            values.append(vals.ravel()[idx])
+        for where, vals, count in _candidates(space, objective, grid, cache, exclude, cfg.eta,
+                                              sign, cfg.multistart, cells, classes):
+            found.append(where)
+            values.append(vals)
             evaluations += count
-        picked.append(pick_starts(grid, np.concatenate(found), np.concatenate(values), sign,
+        found, first = np.unique(np.concatenate(found), return_index=True)
+        picked.append(pick_starts(grid, found, np.concatenate(values)[first], sign,
                                   cfg.multistart, objective.t == 1.0))
         scans.append(evaluations)
     starts, params, start_values = zip(*picked)
@@ -704,6 +812,20 @@ def row_infimum(space: Space, grid: SphereGrid, row_fn, starts, row_vals,
 _INNER_STARTS = 2        # best grid cells of each row's H half that the inner zoom refines
 
 
+def _row_sups(space: Space, objective: PairNormObjective, grid: SphereGrid,
+              cache: PairTable | None, eta: float) -> tuple[np.ndarray, int]:
+    """The sup of the objective over each row of the n x n grid, and the
+    evaluations of a scan of every pair.  Row i + n/2 holds the values of
+    row i in another order (its mirror class cells), so the class walk
+    scores the rows of H, and each stands for its mirror row too."""
+    half = len(grid.vectors) // 2
+    row_sup, evaluations = np.empty(half), 0
+    for i0, _, vals, count in _walk(space, objective, grid, cache, False, eta, 1.0, False):
+        row_sup[i0:i0 + len(vals)] = vals.max(axis=(1, 2))
+        evaluations += count
+    return np.concatenate([row_sup, row_sup]), evaluations
+
+
 def infsup_pair(space: Space, objective: PairNormObjective, cfg: SearchConfig | None = None,
                 *, cache: PairTable | None = None) -> ConstantEstimate:
     """inf over unit x of sup over unit y of objective at (||x+ty||, ||x-ty||).
@@ -727,7 +849,6 @@ def infsup_pair(space: Space, objective: PairNormObjective, cfg: SearchConfig | 
     grid = cache.grid if cache is not None else sphere_grid(space, cfg.grid_per_dim)
     n = len(grid.vectors)
     k = 1 if space.dim == 2 else space.dim
-    evaluations = 0
     inner_radius = 4 if space.dim == 2 else 1
     inner_lattice = box_lattice(inner_radius, k)
     # Points of the inner solve, in its row scans and its zoom alike, are
@@ -740,8 +861,8 @@ def infsup_pair(space: Space, objective: PairNormObjective, cfg: SearchConfig | 
         """sup over y for each row x of X: the values and the y vectors."""
         nonlocal evaluations
         X = np.asfortranarray(X)
-        vals, count = _pair_values(space, objective, None, None, False, cfg.eta, 1.0,
-                                   norms=pair_norms(space, X, G))
+        vals, bad = _score(objective, *pair_norms(space, X, G), False, cfg.eta, 1.0)
+        count = vals.size - np.count_nonzero(bad)
         cells = np.concatenate([top_cells(row[:n // 2], 1.0, _INNER_STARTS) for row in vals])
         rows = np.repeat(np.arange(len(X)), _INNER_STARTS)
         xs = np.asfortranarray(X[rows, None, :])
@@ -759,10 +880,7 @@ def infsup_pair(space: Space, objective: PairNormObjective, cfg: SearchConfig | 
         return V.max(axis=1), sphere_points(space, P[win])
 
     # Stage 1: exact grid inf-sup.
-    row_sup = np.empty(n)
-    for i0, vals, count in _scan(space, objective, grid, cache, False, cfg.eta, 1.0):
-        row_sup[i0:i0 + len(vals)] = vals.max(axis=1)
-        evaluations += count
+    row_sup, evaluations = _row_sups(space, objective, grid, cache, cfg.eta)
     if evaluations == 0:
         raise ValueError("no grid pair has a value; the combine is NaN at every one")
     start_rows = np.unique(top_cells(row_sup, -1.0, cfg.multistart) % (n // 2))

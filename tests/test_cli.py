@@ -163,6 +163,19 @@ def test_constants_bad_modulus_rejected_before_computing(capsys, monkeypatch, fl
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("flag, text, message", [
+    ("--delta-eps", "1:3:1", "eps must lie in [0, 2], got 3.0"),
+    ("--gamma-t", "0.5:1.5:0.5", "gamma is defined for t in [0, 1], got 1.5"),
+])
+def test_sweep_range_rejected_before_computing(capsys, monkeypatch, flag, text, message):
+    """A sweep range that leaves the modulus's domain exits 2 before any
+    row is computed, not after the rows inside the domain."""
+    for name in ("delta", "gamma", "pair_table"):
+        monkeypatch.setattr(cli.con, name, _no_computation)
+    code, out, err = run_cli(capsys, "sweep", "--space", "lp:p=2,dim=2", flag, text)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_constants_bad_space_exit_2(capsys):
     code, _, err = run_cli(capsys, "constants", "--space", "lp:p=0.5,dim=2")
     assert code == 2

@@ -279,8 +279,24 @@ def test_pair_table_values(l1):
         assert table.plus[i, j] == pytest.approx(l1.norm(x + y), abs=1e-14)
         assert minus[i, j] == pytest.approx(l1.norm(x - y), abs=1e-14)
         assert table.minus_at(np.array([i * 64 + j]))[0] == minus[i, j]
-        rows = slice(i, i + 1)
-        assert table.minus_rows(rows)[0, j] == minus[i, j]
+        if i < 32:   # a row of H: its block's halves swapped are ||x-y||
+            assert table.block(i, i + 1, 0)[0, ::-1].ravel()[j] == minus[i, j]
+
+
+@pytest.mark.parametrize("spec, grid", [
+    ("lp:p=1.5,dim=2", None), ("lp:p=1.5,dim=3", 12), ("hexagon", None), ("polygon0", None),
+    ("polyf:f=[[1,1,0],[1,-1,0],[1,0,1],[1,0,-1],[0,1,1],[0,1,-1]]", 12)])
+@pytest.mark.parametrize("chunk", [search.CHUNK_PAIRS, 997])
+def test_pair_table_matches_direct_gauge(monkeypatch, spec, grid, chunk):
+    """pair_table runs the gauge on the upper triangles of two quadrants and
+    fills the rest by transposes and copies; every entry equals a direct
+    n x n gauge table bit for bit, so no transposed fill rounds apart."""
+    space = _space(spec)
+    cfg = SearchConfig.for_dim(space.dim) if grid is None else SearchConfig(grid_per_dim=grid)
+    monkeypatch.setattr(search, "CHUNK_PAIRS", chunk)
+    table = pair_table(space, cfg)
+    vectors = sphere_grid(space, cfg.grid_per_dim).vectors
+    assert np.array_equal(table.plus, _direct_pair_norms(space, vectors, vectors)[0])
 
 
 def test_pair_table_stores_n_squared_floats(l15):
@@ -336,9 +352,9 @@ def test_scan_independent_of_block_size(monkeypatch):
     divides nothing evenly leaves every value, witness and evaluation count
     as it is, with and without a shared pair table.  It splits delta's
     boundary-solve grid stage and eps0's band into several blocks."""
-    def row_blocks(n):
+    def row_blocks(n, swap):
         """search.row_blocks, counted by the calling function's name."""
-        blocks = search.row_blocks(n)
+        blocks = search.row_blocks(n, swap)
         walks.setdefault(sys._getframe(1).f_code.co_name, []).append(len(blocks))
         return blocks
 
@@ -373,45 +389,203 @@ def _direct_pair_norms(space, xs, ys):
     return np.asarray(space.gauge(x + y)), np.asarray(space.gauge(x - y))
 
 
-class _FullTable(search.PairTable):
-    """A pair table that stores ||x-y|| as well, both by direct gauge calls."""
+def _full_values(space, grid, objective, exclude, eta, sign):
+    """A full scan's (n, n) values of a fixed-t objective on grid, from
+    direct gauge calls (excluded and NaN pairs scored -sign * inf), and the
+    mask of those pairs."""
+    plus, minus = _direct_pair_norms(space, grid.vectors, objective.t * grid.vectors)
+    vals = np.asarray(objective(plus, minus), dtype=float)
+    bad = np.isnan(vals)
+    if exclude:
+        bad |= (plus < eta) | (minus < eta)
+    return np.where(bad, -sign * np.inf, vals), bad
 
-    def __init__(self, space, cfg):
-        grid = sphere_grid(space, cfg.grid_per_dim)
-        plus, self.stored_minus = _direct_pair_norms(space, grid.vectors, grid.vectors)
-        super().__init__(grid, plus)
 
-    def minus_rows(self, rows):
-        return self.stored_minus[rows]
+def _class_members(cells, n):
+    """Every member of the t = 1 mirror class of each cell, written out."""
+    i, j = np.divmod(np.asarray(cells, dtype=np.intp), n)
+    ih, jh = (i + n // 2) % n, (j + n // 2) % n
+    return np.unique(np.concatenate([i * n + j, ih * n + jh, j * n + i, jh * n + ih]))
 
-    def minus_at(self, cells):
-        return self.stored_minus.ravel()[cells]
+
+def _reference_starts(space, grid, objective, cfg, mode, exclude, cells=None, classes=None):
+    """The starts of a scan of every pair: top_cells on the full value
+    array (or on the given cells and every member of the given classes),
+    then pick_starts.  Returns the start cells, their parameters and values
+    and the evaluation count."""
+    sign = 1.0 if mode == "sup" else -1.0
+    vals, bad = _full_values(space, grid, objective, exclude, cfg.eta, sign)
+    if cells is None and classes is None:
+        given = np.arange(vals.size)
+    else:
+        given = np.concatenate([np.asarray([] if cells is None else cells, dtype=np.intp),
+                                _class_members([] if classes is None else classes, len(vals))])
+    v = vals.ravel()[given]
+    best = top_cells(v, sign, cfg.multistart, given)
+    starts, params, values = search.pick_starts(grid, given[best], v[best], sign, cfg.multistart,
+                                                objective.t == 1.0)
+    return starts, params, values, given.size - np.count_nonzero(bad.ravel()[given])
+
+
+def _reference_extremize(space, objectives, cfg, mode, *, exclude=False, cache=None, cells=None,
+                         classes=None):
+    """search.extremize from a scan of every pair (_reference_starts)."""
+    cfg = cfg or SearchConfig.for_dim(space.dim)
+    grid = cache.grid if cache is not None else sphere_grid(space, cfg.grid_per_dim)
+    starts, params, values, counts = zip(*[
+        _reference_starts(space, grid, o, cfg, mode, exclude, cells, classes) for o in objectives])
+    ests = refine_pairs(space, objectives, params, values, grid.step, cfg, mode,
+                        evaluations=counts, exclude=exclude)
+    return ests, list(starts)
+
+
+def _reference_row_sups(space, objective, grid, cache, eta):
+    """search._row_sups from a scan of every pair."""
+    vals, bad = _full_values(space, grid, objective, False, eta, 1.0)
+    return vals.max(axis=1), vals.size - np.count_nonzero(bad)
+
+
+def _reference_sweep(space, fns, cfg):
+    """constants._scaled_extremum from a scan of every (u, v, t) cell."""
+    grid = sphere_grid(space, max(48, cfg.grid_per_dim // 8) if space.dim == 2
+                       else min(cfg.grid_per_dim, 8))
+    m, ts = len(grid.vectors), np.linspace(0.0, 1.0, constants._T_GRID)
+    norms = [_direct_pair_norms(space, grid.vectors, t * grid.vectors) for t in ts]
+    out = []
+    for fn in fns:
+        cells, values = [], []
+        for r, ((a, b), t) in enumerate(zip(norms, ts)):
+            vals = fn(a, b, t)
+            idx = top_cells(vals, 1.0, 4)
+            cells.append(idx * len(ts) + r)
+            values.append(vals.ravel()[idx])
+        _, P, V = search.pick_starts(grid, np.concatenate(cells), np.concatenate(values), 1.0,
+                                     cfg.multistart, False, ts)
+        out += refine_pairs(space, [PairNormObjective(fn, t=None)], [P], [V], grid.step, cfg,
+                            "sup", evaluations=[m * m * len(ts)], t_step=ts[1] - ts[0])
+    return out
+
+
+def _recording_engine(monkeypatch, starts):
+    """Patch search.refine_starts to record the starts and values it gets."""
+    engine = search.refine_starts
+
+    def record(f, P, values, *args, **kwargs):
+        starts.append((np.array(P), np.array(values)))
+        return engine(f, P, values, *args, **kwargs)
+
+    monkeypatch.setattr(search, "refine_starts", record)
+
+
+def _assert_same_estimates(got, ref):
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert (a.value, a.evaluations, a.t, a.converged) == (b.value, b.evaluations, b.t,
+                                                               b.converged)
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+
+
+def _assert_same_starts(got, ref):
+    assert len(got) == len(ref)
+    for (P, v), (Pr, vr) in zip(got, ref):
+        assert np.array_equal(P, Pr) and np.array_equal(v, vr)
+
+
+_SPECS = ["lp:p=1.5,dim=2", "lp:p=2,dim=2", "hexagon", "polygon0", "lp:p=1.5,dim=3"]
+# (combine, mode, exclude): the t = 1 scans of pair_constants, T and the
+# sqrt2 residual; a rounded sum, which ties many cells at the cut-off; and
+# a fixed t != 1 combine that is not symmetric in the two norms.
+_SCANS = [
+    (PairNormObjective(constants.pair_cosine), "sup", True),
+    (PairNormObjective(constants.min_norm), "sup", False),
+    (PairNormObjective(constants.mean_square_quarter), "sup", False),
+    (PairNormObjective(constants.max_norm), "inf", False),
+    (PairNormObjective(constants.geom_mean), "sup", False),
+    (PairNormObjective(constants.sqrt2_residual), "inf", False),
+    (PairNormObjective(lambda a, b: np.round(a + b, 1)), "inf", False),
+    (PairNormObjective(lambda a, b: np.round(a + b, 1)), "sup", False),
+    (PairNormObjective(lambda a, b: a, t=0.5), "inf", False),
+]
+
+
+@pytest.mark.parametrize("spec", _SPECS)
+@pytest.mark.parametrize("chunk", [search.CHUNK_PAIRS, 997])
+def test_class_walk_matches_full_scan(monkeypatch, spec, chunk):
+    """extremize scores one cell per mirror class and expands the best
+    classes to their members; a reference that scores every cell of the
+    n x n grid and runs top_cells, then pick_starts, on it gives the same
+    start cells, the same starts and values handed to the engine, and the
+    same estimates and evaluation counts, bit for bit, with the shared
+    table and from the gauge.  So do a scan of every class given as a
+    cell set (extremize's classes), t's grid row sups and the C_NJ/C_Z
+    sweep, whose combines run on the rows of H."""
+    space = _space(spec)
+    cfg = SearchConfig(grid_per_dim=64 if space.dim == 2 else 8, refine_iters=20)
+    table = pair_table(space, cfg)
+    monkeypatch.setattr(search, "CHUNK_PAIRS", chunk)
+    every_class = constants._band(table, -np.inf, np.inf)
+    for objective, mode, exclude in _SCANS:
+        runs = [(table, None), (None, None)]
+        if objective.t == 1.0:
+            runs.append((table, every_class))
+        for cache, classes in runs:
+            got_starts, ref_starts = [], []
+            with monkeypatch.context() as m:
+                _recording_engine(m, got_starts)
+                got = search.extremize(space, [objective], cfg, mode, exclude=exclude,
+                                       cache=cache, classes=classes)
+            with monkeypatch.context() as m:
+                _recording_engine(m, ref_starts)
+                ref = _reference_extremize(space, [objective], cfg, mode, exclude=exclude,
+                                           cache=cache, classes=classes)
+            assert got[1][0].tolist() == ref[1][0].tolist(), (spec, mode, cache is None)
+            _assert_same_starts(got_starts, ref_starts)
+            _assert_same_estimates(got[0], ref[0])
+        if not exclude:
+            grid = table.grid
+            for cache in (table, None):
+                got_sups, got_count = search._row_sups(space, objective, grid, cache, cfg.eta)
+                ref_sups, ref_count = _reference_row_sups(space, objective, grid, cache, cfg.eta)
+                assert np.array_equal(got_sups, ref_sups) and got_count == ref_count
+    fns = [constants._cnj_combine, constants._zbaganu_combine]
+    _assert_same_estimates(constants._scaled_extremum(space, fns, cfg),
+                           _reference_sweep(space, fns, cfg))
+
+
+@pytest.mark.parametrize("n", [2, 8, 14])
+def test_class_sizes_cover_the_grid(n):
+    """class_sizes over the rows of H and every column: the classes' sizes
+    add up to the n x n grid, and each class's lowest-index cell, the one
+    a row_blocks block scores, carries the size of its class."""
+    i, j = np.arange(n // 2)[:, None], np.arange(n)
+    for swap in (False, True):
+        sizes = search.class_sizes(i, j, n, swap)
+        assert sizes.sum() == n * n
+        cells = (i * n + j).ravel()
+        members = search.mirror_members(cells, n, swap)
+        lowest = members.min(axis=1) == cells
+        distinct = [len(set(row)) for row in members.tolist()]
+        assert np.array_equal(sizes.ravel(), np.where(lowest, distinct, 0))
 
 
 @pytest.mark.parametrize("spec, grid", [("lp:p=1.5,dim=2", 48), ("lp:p=1.5,dim=3", 8),
                                         ("hexagon", 48), ("polygon0", 48)])
 def test_half_grid_walks_match_full_scan(monkeypatch, spec, grid):
-    """The grid walks call the gauge on x in H only and score the rows of
-    -H with the two norms swapped.  A reference full n x n scan of the same
-    H u -H grid (a table storing both norms, and every pair norm of every
-    walk by its own gauge call) gives the same starts, values, witnesses and
-    evaluation counts, bit for bit, at the default block size and at 997
-    pairs per block."""
-    space = build_space(battery_specs(7, 20)[0] if spec == "polygon0" else parse_space_spec(
-        "polyv:v=[[1,0],[0.5,0.8660254037844386],[-0.5,0.8660254037844386]]"
-        if spec == "hexagon" else spec))
+    """The grid walks call the gauge on x in H only and score one cell per
+    mirror class.  A reference that scores every cell of the same H u -H
+    grid, from every pair norm by its own gauge call (the table and t's row
+    scans from direct gauge calls; search.extremize, t's grid row sups and
+    the C_NJ/C_Z sweep replaced by full scans), gives the same starts,
+    values, witnesses and evaluation counts of every constant that scans a
+    grid, bit for bit, at the default block size and at 997 pairs per
+    block."""
+    space = _space(spec)
     cfg = SearchConfig(grid_per_dim=grid, refine_iters=20, multistart=4)
-    engine = search.refine_starts
 
     def run(cache):
         starts = []
-
-        def record(f, P, values, *args, **kwargs):
-            starts.append((np.array(P), np.array(values)))
-            return engine(f, P, values, *args, **kwargs)
-
         with monkeypatch.context() as m:
-            m.setattr(search, "refine_starts", record)
+            _recording_engine(m, starts)
             out = [search.extremize(space, [PairNormObjective(fn)], cfg, mode, exclude=exclude,
                                     cache=cache)
                    for fn, mode, exclude in ((constants.pair_cosine, "sup", True),
@@ -427,21 +601,19 @@ def test_half_grid_walks_match_full_scan(monkeypatch, spec, grid):
     with monkeypatch.context() as m:
         m.setattr(search, "pair_norms", _direct_pair_norms)
         for mod in (search, constants):
-            m.setattr(mod, "antipodal_pair_norms", lambda space, xs, ys: (
-                _direct_pair_norms(space, xs, ys), _direct_pair_norms(space, -xs, ys)))
-        ref = run(_FullTable(space, cfg))
+            m.setattr(mod, "extremize", _reference_extremize)
+        m.setattr(search, "_row_sups", _reference_row_sups)
+        m.setattr(constants, "_scaled_extremum", _reference_sweep)
+        points = sphere_grid(space, cfg.grid_per_dim)
+        ref = run(search.PairTable(points, _direct_pair_norms(space, points.vectors,
+                                                              points.vectors)[0]))
     for chunk in (search.CHUNK_PAIRS, 997):
         with monkeypatch.context() as m:
             m.setattr(search, "CHUNK_PAIRS", chunk)
             cells, ests, starts = run(pair_table(space, cfg))
         assert [c.tolist() for c in cells] == [c.tolist() for c in ref[0]]
-        for a, b in zip(ests, ref[1]):
-            assert (a.value, a.evaluations, a.t, a.converged) == (b.value, b.evaluations, b.t,
-                                                                   b.converged)
-            assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
-        assert len(starts) == len(ref[2])
-        for (P, v), (Pr, vr) in zip(starts, ref[2]):
-            assert np.array_equal(P, Pr) and np.array_equal(v, vr)
+        _assert_same_estimates(ests, ref[1])
+        _assert_same_starts(starts, ref[2])
 
 
 @pytest.mark.parametrize("spec, grid", [
@@ -471,45 +643,46 @@ def _space(spec):
         if spec == "hexagon" else spec))
 
 
-def _scan_values(space, objective, cache, cfg):
-    """The (n, n) values of a full _scan of the grid."""
-    grid = cache.grid if cache is not None else sphere_grid(space, cfg.grid_per_dim)
-    out = np.empty((len(grid.vectors),) * 2)
-    for i0, vals, _ in search._scan(space, objective, grid, cache, False, cfg.eta, 1.0):
-        out[i0:i0 + len(vals)] = vals
-    return out
-
-
 @pytest.mark.parametrize("spec, grid", [
     ("lp:p=1.5,dim=2", None), ("hexagon", None), ("polygon0", None), ("lp:p=1.5,dim=3", 12)])
 def test_mirror_class_members_tie(spec, grid):
-    """The premise of the zoom's mirror classes: cells (i, j) and
-    (i + n/2, j + n/2) of the H u -H grid carry the same scan value at any
-    t, and at t = 1 so do (j, i) and (j + n/2, i + n/2), bit for bit, from
-    the stored table and from the gauge, for either pair norm alone.  So do
-    the t-sweep cells (u, v, t) and (-u, -v, t) of C_NJ and C_Z."""
+    """The premise of the class walk and the zoom's mirror classes: cells
+    (i, j) and (i + n/2, j + n/2) of the H u -H grid carry the same pair
+    norms at any t, and at t = 1 so do (j, i) and (j + n/2, i + n/2), bit
+    for bit, in the stored table and from direct gauge calls, for either
+    pair norm alone.  So do the t-sweep cells (u, v, t) and (-u, -v, t) of
+    C_NJ and C_Z, whose combines see the direct norms of the rows of H."""
     space = _space(spec)
     cfg = SearchConfig.for_dim(space.dim) if grid is None else SearchConfig(grid_per_dim=grid)
     cache = pair_table(space, cfg)
-    for t, table in ((1.0, cache), (1.0, None), (0.5, None)):
-        for fn in (lambda a, b: a, lambda a, b: b):
-            V = _scan_values(space, PairNormObjective(fn, t=t), table, cfg)
-            h = len(V) // 2
-            assert np.array_equal(V, np.roll(V, (h, h), axis=(0, 1))), (t, table is None)
+    vectors = cache.grid.vectors
+    h = len(vectors) // 2
+    for t, norms in ((1.0, (cache.plus, cache.minus)),
+                     (1.0, _direct_pair_norms(space, vectors, vectors)),
+                     (0.5, _direct_pair_norms(space, vectors, 0.5 * vectors))):
+        for V in norms:
+            assert np.array_equal(V, np.roll(V, (h, h), axis=(0, 1))), t
             if t == 1.0:
-                assert np.array_equal(V, V.T), table is None
+                assert np.array_equal(V, V.T)
     sweep = []
 
     def record(a, b, t):
         if np.ndim(a) == 3:   # the sweep's (t, u, v) blocks, not the zoom's rows
-            sweep.extend((a.copy(), b.copy()))
+            sweep.append((a.copy(), b.copy(), np.ravel(t)))
         return a
 
     constants._scaled_extremum(space, [record], SearchConfig(
         grid_per_dim=cfg.grid_per_dim, refine_iters=0))
-    h = sweep[0].shape[1] // 2
-    for v in sweep:
-        assert np.array_equal(v, np.roll(v, (h, h), axis=(1, 2)))
+    vectors = sphere_grid(space, max(48, cfg.grid_per_dim // 8) if space.dim == 2
+                          else min(cfg.grid_per_dim, 8)).vectors
+    h = len(vectors) // 2
+    ts = np.concatenate([t for _, _, t in sweep])
+    assert np.array_equal(ts, np.linspace(0.0, 1.0, constants._T_GRID))
+    for a, b, t in sweep:
+        direct = _direct_pair_norms(space, vectors, t[:, None, None] * vectors)
+        for got, full in zip((a, b), direct):
+            assert np.array_equal(got, full[:, :h])
+            assert np.array_equal(full, np.roll(full, (h, h), axis=(1, 2)))
 
 
 @pytest.mark.parametrize("spec", ["hexagon", "polygon0"])

@@ -46,6 +46,9 @@ invocations=(
     "constants --space lp:p=2,dim=2 --delta-eps 1"
     "constants --space $polygon0 --delta-eps 1 --multistart 1"
     "witness --space $hexagon --constant t"
+    "constants --space lp:p=1.5,dim=3"
+    "verify --space lp:p=1.5,dim=3"
+    "verify --space lp:p=2,dim=2"
 )
 
 work=$(mktemp -d)
