@@ -278,8 +278,8 @@ _WITNESS_OPS = {
     "cnj_prime": lambda s, c: con.cnj_prime(s, c),
     "zbaganu": lambda s, c: con.zbaganu(s, c),
     "schaffer": lambda s, c: con.schaffer(s, c),
-    "t": lambda s, c: con.t_and_T(s, c)[0],
-    "T": lambda s, c: con.t_and_T(s, c)[1],
+    "t": lambda s, c: con.t_constant(s, c),
+    "T": lambda s, c: con.T_constant(s, c),
 }
 
 

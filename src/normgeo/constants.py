@@ -15,6 +15,7 @@ import numpy as np
 from .spaces import Space
 from .search import (
     ConstantEstimate,
+    NoStartError,
     PairNormObjective,
     PairTable,
     SearchConfig,
@@ -97,6 +98,24 @@ def cos_ang_p(space: Space, u, v) -> float:
 # Sphere-pair constants
 # --------------------------------------------------------------------------
 
+# The t = 1 pair constants of pair_constants' shared zoom: key -> (combine,
+# mode, whether pairs with ||x+y|| < eta or ||x-y|| < eta are excluded).
+_PAIR_SCANS = {
+    "sp": (pair_cosine, "sup", True),
+    "james": (min_norm, "sup", False),
+    "cnj_prime": (mean_square_quarter, "sup", False),
+    "schaffer": (max_norm, "inf", False),
+}
+
+
+def _pair_constant(space: Space, key: str, cfg: SearchConfig | None,
+                   cache: PairTable | None) -> ConstantEstimate:
+    """The _PAIR_SCANS constant key alone."""
+    fn, mode, exclude = _PAIR_SCANS[key]
+    extremum = maximize_pair if mode == "sup" else minimize_pair
+    return extremum(space, PairNormObjective(fn), cfg, exclude, cache=cache)
+
+
 def sp_constant(space: Space, cfg: SearchConfig | None = None, *,
                 cache: PairTable | None = None) -> ConstantEstimate:
     """sup of the P-angle cosine between x+y and x-y over unit pairs x != +-y.
@@ -104,27 +123,32 @@ def sp_constant(space: Space, cfg: SearchConfig | None = None, *,
     For unit x, y the cosine collapses to (||x+y||^2+||x-y||^2-4)/(2 ||x+y|| ||x-y||);
     pairs with ||x+y|| < eta or ||x-y|| < eta are excluded.
     """
-    return maximize_pair(space, PairNormObjective(pair_cosine), cfg,
-                         exclude_degenerate=True, cache=cache)
+    return _pair_constant(space, "sp", cfg, cache)
 
 
 def james(space: Space, cfg: SearchConfig | None = None, *,
           cache: PairTable | None = None) -> ConstantEstimate:
     """James constant: sup of min(||x+y||, ||x-y||) over unit pairs."""
-    return maximize_pair(space, PairNormObjective(min_norm), cfg, cache=cache)
+    return _pair_constant(space, "james", cfg, cache)
 
 
 def schaffer(space: Space, cfg: SearchConfig | None = None, *,
              cache: PairTable | None = None) -> ConstantEstimate:
     """Schaffer girth constant: inf of max(||x+y||, ||x-y||) over unit pairs."""
-    return minimize_pair(space, PairNormObjective(max_norm), cfg, cache=cache)
+    return _pair_constant(space, "schaffer", cfg, cache)
 
 
 def cnj_prime(space: Space, cfg: SearchConfig | None = None, *,
               cache: PairTable | None = None) -> ConstantEstimate:
     """Unit-sphere von Neumann-Jordan variant: sup of (||x+y||^2+||x-y||^2)/4."""
-    return maximize_pair(space, PairNormObjective(mean_square_quarter), cfg, cache=cache)
+    return _pair_constant(space, "cnj_prime", cfg, cache)
 
+
+# sqrt2_pair_residual and T_constant stay their own minimize_pair and
+# maximize_pair calls, outside pair_constants' shared zoom: the traced run
+# of the benchmark (perfbench/tracing.py) times the grid scan and the zoom
+# through those two functions, and they are the only calls of them left in
+# verify.run_checks and compute_all.
 
 def sqrt2_pair_residual(space: Space, cfg: SearchConfig | None = None, *,
                         cache: PairTable | None = None) -> ConstantEstimate:
@@ -133,17 +157,22 @@ def sqrt2_pair_residual(space: Space, cfg: SearchConfig | None = None, *,
     return minimize_pair(space, PairNormObjective(sqrt2_residual), cfg, cache=cache)
 
 
+def t_constant(space: Space, cfg: SearchConfig | None = None, *,
+               cache: PairTable | None = None) -> ConstantEstimate:
+    """t = inf over x of sup over y of sqrt(||x+y|| ||x-y||), unit x, y."""
+    return infsup_pair(space, PairNormObjective(geom_mean), cfg, cache=cache)
+
+
+def T_constant(space: Space, cfg: SearchConfig | None = None, *,
+               cache: PairTable | None = None) -> ConstantEstimate:
+    """T = sup over unit pairs of sqrt(||x+y|| ||x-y||)."""
+    return maximize_pair(space, PairNormObjective(geom_mean), cfg, cache=cache)
+
+
 def t_and_T(space: Space, cfg: SearchConfig | None = None, *,
             cache: PairTable | None = None) -> tuple[ConstantEstimate, ConstantEstimate]:
-    """Geometric-mean pair constants:
-
-    t = inf over x of sup over y of sqrt(||x+y|| ||x-y||)
-    T = sup over both of the same quantity
-    """
-    obj = PairNormObjective(geom_mean)
-    lo = infsup_pair(space, obj, cfg, cache=cache)
-    hi = maximize_pair(space, obj, cfg, cache=cache)
-    return lo, hi
+    """The geometric-mean pair constants t_constant and T_constant."""
+    return t_constant(space, cfg, cache=cache), T_constant(space, cfg, cache=cache)
 
 
 # --------------------------------------------------------------------------
@@ -229,11 +258,12 @@ def _scaled_extremum(space: Space, fns, cfg: SearchConfig) -> list[ConstantEstim
     combines.  The cells (u, v, t) and (-u, -v, t) form a mirror class and
     carry the same value bit for bit, so the combines run on u in H alone:
     each t's 4 best classes, expanded to their members (search.mirror_members),
-    hold its 4 best cells of the whole grid.  Stage 2 refines (u, v, t)
-    jointly, per combine, from one start of each class among its best cells
-    (search.pick_starts).  The reduction to ||u|| = 1 >= t = ||v||-scale is
-    exact for the quotients used here, which are scale-invariant and
-    symmetric in the pair.
+    hold its 4 best cells of the whole grid, and every t of a block is
+    picked at once (search.top_cells by rows).  Stage 2 refines (u, v, t)
+    jointly, from one start of each class among each combine's best cells
+    (search.pick_starts), all combines in one lockstep refine_pairs call.
+    The reduction to ||u|| = 1 >= t = ||v||-scale is exact for the quotients
+    used here, which are scale-invariant and symmetric in the pair.
     """
     if space.dim == 2:
         grid = sphere_grid(space, max(48, cfg.grid_per_dim // 8))
@@ -243,30 +273,31 @@ def _scaled_extremum(space: Space, fns, cfg: SearchConfig) -> list[ConstantEstim
     m = len(V)
     ts = np.linspace(0.0, 1.0, _T_GRID)
 
+    objectives = [PairNormObjective(fn, t=None) for fn in fns]
     cells, values = [[] for _ in fns], [[] for _ in fns]
     block = max(1, 400_000 // (m * m))
     for t0 in range(0, _T_GRID, block):
         tb = ts[t0:t0 + block]
         a, b = pair_norms(space, V[:m // 2], tb[:, None, None] * V)
-        for fn, fn_cells, fn_values in zip(fns, cells, values):
-            vals = np.asarray(fn(a, b, tb[:, None, None]), dtype=float)
-            for bi in range(len(tb)):
-                # Cells (i, j, ti) in row-major order, so that ties go to the
-                # smallest parameter tuple (x-params, y-params, t); a row of
-                # H keeps its flat index i m + j.
-                idx = top_cells(vals[bi], 1.0, 4)
-                members = mirror_members(idx * _T_GRID + t0 + bi, m, False, _T_GRID).ravel()
-                member_values = np.repeat(vals[bi].ravel()[idx], 2)
-                best = top_cells(member_values, 1.0, 4, members)
-                fn_cells.append(members[best])
-                fn_values.append(member_values[best])
-    out = []
-    for fn, fn_cells, fn_values in zip(fns, cells, values):
-        _, P, V = pick_starts(grid, np.concatenate(fn_cells), np.concatenate(fn_values), 1.0,
-                              cfg.multistart, False, ts)
-        out += refine_pairs(space, [PairNormObjective(fn, t=None)], [P], [V], grid.step, cfg,
-                            "sup", evaluations=[m * m * _T_GRID], t_step=ts[1] - ts[0])
-    return out
+        rows = t0 + np.arange(len(tb))[:, None]
+        for objective, fn_cells, fn_values in zip(objectives, cells, values):
+            # Per t, cells (i, j, ti) in row-major order, so that ties go to
+            # the smallest parameter tuple (x-params, y-params, t); a row of
+            # H keeps its flat index i m + j.  NaN cells rank last, as the
+            # zoom scores them.
+            vals = np.asarray(objective(a, b, tb[:, None, None]), dtype=float)
+            vals = np.where(np.isnan(vals), -np.inf, vals).reshape(len(tb), -1)
+            idx = top_cells(vals, 1.0, 4, axis=-1)
+            members = mirror_members(idx * _T_GRID + rows, m, False, _T_GRID).reshape(len(tb), -1)
+            member_values = np.repeat(np.take_along_axis(vals, idx, axis=1), 2, axis=1)
+            best = top_cells(member_values, 1.0, 4, members, axis=-1)
+            fn_cells.append(np.take_along_axis(members, best, axis=1).ravel())
+            fn_values.append(np.take_along_axis(member_values, best, axis=1).ravel())
+    params, start_values = zip(*(
+        pick_starts(grid, np.concatenate(c), np.concatenate(v), 1.0, cfg.multistart, False, ts)[1:]
+        for c, v in zip(cells, values)))
+    return refine_pairs(space, objectives, params, start_values, grid.step, cfg, "sup",
+                        evaluations=[m * m * _T_GRID] * len(fns), t_step=ts[1] - ts[0])
 
 
 def _cnj_combine(a, b, t):
@@ -491,27 +522,35 @@ def eps0(space: Space, cfg: SearchConfig | None = None, *,
 # Everything at once
 # --------------------------------------------------------------------------
 
-def guarded(key: str, fn):
-    """fn(), with any failure re-raised as a RuntimeError naming key."""
+def guarded(key, fn):
+    """fn(), with any failure re-raised as a RuntimeError naming key.  key
+    may be a tuple, the constants of one shared search in group order: a
+    group left without a grid start (search.NoStartError) names its own
+    constant, and any other failure the first."""
     try:
         return fn()
     except Exception as exc:
+        if isinstance(key, tuple):
+            key = key[exc.group if isinstance(exc, NoStartError) else 0]
         raise RuntimeError(f"computation of {key!r} failed: {exc}") from exc
 
 
 def pair_constants(space: Space, cfg: SearchConfig,
                    cache: PairTable | None) -> dict[str, ConstantEstimate]:
     """sp, james, cnj, cnj_prime, zbaganu and schaffer, in this key order:
-    the constants that compute_all and verify.run_checks both report.  C_NJ
-    and C_Z come from one t-sweep; a failure of it names 'cnj'."""
-    out = {"sp": guarded("sp", lambda: sp_constant(space, cfg, cache=cache)),
-           "james": guarded("james", lambda: james(space, cfg, cache=cache))}
-    out["cnj"], zbaganu_est = guarded(
-        "cnj", lambda: _scaled_extremum(space, [_cnj_combine, _zbaganu_combine], cfg))
-    out["cnj_prime"] = guarded("cnj_prime", lambda: cnj_prime(space, cfg, cache=cache))
-    out["zbaganu"] = zbaganu_est
-    out["schaffer"] = guarded("schaffer", lambda: schaffer(space, cfg, cache=cache))
-    return out
+    the constants that compute_all and verify.run_checks both report.  S_P,
+    J, C'_NJ and S are zoomed in one extremize call, C_NJ and C_Z in one
+    t-sweep; each estimate is bit for bit its own call's wherever the gauge
+    rounds a point alike in any batch."""
+    keys = tuple(_PAIR_SCANS)
+    fns, modes, excludes = zip(*_PAIR_SCANS.values())
+    out = dict(zip(keys, guarded(keys, lambda: extremize(
+        space, [PairNormObjective(fn) for fn in fns], cfg, modes, exclude=excludes,
+        cache=cache)[0])))
+    out["cnj"], out["zbaganu"] = guarded(
+        ("cnj", "zbaganu"),
+        lambda: _scaled_extremum(space, [_cnj_combine, _zbaganu_combine], cfg))
+    return {key: out[key] for key in ("sp", "james", "cnj", "cnj_prime", "zbaganu", "schaffer")}
 
 
 def compute_all(space: Space, cfg: SearchConfig | None = None, *,

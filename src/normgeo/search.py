@@ -50,6 +50,20 @@ the best cells of a full scan of the grid are among those members.
 Starts, ties and evaluation counts are those of a full scan.  Members of a
 class zoom to the same value up to rounding, so the engine zooms one
 member of each class among an objective's starts (mirror_representatives).
+
+Shared zooms: one refine_pairs call holds groups of starts that may differ
+in combine, mode (one sign per start in refine_starts), exclusion and fixed
+t, or that all search t.  Each level makes one gauge call for both pair
+norms of every start's lattice, and one sphere_points call on the distinct
+first and second points of those lattices (7 + 7 of the 48 points of the
+2D box), whose floats are those of every lattice point.  Each group is
+then scored by its own objective, counts its own levels and gets its own
+winner, so its estimate is that of a call of its own, bit for bit
+wherever the gauge rounds a point alike in any batch.  A group that has
+stopped still rides along until every group has, so a merge pays only
+when the groups stop at similar levels: merged into the pair constants'
+call, gamma_profile's 10 reduced-grid groups took 1.95-2.05 s over the
+20-polygon battery against 1.80-1.95 s in their own call, which they keep.
 """
 from __future__ import annotations
 
@@ -395,7 +409,7 @@ def sphere_domain(space: Space, blocks: int):
     return project
 
 
-def refine_starts(f, starts, values, h, lattice, sign: float, cfg: SearchConfig,
+def refine_starts(f, starts, values, h, lattice, sign, cfg: SearchConfig,
                   project=None, groups=None):
     """Multistart refinement of grid starts by a lockstep lattice zoom.
 
@@ -413,8 +427,9 @@ def refine_starts(f, starts, values, h, lattice, sign: float, cfg: SearchConfig,
 
     The zoomed points are evaluated again, and the winner is picked by
     value (largest for sign +1, smallest for -1), then by the smallest
-    parameter tuple.  Returns the points, their values, the converged
-    flags, and per group the index of the winner and the evaluation count.
+    parameter tuple.  sign is one value for all starts or one per start.
+    Returns the points, their values, the converged flags, and per group
+    the index of the winner and the evaluation count.
 
     groups labels each start with its group 0..G-1, every label used; by
     default all starts form one group.  The winner and the count are (G,)
@@ -423,9 +438,10 @@ def refine_starts(f, starts, values, h, lattice, sign: float, cfg: SearchConfig,
     times its starts, times the lattice points, plus its starts.
     """
     P = np.array(starts, dtype=float)
+    n = len(P)
+    sign = np.broadcast_to(np.asarray(sign, dtype=float), (n,))
     val = sign * np.array(values, dtype=float)
     offsets = np.asarray(lattice, dtype=float)
-    n = len(P)
     h = np.full(n, float(h))
     conv = h < _ZOOM_TOL
     s = np.arange(n)
@@ -438,7 +454,7 @@ def refine_starts(f, starts, values, h, lattice, sign: float, cfg: SearchConfig,
             break
         levels += running
         cand = P[:, None, :] + h[:, None, None] * offsets      # (n, points, k)
-        v = sign * np.asarray(f(cand), dtype=float)
+        v = sign[:, None] * np.asarray(f(cand), dtype=float)
         j = v.argmax(axis=1)
         vj = v[s, j]
         move = (vj > val) & ~conv
@@ -490,60 +506,124 @@ def _pair_values(space: Space, objective: PairNormObjective, xs, ys, exclude: bo
     return _score(objective, plus, minus, exclude, eta, sign, t)
 
 
-def _pair_batch(space: Space, objective: PairNormObjective, exclude: bool, eta: float,
-                sign: float, ts: np.ndarray | None):
+class NoStartError(ValueError):
+    """A group of a refine_pairs call has no finite grid start; group is
+    its index."""
+
+    def __init__(self, group: int, message: str):
+        super().__init__(message)
+        self.group = group
+
+
+def _per_group(mode, exclude, count: int):
+    """One search sign (+1 for "sup", -1 for "inf") and one exclusion flag
+    per group, from per-group sequences or from one value for all."""
+    modes = [mode] * count if isinstance(mode, str) else mode
+    return (np.array([1.0 if m == "sup" else -1.0 for m in modes]),
+            np.broadcast_to(exclude, count))
+
+
+def _pair_batch(space: Space, groups, sizes, eta: float, ts: np.ndarray | None,
+                lattice: np.ndarray):
     """Zoom evaluator f(params) over (starts, points, 2k[+1]) parameter rows
-    (x, y[, t]): t is the last parameter when the objective searches it, and
-    ts[s], one fixed t per start s, otherwise.  Excluded, NaN and
-    out-of-range-t pairs score -sign * inf."""
-    k = 1 if space.dim == 2 else space.dim
-    search_t = objective.t is None
+    (x, y[, t]) of consecutive groups of starts: sizes[g] starts of the
+    group groups[g], an (objective, sign, exclude) triple.  t is the last
+    parameter when the objectives search it, and ts[s], one fixed t per
+    start s, otherwise.  One gauge call gives both pair norms of every row;
+    then each group's rows are scored by its own objective, with excluded,
+    NaN and out-of-range-t pairs at -sign * inf.
+
+    f takes the lattice P + h * lattice around each start, as refine_starts'
+    levels pass it, or one point per start.  On the lattice the unit vectors
+    come from one sphere_points call on the distinct first points and the
+    distinct second points of each start's lattice (7 + 7 of the 48 points
+    of the 2D box): the same parameter floats as every lattice point's, so
+    the same vectors.
+    """
+    k, d = (1 if space.dim == 2 else space.dim), space.dim
+    search_t = groups[0][0].t is None
+    bounds = np.cumsum([0, *sizes])
+    worst = -np.repeat([sign for _, sign, _ in groups], sizes)[:, None] * np.inf
+    scale = None if search_t or (ts == 1.0).all() else ts[:, None, None]   # y * 1 is y
+    # The entries of a start's flat lattice parameters that hold its
+    # distinct x and y (per half, the first lattice point of each distinct
+    # offset), and per lattice point the positions of its x and y among them
+    # (numpy 2.0.0 returns the inverse as a column).
+    width = lattice.shape[1]
+    picks, at = [], []
+    for half in (0, 1):
+        _, first, inverse = np.unique(lattice[:, half * k:(half + 1) * k], axis=0,
+                                      return_index=True, return_inverse=True)
+        picks.append((first[:, None] * width + half * k + np.arange(k)).ravel())
+        at.append(inverse.reshape(-1) + half * len(first))
+    pick, gather = np.concatenate(picks), np.stack(at, axis=1).ravel()
 
     def f(params):
-        rows = params.reshape(-1, params.shape[-1])
-        # x and y of every row in one gauge call.
-        xy = sphere_points(space, np.concatenate([rows[:, :k], rows[:, k:2 * k]]))
-        xs, ys = xy[:len(rows)], xy[len(rows):]
-        t = rows[:, 2 * k] if search_t else np.repeat(ts, params.shape[-2])
-        vals = _pair_values(space, objective, xs, ys, exclude, eta, sign, t)[0]
+        s, p = params.shape[:2]
+        on_lattice = p == len(lattice)
+        # The distinct x and y of every start in one gauge call.
+        xy = (np.take(params.reshape(s, -1), pick, axis=1) if on_lattice
+              else params[..., :2 * k])
+        units = sphere_points(space, xy.reshape(-1, k)).reshape(s, -1, d)
+        if on_lattice:
+            units = np.take(units, gather, axis=1)
+        units = units.reshape(s, p, 2, d)
+        xs, ys = units[:, :, 0], units[:, :, 1]
+        t = np.ascontiguousarray(params[..., 2 * k]) if search_t else None
         if search_t:
-            vals = np.where((t >= 0.0) & (t <= 1.0), vals, -sign * np.inf)
-        return vals.reshape(params.shape[:-1])
+            ys = ys * t[..., None]
+        elif scale is not None:
+            ys = ys * scale
+        # Both norms in one gauge call.
+        pairs = np.empty((2, s, p, d))
+        np.add(xs, ys, out=pairs[0])
+        np.subtract(xs, ys, out=pairs[1])
+        plus, minus = np.asarray(space.gauge(pairs.reshape(2, -1, d))).reshape(2, s, p)
+        vals = np.empty((s, p))
+        for (objective, sign, exclude), lo, hi in zip(groups, bounds, bounds[1:]):
+            vals[lo:hi] = _score(objective, plus[lo:hi], minus[lo:hi], exclude, eta, sign,
+                                 None if t is None else t[lo:hi])[0]
+        return np.where((t >= 0.0) & (t <= 1.0), vals, worst) if search_t else vals
 
     return f
 
 
 def refine_pairs(space: Space, objectives, starts, values, step: float, cfg: SearchConfig,
-                 mode: str, *, evaluations, exclude: bool = False,
+                 mode, *, evaluations, exclude=False,
                  t_step: float | None = None) -> list[ConstantEstimate]:
     """Run groups of grid starts (x-params, y-params[, t]) of pair objectives
     through one lockstep refine_starts call and report each group's winner.
 
-    Group g holds the starts[g] and values[g] of objectives[g], and the scan
-    count evaluations[g], which is added to the engine's.  The objectives
-    share one combine and differ in their fixed t, or all search t.  Each
-    group's estimate is the one a call with that group alone reports, count
-    included; the engine keeps every start independent of the others.
+    Group g holds the starts[g] and values[g] of objectives[g], searched
+    for mode[g] ("sup" or "inf") with the exclusion exclude[g], and the scan
+    count evaluations[g], which is added to the engine's; mode and exclude
+    may also be one value for all groups.  The groups may differ in
+    combine, fixed t, mode and exclusion, but either every objective
+    searches t or none does.  Each group's estimate is the one a call with
+    that group alone reports, count included; the engine keeps every start
+    independent of the others.
 
-    Non-finite starts are dropped.  The first zoom lattice spans one grid
-    step, step on the sphere parameters and t_step on a searched t
-    (objective.t None).  In 2D it is a box of points, in dim >= 3, where a
-    box would have 3^(2 dim) points, the coordinate axes.
+    Non-finite starts are dropped, and a group left without one raises
+    NoStartError.  The first zoom lattice spans one grid step, step on the
+    sphere parameters and t_step on a searched t (objective.t None).  In 2D
+    it is a box of points, in dim >= 3, where a box would have 3^(2 dim)
+    points, the coordinate axes.
     """
-    sign = 1.0 if mode == "sup" else -1.0
+    signs, excludes = _per_group(mode, exclude, len(objectives))
     search_t = objectives[0].t is None
     P0, V0 = [], []
-    for group_starts, group_values in zip(starts, values):
+    for g, (group_starts, group_values) in enumerate(zip(starts, values)):
         group_values = np.asarray(group_values, dtype=float)
         keep = np.isfinite(group_values)
         if not keep.any():   # excluded and NaN pairs score -sign * inf
-            raise ValueError(
+            raise NoStartError(g, (
                 "no admissible grid pair; eta is too large for this grid"
-                if exclude and (group_values == -sign * np.inf).all() else
-                "no finite grid start; the combine is NaN or infinite at the best grid pairs")
+                if excludes[g] and (group_values == -signs[g] * np.inf).all() else
+                "no finite grid start; the combine is NaN or infinite at the best grid pairs"))
         P0.append(np.asarray(group_starts, dtype=float)[keep])
         V0.append(group_values[keep])
-    groups = np.repeat(np.arange(len(P0)), [len(v) for v in V0])
+    sizes = [len(v) for v in V0]
+    groups = np.repeat(np.arange(len(P0)), sizes)
     ts = None if search_t else np.array([o.t for o in objectives], dtype=float)[groups]
     k = 1 if space.dim == 2 else space.dim
     if space.dim == 2:
@@ -554,8 +634,8 @@ def refine_pairs(space: Space, objectives, starts, values, step: float, cfg: Sea
     if search_t:
         lattice[:, -1] *= t_step / step
     P, vals, conv, best, count = refine_starts(
-        _pair_batch(space, objectives[0], exclude, cfg.eta, sign, ts),
-        np.concatenate(P0), np.concatenate(V0), h, lattice, sign, cfg,
+        _pair_batch(space, list(zip(objectives, signs, excludes)), sizes, cfg.eta, ts, lattice),
+        np.concatenate(P0), np.concatenate(V0), h, lattice, np.repeat(signs, sizes), cfg,
         sphere_domain(space, 2), groups)
     return [ConstantEstimate(
         value=float(vals[b]), x=sphere_point(space, P[b, :k]),
@@ -568,31 +648,37 @@ def refine_pairs(space: Space, objectives, starts, values, step: float, cfg: Sea
 # Pair extremization
 # --------------------------------------------------------------------------
 
-def top_cells(vals: np.ndarray, sign: float, count: int, cells=None) -> np.ndarray:
+def top_cells(vals: np.ndarray, sign: float, count: int, cells=None, axis=None) -> np.ndarray:
     """Flat indices of the first `count` cells of vals (which holds no NaN)
     by value, largest first for sign +1 and smallest first for -1, then by
     flat index.  Row-major flat order makes the index order lexicographic in
-    (i, j).
+    (i, j).  With axis=-1 each row along the last axis is picked alone:
+    the (..., count) positions within the rows.
 
     Exact under any ties: every cell strictly better than the count-th value
     is taken, and the remaining places go to the lowest-index cells at that
     value, so the choice depends on the values alone.  cells, when given,
     holds the index of each value in a larger array (a chunk of given cells,
-    or candidates merged from several scans), distinct and in any order, and
-    takes the place of the flat index in the order.
+    or candidates merged from several scans), distinct in each row and in
+    any order, and takes the place of the flat index in the order.
     """
-    key = -sign * np.ravel(vals)
-    count = min(count, key.size)
+    key = -sign * np.asarray(vals, dtype=float)
+    n = key.size if axis is None else key.shape[-1]
+    rows = key.size // max(n, 1)
+    count = min(count, n)
+    shape = (count,) if axis is None else key.shape[:-1] + (count,)
     if count == 0:
-        return np.empty(0, dtype=np.intp)
-    kth = np.partition(key, count - 1)[count - 1]
-    better = np.flatnonzero(key < kth)
-    ties = np.flatnonzero(key == kth)
-    if cells is not None:
-        cells = np.asarray(cells)
-        ties = ties[np.argsort(cells[ties])]
-    idx = np.concatenate([better, ties[:count - better.size]])
-    return idx[np.lexsort((idx if cells is None else cells[idx], key[idx]))]
+        return np.empty(shape, dtype=np.intp)
+    key = key.reshape(rows, n)
+    kth = np.partition(key, count - 1, axis=1)[:, count - 1, None]
+    # The candidates, every cell at or better than its row's count-th value,
+    # by row, then value, then index: each row's first count are its pick.
+    flat = np.flatnonzero(key <= kth)
+    order = flat[np.lexsort((flat if cells is None else np.ravel(cells)[flat],
+                             key.ravel()[flat], flat // n))]
+    if rows > 1:
+        order = order[np.searchsorted(order // n, np.arange(rows))[:, None] + np.arange(count)]
+    return (order[..., :count] % n).reshape(shape)
 
 
 def _walk(space: Space, objective: PairNormObjective, grid: SphereGrid,
@@ -682,21 +768,21 @@ def _candidates(space: Space, objective: PairNormObjective, grid: SphereGrid,
 
 
 def mirror_members(cells, n: int, swap: bool, inner: int = 1) -> np.ndarray:
-    """The members of the mirror class of each cell, one row per cell: the
-    inverse of mirror_representatives.
+    """The members of the mirror class of each cell, along a new last axis:
+    the inverse of mirror_representatives.
 
-    cells are flat indices (i n + j) inner + r of an n x n pair grid on
-    H u -H with inner further cells r per pair (a t grid).  With i+ for
-    (i + n/2) mod n, a row holds (i, j, r) and (i+, j+, r), and with swap
-    (a t = 1 objective) also (j, i, r) and (j+, i+, r); a class of two
-    members lists each twice.
+    cells are flat indices (i n + j) inner + r, in an array of any shape,
+    of an n x n pair grid on H u -H with inner further cells r per pair (a
+    t grid).  With i+ for (i + n/2) mod n, a cell's members are (i, j, r)
+    and (i+, j+, r), and with swap (a t = 1 objective) also (j, i, r) and
+    (j+, i+, r); a class of two members lists each twice.
     """
     cells = np.asarray(cells, dtype=np.intp)
     ij, r = np.divmod(cells, inner)
     i, j = np.divmod(ij, n)
     ih, jh = (i + n // 2) % n, (j + n // 2) % n
     members = [ij, ih * n + jh] + ([j * n + i, jh * n + ih] if swap else [])
-    return np.stack(members, axis=1) * inner + r[:, None]
+    return np.stack(members, axis=-1) * inner + r[..., None]
 
 
 def mirror_representatives(cells, n: int, swap: bool, inner: int = 1) -> np.ndarray:
@@ -725,13 +811,14 @@ def pick_starts(grid: SphereGrid, cells, values, sign: float, count: int, swap: 
     return cells[best], np.hstack(params), values[rep]
 
 
-def extremize(space: Space, objectives, cfg: SearchConfig | None, mode: str, *,
-              exclude: bool = False, cache: PairTable | None = None,
+def extremize(space: Space, objectives, cfg: SearchConfig | None, mode, *,
+              exclude=False, cache: PairTable | None = None,
               cells: np.ndarray | None = None, classes: np.ndarray | None = None):
     """The one scan-and-zoom: the sup (mode "sup") or inf ("inf") over
     unit-sphere pairs (x, y) of each objective, a PairNormObjective with a
     fixed t, at (||x+ty||, ||x-ty||).  With exclude, pairs with
-    ||x+ty|| < eta or ||x-ty|| < eta are skipped.  cache, the shared pair
+    ||x+ty|| < eta or ||x-ty|| < eta are skipped.  mode and exclude are one
+    value for all objectives or one per objective.  cache, the shared pair
     table, supplies the norms of a t = 1 objective.  cells and classes, when
     either is given, limit the scan of a t = 1 objective to pairs of the
     table: those numbered cells (flat indices), and the members of the
@@ -742,18 +829,17 @@ def extremize(space: Space, objectives, cfg: SearchConfig | None, mode: str, *,
     starts: the cfg.multistart best cells by value and then by flat index.
     Starts and evaluation counts are those of a scan of every pair (see the
     module docstring).  Of each mirror class among the starts only the
-    lowest-index cell is zoomed, from its own scan value.  The objectives
-    share one combine, and the zooms of all run in one refine_pairs call:
-    bit for bit the separate calls wherever the gauge rounds a point alike
-    in any batch.
+    lowest-index cell is zoomed, from its own scan value.  Each objective
+    is scanned alone, and the zooms of all, whatever their combines, modes
+    and exclusions, run in one refine_pairs call: bit for bit the separate
+    calls wherever the gauge rounds a point alike in any batch.
     """
     cfg = cfg or SearchConfig.for_dim(space.dim)
-    sign = 1.0 if mode == "sup" else -1.0
     grid = cache.grid if cache is not None else sphere_grid(space, cfg.grid_per_dim)
     picked, scans = [], []
-    for objective in objectives:
+    for objective, sign, excluded in zip(objectives, *_per_group(mode, exclude, len(objectives))):
         found, values, evaluations = [], [], 0
-        for where, vals, count in _candidates(space, objective, grid, cache, exclude, cfg.eta,
+        for where, vals, count in _candidates(space, objective, grid, cache, excluded, cfg.eta,
                                               sign, cfg.multistart, cells, classes):
             found.append(where)
             values.append(vals)

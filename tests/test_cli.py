@@ -378,6 +378,17 @@ def test_witness_unknown_constant(capsys):
     assert "sp" in err and "james" in err
 
 
+@pytest.mark.parametrize("constant, other", [("t", "maximize_pair"), ("T", "infsup_pair")])
+def test_witness_t_or_T_computes_that_constant_alone(capsys, monkeypatch, constant, other):
+    """witness --constant t runs t's inf-sup alone, and --constant T T's sup
+    alone: the search of the other one is patched to fail."""
+    monkeypatch.setattr(cli.con, other, _no_computation)
+    code, out, _ = run_cli(capsys, "witness", "--space", "lp:p=1.5,dim=2", "--constant", constant,
+                           "--grid", "96", "--refine", "20", "--multistart", "2")
+    assert code == 0
+    assert [l.split(",")[0] for l in out.strip().split("\n")[-4:]] == ["x", "y", "x+y", "x-y"]
+
+
 def test_witness_scaled_constant_pairs_ty(capsys, l2):
     code, out, _ = run_cli(capsys, "witness", "--space", "lp:p=2,dim=2",
                            "--constant", "cnj", "--grid", "240", "--refine", "60")

@@ -798,3 +798,63 @@ class TestInvariants:
             1.0 - math.sqrt(3.0) / 2.0, abs=1e-5)
         assert ests["rho(1)"].value == pytest.approx(SQRT2 - 1.0, abs=1e-6)
         assert list(ests)[-3:] == ["gamma(0.5)", "delta(1)", "rho(1)"]
+
+
+# --------------------------------------------------------------------------
+# Shared zooms
+# --------------------------------------------------------------------------
+
+POLYF = "polyf:f=[[1,1,0],[1,-1,0],[1,0,1],[1,0,-1],[0,1,1],[0,1,-1]]"
+_SHARED_SPECS = [("lp:p=1.5,dim=2", None), ("lp:p=2,dim=2", None), (HEXAGON, None),
+                 (POLYGON0, None), ("lp:p=1.5,dim=3", 8), (POLYF, 8)]
+
+
+def _shared_space(spec, grid):
+    space = build_space(parse_space_spec(spec))
+    return space, (SearchConfig.for_dim(space.dim) if grid is None
+                   else SearchConfig(grid_per_dim=grid))
+
+
+def _assert_same_estimate(got, ref, key):
+    assert (got.value, got.t, got.converged, got.evaluations) == (
+        ref.value, ref.t, ref.converged, ref.evaluations), key
+    assert np.array_equal(got.x, ref.x) and np.array_equal(got.y, ref.y), key
+
+
+@pytest.mark.parametrize("spec, grid", _SHARED_SPECS)
+def test_pair_constants_match_separate_calls(spec, grid):
+    """pair_constants zooms S_P, J, C'_NJ and S, which differ in combine,
+    mode and exclusion, in one extremize call, and C_NJ and C_Z in one
+    refine_pairs call; each estimate is its single-objective call's, bit
+    for bit: value, witness, t, converged flag and evaluations."""
+    space, cfg = _shared_space(spec, grid)
+    cache = pair_table(space, cfg)
+    found = con.pair_constants(space, cfg, cache)
+    for key, fn, mode, exclude in (("sp", con.pair_cosine, "sup", True),
+                                   ("james", con.min_norm, "sup", False),
+                                   ("cnj_prime", con.mean_square_quarter, "sup", False),
+                                   ("schaffer", con.max_norm, "inf", False)):
+        (alone,), _ = search.extremize(space, [search.PairNormObjective(fn)], cfg, mode,
+                                       exclude=exclude, cache=cache)
+        _assert_same_estimate(found[key], alone, key)
+    for key, fn in (("cnj", con._cnj_combine), ("zbaganu", con._zbaganu_combine)):
+        (alone,) = con._scaled_extremum(space, [fn], cfg)
+        _assert_same_estimate(found[key], alone, key)
+
+
+def _nan_combine(a, b, *t):
+    return np.full(np.shape(a), np.nan)
+
+
+@pytest.mark.parametrize("key", ["sp", "james", "cnj_prime", "schaffer", "cnj", "zbaganu"])
+def test_shared_zoom_failure_names_its_constant(monkeypatch, key):
+    """A group of a shared zoom left without a finite grid start names its
+    own constant, not the first of the call."""
+    if key in con._PAIR_SCANS:
+        _, mode, exclude = con._PAIR_SCANS[key]
+        monkeypatch.setitem(con._PAIR_SCANS, key, (_nan_combine, mode, exclude))
+    else:
+        monkeypatch.setattr(con, f"_{key}_combine", _nan_combine)
+    space, cfg = _shared_space("lp:p=1.5,dim=2", 90)
+    with pytest.raises(RuntimeError, match=f"^computation of '{key}' failed: no "):
+        con.pair_constants(space, cfg, pair_table(space, cfg))

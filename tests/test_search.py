@@ -347,6 +347,51 @@ def test_top_cells_matches_reference(sign, count):
         assert top_cells(flat, sign, count, cells).tolist() == expect
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("count", [1, 4, 16])
+def test_top_cells_by_rows_matches_each_row(sign, count):
+    """With axis=-1 each row along the last axis is picked as top_cells
+    picks it alone, exact ties and given cells included."""
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        shape = tuple(int(v) for v in rng.integers(1, 7, size=int(rng.integers(2, 4))))
+        v = rng.choice([-np.inf, 0.0, 0.5, 1.0, 2.0, np.inf], size=shape,
+                       p=[0.25, 0.2, 0.2, 0.15, 0.1, 0.1])
+        cells = rng.permutation(10 * v.size)[:v.size].reshape(shape)
+        got = top_cells(v, sign, count, axis=-1)
+        got_cells = top_cells(v, sign, count, cells, axis=-1)
+        assert got.shape == got_cells.shape == shape[:-1] + (min(count, shape[-1]),)
+        for row in np.ndindex(shape[:-1]):
+            assert got[row].tolist() == top_cells(v[row], sign, count).tolist()
+            assert got_cells[row].tolist() == top_cells(v[row], sign, count, cells[row]).tolist()
+
+
+_POLYF = "polyf:f=[[1,1,0],[1,-1,0],[1,0,1],[1,0,-1],[0,1,1],[0,1,-1]]"
+_SHARED = [("lp:p=1.5,dim=2", 720), ("lp:p=2,dim=2", 720), ("hexagon", 720),
+           ("polygon0", 720), ("lp:p=1.5,dim=3", 8), (_POLYF, 8)]
+
+
+@pytest.mark.parametrize("spec, grid", _SHARED)
+def test_top_cells_by_rows_on_sweep_values(spec, grid):
+    """On the C_NJ/C_Z sweep's values, every t of a block picked at once
+    equals the per-t loop, for the best cells and for the best of their
+    mirror-class members (cells given).  l2 ties many cells exactly."""
+    space = _space(spec)
+    points = sphere_grid(space, max(48, grid // 8) if space.dim == 2 else min(grid, 8)).vectors
+    m, ts = len(points), np.linspace(0.0, 1.0, constants._T_GRID)
+    a, b = search.pair_norms(space, points[:m // 2], ts[:, None, None] * points)
+    for fn in (constants._cnj_combine, constants._zbaganu_combine):
+        vals = fn(a, b, ts[:, None, None]).reshape(len(ts), -1)
+        idx = top_cells(vals, 1.0, 4, axis=-1)
+        members = search.mirror_members(idx * len(ts) + np.arange(len(ts))[:, None], m, False,
+                                        len(ts)).reshape(len(ts), -1)
+        member_values = np.repeat(np.take_along_axis(vals, idx, axis=1), 2, axis=1)
+        best = top_cells(member_values, 1.0, 4, members, axis=-1)
+        for r in range(len(ts)):
+            assert idx[r].tolist() == top_cells(vals[r], 1.0, 4).tolist()
+            assert best[r].tolist() == top_cells(member_values[r], 1.0, 4, members[r]).tolist()
+
+
 def test_scan_independent_of_block_size(monkeypatch):
     """Every grid walk goes through search.row_blocks; a block size that
     divides nothing evenly leaves every value, witness and evaluation count
@@ -451,7 +496,7 @@ def _reference_sweep(space, fns, cfg):
                        else min(cfg.grid_per_dim, 8))
     m, ts = len(grid.vectors), np.linspace(0.0, 1.0, constants._T_GRID)
     norms = [_direct_pair_norms(space, grid.vectors, t * grid.vectors) for t in ts]
-    out = []
+    starts, start_values = [], []
     for fn in fns:
         cells, values = [], []
         for r, ((a, b), t) in enumerate(zip(norms, ts)):
@@ -461,9 +506,11 @@ def _reference_sweep(space, fns, cfg):
             values.append(vals.ravel()[idx])
         _, P, V = search.pick_starts(grid, np.concatenate(cells), np.concatenate(values), 1.0,
                                      cfg.multistart, False, ts)
-        out += refine_pairs(space, [PairNormObjective(fn, t=None)], [P], [V], grid.step, cfg,
-                            "sup", evaluations=[m * m * len(ts)], t_step=ts[1] - ts[0])
-    return out
+        starts.append(P)
+        start_values.append(V)
+    return refine_pairs(space, [PairNormObjective(fn, t=None) for fn in fns], starts,
+                        start_values, grid.step, cfg, "sup",
+                        evaluations=[m * m * len(ts)] * len(fns), t_step=ts[1] - ts[0])
 
 
 def _recording_engine(monkeypatch, starts):
@@ -894,3 +941,84 @@ def test_refine_pairs_lockstep_matches_each_start_alone(monkeypatch, exclude):
     assert len(set(levels)) > 1   # the starts stop at different times
     win = min(range(16), key=lambda k: (-vals[k], tuple(P[k])))
     assert best == win and batch.value == vals[win]
+
+
+def test_refine_starts_signs_per_start_match_separate_calls():
+    """One call holding a maximized and two minimized groups, one sign per
+    start, gives each group the points, values, flags, winner and count of
+    a call with its starts and its sign alone."""
+    starts = np.vstack([[(5.0, 0.0)], np.random.default_rng(7).uniform(-4.0, 2.5, (7, 2))])
+    groups = np.array([0, 1, 1, 2, 2, 2, 1, 2])
+    signs = np.array([1.0, -1.0, -1.0])
+    cfg = SearchConfig(refine_iters=60)
+    lattice = box_lattice(1, 2)
+    P, vals, conv, best, count = refine_starts(_bowl, starts, _bowl(starts), 0.5, lattice,
+                                               signs[groups], cfg, groups=groups)
+    for g in range(3):
+        idx = np.flatnonzero(groups == g)
+        Pg, vg, cg, (bg,), (ng,) = refine_starts(_bowl, starts[idx], _bowl(starts[idx]), 0.5,
+                                                 lattice, signs[g], cfg)
+        assert np.array_equal(P[idx], Pg) and np.array_equal(vals[idx], vg)
+        assert np.array_equal(conv[idx], cg)
+        assert (best[g], count[g]) == (idx[bg], ng)
+    assert conv[0] and not conv[1:].any()
+
+
+def _direct_batch(space, groups, sizes, eta, ts, params):
+    """search._pair_batch's values, every point of params mapped to its
+    unit vectors on its own: one sphere_points call per half, one gauge
+    call per pair norm, each group scored by its own combine."""
+    k = 1 if space.dim == 2 else space.dim
+    rows = params.reshape(-1, params.shape[-1])
+    x, y = sphere_points(space, rows[:, :k]), sphere_points(space, rows[:, k:2 * k])
+    search_t = groups[0][0].t is None
+    t = rows[:, 2 * k] if search_t else np.repeat(ts, params.shape[1])
+    a = np.asarray(space.gauge(x + t[:, None] * y))
+    b = np.asarray(space.gauge(x - t[:, None] * y))
+    out = np.empty(len(rows))
+    start = 0
+    for (objective, sign, exclude), size in zip(groups, sizes):
+        r = slice(start * params.shape[1], (start + size) * params.shape[1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = objective.fn(a[r], b[r], t[r]) if search_t else objective.fn(a[r], b[r])
+        worst = np.isnan(v)
+        if exclude:
+            worst |= (a[r] < eta) | (b[r] < eta)
+        if search_t:
+            worst |= (t[r] < 0.0) | (t[r] > 1.0)
+        out[r] = np.where(worst, -sign * np.inf, v)
+        start += size
+    return out.reshape(params.shape[:-1])
+
+
+@pytest.mark.parametrize("spec, grid", _SHARED)
+def test_pair_batch_matches_direct_evaluation(spec, grid):
+    """The zoom evaluator maps each distinct first and second point of a
+    start's lattice to a unit vector once; its values on the lattice around
+    every start, and on the starts alone, equal an evaluation of every
+    point on its own, bit for bit, for groups that differ in combine, mode,
+    exclusion and fixed t, and for groups that search t (lattice points
+    outside [0, 1] included)."""
+    space = _space(spec)
+    points = sphere_grid(space, grid)
+    k = points.params.shape[1]
+    rng = np.random.default_rng(3)
+    fixed = [(PairNormObjective(constants.pair_cosine), 1.0, True),
+             (PairNormObjective(constants.max_norm), -1.0, False),
+             (PairNormObjective(lambda a, b: a - b, t=0.5), -1.0, False)]
+    searched = [(PairNormObjective(constants._cnj_combine, t=None), 1.0, False),
+                (PairNormObjective(constants._zbaganu_combine, t=None), 1.0, False)]
+    for groups in (fixed, searched):
+        search_t = groups[0][0].t is None
+        sizes = [3, 1, 4][:len(groups)]
+        i, j = rng.integers(0, len(points.params), (2, sum(sizes)))
+        P = np.hstack([points.params[i], points.params[j]]
+                      + ([rng.choice([0.0, 0.5, 1.0], (sum(sizes), 1))] if search_t else []))
+        if space.dim == 2:
+            lattice = box_lattice(2 if search_t else 3, 2 + search_t)
+        else:
+            lattice = axis_lattice(2 * k + search_t)
+        ts = None if search_t else np.repeat([o.t for o, _, _ in groups], sizes)
+        f = search._pair_batch(space, groups, sizes, 1e-6, ts, lattice)
+        for params in (P[:, None, :] + 0.01 * lattice, P[:, None, :]):
+            assert np.array_equal(f(params), _direct_batch(space, groups, sizes, 1e-6, ts, params))

@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from normgeo import constants, verify
+from normgeo.search import SearchConfig
 from normgeo.spaces import build_space, parse_space_spec
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -55,3 +57,22 @@ def test_counting_space_counts_gauge_calls(perfbench):
     space = count_cli.counting_space(build_space(parse_space_spec("lp:p=1.5,dim=2")), counts)
     assert space.gauge(np.ones((3, 2))).shape == (3,)
     assert counts == {"gauge": 1, "points": 3, "scalar": 0}
+
+
+@pytest.mark.parametrize("entry", ["run_checks", "compute_all"])
+def test_replays_reach_the_traced_extremum(monkeypatch, entry):
+    """The traced run times the grid scan and the zoom through
+    constants.maximize_pair and minimize_pair; when no replay reaches them
+    it falls back to its direct search.extremize probe, which raises.
+    verify.run_checks (the battery-verify replay) and compute_all (the
+    constants replays) must each call one of them."""
+    calls = []
+    for name in ("maximize_pair", "minimize_pair"):
+        def counted(*args, _fn=getattr(constants, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(constants, name, counted)
+    space = build_space(parse_space_spec("lp:p=1.5,dim=2"))
+    cfg = SearchConfig(grid_per_dim=90, refine_iters=20, multistart=2)
+    {"run_checks": verify.run_checks, "compute_all": constants.compute_all}[entry](space, cfg)
+    assert calls

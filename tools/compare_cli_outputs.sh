@@ -49,6 +49,10 @@ invocations=(
     "constants --space lp:p=1.5,dim=3"
     "verify --space lp:p=1.5,dim=3"
     "verify --space lp:p=2,dim=2"
+    "witness --space $hexagon --constant T"
+    "witness --space $polygon0 --constant sp"
+    "witness --space $polygon0 --constant cnj"
+    "witness --space $polygon0 --constant zbaganu"
 )
 
 work=$(mktemp -d)
