@@ -14,8 +14,10 @@ import argparse
 import json
 import math
 import os
+import pickle
 import sys
 import time
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -240,6 +242,16 @@ def cmd_sweep(args) -> int:
 # verify
 # --------------------------------------------------------------------------
 
+def _verify_one(spec: NormSpec, args) -> tuple[dict, list[str]]:
+    """One space of a verify run: its report as plain data, and the stderr
+    line of each failed check."""
+    space = build_space(spec)
+    report = run_checks(space, _config_for(space.dim, args))
+    fails = [f"FAIL {space.name}: {c.name} ({c.lhs:.9g} {c.relation} "
+             f"{c.rhs:.9g} at slack {c.slack:g})" for c in report.failures()]
+    return _report_dict(report), fails
+
+
 def cmd_verify(args) -> int:
     if bool(args.space) == bool(args.battery):
         raise ValueError("verify needs exactly one of --space or --battery")
@@ -251,20 +263,132 @@ def cmd_verify(args) -> int:
         specs = battery_specs(*_parse_battery(args.battery))
     reports = []
     any_failed = False
-    for spec in specs:
-        space = build_space(spec)
-        cfg = _config_for(space.dim, args)
-        report = run_checks(space, cfg)
-        reports.append(_report_dict(report))
-        for c in report.failures():
+    for report, fails in _map_in_order(_verify_one, specs, args):
+        reports.append(report)
+        for line in fails:
             any_failed = True
-            print(f"FAIL {space.name}: {c.name} ({c.lhs:.9g} {c.relation} "
-                  f"{c.rhs:.9g} at slack {c.slack:g})", file=sys.stderr)
+            print(line, file=sys.stderr)
     timing = {"seconds": _jnum(time.perf_counter() - t0)}
     # One space prints its report; a battery, the list of them.
     out = {**reports[0], "timing": timing} if args.space else {"battery": reports, "timing": timing}
     print(json.dumps(out, indent=2))
     return 1 if any_failed else 0
+
+
+# --------------------------------------------------------------------------
+# In-order map over forked workers
+# --------------------------------------------------------------------------
+
+def _usable_cpus() -> int:
+    """The CPUs in this process's affinity mask; 1 where the platform has no
+    fork or no affinity mask."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _map_in_order(fn, items: list, *args):
+    """Yield fn(item, *args) for each item in order, and raise where the
+    first failing item's call raises, as the plain loop does.
+
+    The items are spread over w = min(len(items), _usable_cpus()) workers:
+    w - 1 forked children and this process, worker r computing items[r::w]
+    (this process is r = 0), each stopping at its first failure.  fn's
+    results must pickle when w > 1.  Every share is in and every child
+    reaped before the first value is yielded.  Fork, not spawn: a child
+    starts with the imported package and shares its pages until it writes
+    them, where a spawned worker would import everything again.
+    """
+    workers = min(len(items), _usable_cpus())
+    shares = ([_share(fn, items, args)] if workers < 2
+              else _forked_shares(fn, items, args, workers))
+    for i in range(len(items)):
+        values, error = shares[i % workers]
+        if i // workers == len(values):   # that worker's first failure
+            raise error
+        yield values[i // workers]
+
+
+def _share(fn, items: list, args: tuple) -> tuple[list, Exception | None]:
+    """fn(item, *args) over items in order, up to the first call that
+    raises: the values before it and its exception (None if none raised)."""
+    values = []
+    for item in items:
+        try:
+            values.append(fn(item, *args))
+        except Exception as exc:   # re-raised by _map_in_order at its item
+            return values, exc
+    return values, None
+
+
+def _forked_shares(fn, items: list, args: tuple, workers: int) -> list:
+    """Each worker's _share of items[r::workers], r = 0 computed here and the
+    others in forked children.  Every child is reaped, and killed first if
+    this process leaves early (an interrupt included)."""
+    import signal
+
+    sys.stdout.flush()   # a child must not inherit unwritten output
+    sys.stderr.flush()
+    pids, pipes = [], []
+    try:
+        for rank in range(1, workers):
+            read_end, write_end = os.pipe()
+            pipes.append(os.fdopen(read_end, "rb"))
+            try:
+                with warnings.catch_warnings():
+                    # Python >= 3.12 warns on a fork in a process with
+                    # threads (OpenBLAS's; its fork handler stops them).
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:
+                    _child(fn, items[rank::workers], args, write_end)
+            finally:
+                os.close(write_end)
+            pids.append(pid)
+        shares = [_share(fn, items[::workers], args)]
+        for pipe, pid in zip(pipes, list(pids)):
+            data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            pids.remove(pid)
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0:   # killed, or its results did not pickle
+                shares.append(([], RuntimeError(f"a worker process exited with status {code}")))
+                continue
+            values, error = pickle.loads(data)
+            shares.append((values, None if error is None else error[0](error[1])))
+        return shares
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _child(fn, items: list, args: tuple, write_end: int) -> None:
+    """In a forked child: pickle _share(fn, items, args) into write_end and
+    leave through os._exit, so the child never returns into its caller.
+
+    The exception goes as (class, message), all main reports of it: a
+    ValueError as ValueError, for some subclasses (NoStartError) do not
+    unpickle, and anything else as RuntimeError, which exits 1 as an
+    uncaught exception does; its message is the traceback unless it is a
+    RuntimeError."""
+    code = 1
+    try:
+        values, error = _share(fn, items, args)
+        if error is not None:
+            kind = ValueError if isinstance(error, ValueError) else RuntimeError
+            if isinstance(error, (ValueError, RuntimeError)):
+                error = (kind, str(error))
+            else:
+                import traceback
+                error = (kind, "".join(traceback.format_exception(error)).rstrip())
+        with os.fdopen(write_end, "wb") as pipe:
+            pickle.dump((values, error), pipe)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 # --------------------------------------------------------------------------

@@ -67,6 +67,7 @@ call, gamma_profile's 10 reduced-grid groups took 1.95-2.05 s over the
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -523,8 +524,36 @@ def _per_group(mode, exclude, count: int):
             np.broadcast_to(exclude, count))
 
 
-def _pair_batch(space: Space, groups, sizes, eta: float, ts: np.ndarray | None,
-                lattice: np.ndarray):
+@functools.lru_cache(maxsize=None)
+def _pair_lattice(k: int, search_t: bool):
+    """refine_pairs' first zoom lattice for k sphere parameters per point,
+    in units of step / radius: (radius, lattice, pick, gather), the arrays
+    read-only.  pick holds the entries of a start's flat lattice parameters
+    that hold its distinct x and y (per half, the first lattice point of
+    each distinct offset), and gather, per lattice point, the positions of
+    its x and y among them.  They depend on (k, search_t) alone, so each
+    pair is worked out once.
+    """
+    if k == 1:
+        radius = 2 if search_t else 3
+        lattice = box_lattice(radius, 2 + search_t)
+    else:
+        radius, lattice = 1, axis_lattice(2 * k + search_t)
+    width = lattice.shape[1]
+    picks, at = [], []
+    for half in (0, 1):
+        # numpy 2.0.0 returns the inverse as a column.
+        _, first, inverse = np.unique(lattice[:, half * k:(half + 1) * k], axis=0,
+                                      return_index=True, return_inverse=True)
+        picks.append((first[:, None] * width + half * k + np.arange(k)).ravel())
+        at.append(inverse.reshape(-1) + half * len(first))
+    pick, gather = np.concatenate(picks), np.stack(at, axis=1).ravel()
+    for a in (lattice, pick, gather):
+        a.flags.writeable = False
+    return radius, lattice, pick, gather
+
+
+def _pair_batch(space: Space, groups, sizes, eta: float, ts: np.ndarray | None):
     """Zoom evaluator f(params) over (starts, points, 2k[+1]) parameter rows
     (x, y[, t]) of consecutive groups of starts: sizes[g] starts of the
     group groups[g], an (objective, sign, exclude) triple.  t is the last
@@ -534,29 +563,18 @@ def _pair_batch(space: Space, groups, sizes, eta: float, ts: np.ndarray | None,
     NaN and out-of-range-t pairs at -sign * inf.
 
     f takes the lattice P + h * lattice around each start, as refine_starts'
-    levels pass it, or one point per start.  On the lattice the unit vectors
-    come from one sphere_points call on the distinct first points and the
-    distinct second points of each start's lattice (7 + 7 of the 48 points
-    of the 2D box): the same parameter floats as every lattice point's, so
-    the same vectors.
+    levels pass it (the lattice of _pair_lattice), or one point per start.
+    On the lattice the unit vectors come from one sphere_points call on the
+    distinct first points and the distinct second points of each start's
+    lattice (7 + 7 of the 48 points of the 2D box): the same parameter
+    floats as every lattice point's, so the same vectors.
     """
     k, d = (1 if space.dim == 2 else space.dim), space.dim
     search_t = groups[0][0].t is None
     bounds = np.cumsum([0, *sizes])
     worst = -np.repeat([sign for _, sign, _ in groups], sizes)[:, None] * np.inf
     scale = None if search_t or (ts == 1.0).all() else ts[:, None, None]   # y * 1 is y
-    # The entries of a start's flat lattice parameters that hold its
-    # distinct x and y (per half, the first lattice point of each distinct
-    # offset), and per lattice point the positions of its x and y among them
-    # (numpy 2.0.0 returns the inverse as a column).
-    width = lattice.shape[1]
-    picks, at = [], []
-    for half in (0, 1):
-        _, first, inverse = np.unique(lattice[:, half * k:(half + 1) * k], axis=0,
-                                      return_index=True, return_inverse=True)
-        picks.append((first[:, None] * width + half * k + np.arange(k)).ravel())
-        at.append(inverse.reshape(-1) + half * len(first))
-    pick, gather = np.concatenate(picks), np.stack(at, axis=1).ravel()
+    _, lattice, pick, gather = _pair_lattice(k, search_t)
 
     def f(params):
         s, p = params.shape[:2]
@@ -626,15 +644,13 @@ def refine_pairs(space: Space, objectives, starts, values, step: float, cfg: Sea
     groups = np.repeat(np.arange(len(P0)), sizes)
     ts = None if search_t else np.array([o.t for o in objectives], dtype=float)[groups]
     k = 1 if space.dim == 2 else space.dim
-    if space.dim == 2:
-        radius = 2 if search_t else 3
-        h, lattice = step / radius, box_lattice(radius, 2 + search_t)
-    else:
-        h, lattice = step, axis_lattice(2 * k + search_t)
+    radius, lattice, _, _ = _pair_lattice(k, search_t)
+    h = step / radius
     if search_t:
+        lattice = lattice.copy()
         lattice[:, -1] *= t_step / step
     P, vals, conv, best, count = refine_starts(
-        _pair_batch(space, list(zip(objectives, signs, excludes)), sizes, cfg.eta, ts, lattice),
+        _pair_batch(space, list(zip(objectives, signs, excludes)), sizes, cfg.eta, ts),
         np.concatenate(P0), np.concatenate(V0), h, lattice, np.repeat(signs, sizes), cfg,
         sphere_domain(space, 2), groups)
     return [ConstantEstimate(

@@ -1,11 +1,15 @@
 import json
 import math
+import os
 import re
+import signal
 
 import pytest
 
 import normgeo.cli as cli
 from normgeo.cli import fmt, main
+from normgeo.search import NoStartError
+from normgeo.spaces import battery_specs, build_space
 
 
 def run_cli(capsys, *argv):
@@ -345,6 +349,102 @@ def test_verify_determinism(capsys):
     _, out2, _ = run_cli(capsys, *args)
     strip = lambda s: re.sub(r'"timing": \{[^}]*\}', '"timing": {}', s)
     assert strip(out1) == strip(out2)
+
+
+# A battery spreads its spaces over the CPUs of the affinity mask: with w
+# workers, worker r computes spaces r, r + w, ...; this process is r = 0.
+_BATTERY = ("verify", "--battery", "seed=3,count=4", "--grid", "96", "--refine", "30")
+_SPECS = battery_specs(3, 4)
+_NAMES = [build_space(spec).name for spec in _SPECS]
+
+
+def run_battery(capsys, monkeypatch, workers):
+    """verify on _BATTERY with `workers` CPUs in the affinity mask: exit
+    code, stdout without its seconds line, stderr; no child may be left."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+    code, out, err = run_cli(capsys, *_BATTERY)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return code, re.sub(r'\n *"seconds": \S+', "", out), err
+
+
+def failing_checks(monkeypatch, fail_at):
+    """Patch cli.run_checks: fail_at(index) may raise or kill before the
+    space at that battery index is checked; every space checked reports a
+    failed first check, so each prints a FAIL line."""
+    run_checks = cli.run_checks
+
+    def patched(space, cfg):
+        fail_at(_SPECS.index(space.spec))
+        report = run_checks(space, cfg)
+        report.checks[0].status = "fail"
+        return report
+
+    monkeypatch.setattr(cli, "run_checks", patched)
+
+
+def test_verify_battery_output_same_on_any_worker_count(capsys, monkeypatch):
+    serial = run_battery(capsys, monkeypatch, 1)
+    assert serial[0] in (0, 1) and len(json.loads(serial[1])["battery"]) == 4
+    for workers in (2, 3):
+        assert run_battery(capsys, monkeypatch, workers) == serial
+
+
+@pytest.mark.parametrize("error, code", [(lambda m: NoStartError(0, m), 2),
+                                         (RuntimeError, 1)])
+@pytest.mark.parametrize("bad", [2, 1])   # with 2 workers: this process's share, a child's
+def test_verify_battery_failure_same_as_serial(capsys, monkeypatch, error, code, bad):
+    """A space that raises ends the battery with the FAIL lines of the
+    spaces before it and its error line, as the one-process run does; a
+    child's NoStartError, which does not unpickle, arrives as a ValueError."""
+    def fail_at(index):
+        if index == bad:
+            raise error(f"space {index} failed")
+
+    failing_checks(monkeypatch, fail_at)
+    serial = run_battery(capsys, monkeypatch, 1)
+    assert serial[:2] == (code, "")
+    assert [line.split(":")[0] for line in serial[2].splitlines()] == (
+        [f"FAIL {name}" for name in _NAMES[:bad]] + ["error"])
+    assert serial[2].endswith(f"error: space {bad} failed\n")
+    for workers in (2, 3):
+        assert run_battery(capsys, monkeypatch, workers) == serial
+
+
+@pytest.mark.parametrize("die, last_line", [
+    (lambda: os.kill(os.getpid(), signal.SIGKILL),
+     f"error: a worker process exited with status {-signal.SIGKILL}"),
+    (lambda: 1 / 0, "ZeroDivisionError: division by zero")])
+def test_verify_battery_child_failure_is_an_error(capsys, monkeypatch, die, last_line):
+    """A child that dies without its results, or whose space raises an
+    exception main does not report, fails at that space with exit 1, after
+    the spaces before it; the second error carries its traceback."""
+    parent = os.getpid()
+
+    def fail_at(index):
+        if index == 1 and os.getpid() != parent:
+            die()
+
+    failing_checks(monkeypatch, fail_at)
+    code, out, err = run_battery(capsys, monkeypatch, 2)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"FAIL {_NAMES[0]}: ")
+    assert err.splitlines()[1].startswith("error: ")
+    assert err.splitlines()[-1] == last_line
+
+
+def test_verify_battery_interrupt_reaps_children(capsys, monkeypatch):
+    parent = os.getpid()
+
+    def fail_at(index):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+
+    failing_checks(monkeypatch, fail_at)
+    with pytest.raises(KeyboardInterrupt):
+        run_battery(capsys, monkeypatch, 3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # --------------------------------------------------------------------------

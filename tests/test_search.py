@@ -1019,6 +1019,6 @@ def test_pair_batch_matches_direct_evaluation(spec, grid):
         else:
             lattice = axis_lattice(2 * k + search_t)
         ts = None if search_t else np.repeat([o.t for o, _, _ in groups], sizes)
-        f = search._pair_batch(space, groups, sizes, 1e-6, ts, lattice)
+        f = search._pair_batch(space, groups, sizes, 1e-6, ts)
         for params in (P[:, None, :] + 0.01 * lattice, P[:, None, :]):
             assert np.array_equal(f(params), _direct_batch(space, groups, sizes, 1e-6, ts, params))
