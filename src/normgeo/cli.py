@@ -14,10 +14,8 @@ import argparse
 import json
 import math
 import os
-import pickle
 import sys
 import time
-import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -148,14 +146,9 @@ def cmd_constants(args) -> int:
                            rho_ts=rho_ts)
     oracle_section = None
     if args.oracle:
-        combines = {
-            "sp": (con.pair_cosine, "sup"),
-            "james": (con.min_norm, "sup"),
-            "cnj_prime": (con.mean_square_quarter, "sup"),
-            "schaffer": (con.max_norm, "inf"),
-            "T": (con.geom_mean, "sup"),
-            "t": (con.geom_mean, "infsup"),
-        }
+        combines = {key: (fn, mode) for key, (fn, mode, _) in con._PAIR_SCANS.items()}
+        combines["T"] = (con.geom_mean, "sup")
+        combines["t"] = (con.geom_mean, "infsup")
         oracle_vals = oracle_pair_norm_extrema(space, combines,
                                                grid_size=args.oracle_grid,
                                                eta=cfg.eta)
@@ -276,7 +269,7 @@ def cmd_verify(args) -> int:
 
 
 # --------------------------------------------------------------------------
-# In-order map over forked workers
+# In-order map over a pool of forked workers
 # --------------------------------------------------------------------------
 
 def _usable_cpus() -> int:
@@ -291,104 +284,25 @@ def _map_in_order(fn, items: list, *args):
     """Yield fn(item, *args) for each item in order, and raise where the
     first failing item's call raises, as the plain loop does.
 
-    The items are spread over w = min(len(items), _usable_cpus()) workers:
-    w - 1 forked children and this process, worker r computing items[r::w]
-    (this process is r = 0), each stopping at its first failure.  fn's
-    results must pickle when w > 1.  Every share is in and every child
-    reaped before the first value is yielded.  Fork, not spawn: a child
-    starts with the imported package and shares its pages until it writes
-    them, where a spawned worker would import everything again.
+    With w = min(len(items), _usable_cpus()) > 1 the calls run in a pool of
+    w forked worker processes and this process only collects their results,
+    so fn, items, args and fn's results must pickle.  Fork, not spawn: a
+    worker starts with the imported package and shares its pages until it
+    writes them, where a spawned worker would import everything again.  On
+    a failure or an interrupt the calls not yet started are cancelled, and
+    every worker is joined before the exception leaves.
     """
     workers = min(len(items), _usable_cpus())
-    shares = ([_share(fn, items, args)] if workers < 2
-              else _forked_shares(fn, items, args, workers))
-    for i in range(len(items)):
-        values, error = shares[i % workers]
-        if i // workers == len(values):   # that worker's first failure
-            raise error
-        yield values[i // workers]
+    if workers < 2:
+        yield from (fn(item, *args) for item in items)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-
-def _share(fn, items: list, args: tuple) -> tuple[list, Exception | None]:
-    """fn(item, *args) over items in order, up to the first call that
-    raises: the values before it and its exception (None if none raised)."""
-    values = []
-    for item in items:
-        try:
-            values.append(fn(item, *args))
-        except Exception as exc:   # re-raised by _map_in_order at its item
-            return values, exc
-    return values, None
-
-
-def _forked_shares(fn, items: list, args: tuple, workers: int) -> list:
-    """Each worker's _share of items[r::workers], r = 0 computed here and the
-    others in forked children.  Every child is reaped, and killed first if
-    this process leaves early (an interrupt included)."""
-    import signal
-
-    sys.stdout.flush()   # a child must not inherit unwritten output
+    sys.stdout.flush()   # a worker flushes the buffers it inherits on exit
     sys.stderr.flush()
-    pids, pipes = [], []
-    try:
-        for rank in range(1, workers):
-            read_end, write_end = os.pipe()
-            pipes.append(os.fdopen(read_end, "rb"))
-            try:
-                with warnings.catch_warnings():
-                    # Python >= 3.12 warns on a fork in a process with
-                    # threads (OpenBLAS's; its fork handler stops them).
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    pid = os.fork()
-                if pid == 0:
-                    _child(fn, items[rank::workers], args, write_end)
-            finally:
-                os.close(write_end)
-            pids.append(pid)
-        shares = [_share(fn, items[::workers], args)]
-        for pipe, pid in zip(pipes, list(pids)):
-            data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            pids.remove(pid)
-            code = os.waitstatus_to_exitcode(status)
-            if code != 0:   # killed, or its results did not pickle
-                shares.append(([], RuntimeError(f"a worker process exited with status {code}")))
-                continue
-            values, error = pickle.loads(data)
-            shares.append((values, None if error is None else error[0](error[1])))
-        return shares
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _child(fn, items: list, args: tuple, write_end: int) -> None:
-    """In a forked child: pickle _share(fn, items, args) into write_end and
-    leave through os._exit, so the child never returns into its caller.
-
-    The exception goes as (class, message), all main reports of it: a
-    ValueError as ValueError, for some subclasses (NoStartError) do not
-    unpickle, and anything else as RuntimeError, which exits 1 as an
-    uncaught exception does; its message is the traceback unless it is a
-    RuntimeError."""
-    code = 1
-    try:
-        values, error = _share(fn, items, args)
-        if error is not None:
-            kind = ValueError if isinstance(error, ValueError) else RuntimeError
-            if isinstance(error, (ValueError, RuntimeError)):
-                error = (kind, str(error))
-            else:
-                import traceback
-                error = (kind, "".join(traceback.format_exception(error)).rstrip())
-        with os.fdopen(write_end, "wb") as pipe:
-            pickle.dump((values, error), pipe)
-        code = 0
-    finally:
-        os._exit(code)
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        yield from pool.map(fn, items, *([arg] * len(items) for arg in args))
 
 
 # --------------------------------------------------------------------------

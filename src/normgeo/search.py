@@ -515,6 +515,9 @@ class NoStartError(ValueError):
         super().__init__(message)
         self.group = group
 
+    def __reduce__(self):   # pickle rebuilds it with both arguments
+        return (NoStartError, (self.group, str(self)))
+
 
 def _per_group(mode, exclude, count: int):
     """One search sign (+1 for "sup", -1 for "inf") and one exclusion flag

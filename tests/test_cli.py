@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -351,8 +352,8 @@ def test_verify_determinism(capsys):
     assert strip(out1) == strip(out2)
 
 
-# A battery spreads its spaces over the CPUs of the affinity mask: with w
-# workers, worker r computes spaces r, r + w, ...; this process is r = 0.
+# A battery spreads its spaces over a pool of w forked workers, w the CPUs
+# of the affinity mask (at most one per space); this process only merges.
 _BATTERY = ("verify", "--battery", "seed=3,count=4", "--grid", "96", "--refine", "30")
 _SPECS = battery_specs(3, 4)
 _NAMES = [build_space(spec).name for spec in _SPECS]
@@ -392,11 +393,11 @@ def test_verify_battery_output_same_on_any_worker_count(capsys, monkeypatch):
 
 @pytest.mark.parametrize("error, code", [(lambda m: NoStartError(0, m), 2),
                                          (RuntimeError, 1)])
-@pytest.mark.parametrize("bad", [2, 1])   # with 2 workers: this process's share, a child's
+@pytest.mark.parametrize("bad", [2, 1])   # a later or an earlier space of the battery
 def test_verify_battery_failure_same_as_serial(capsys, monkeypatch, error, code, bad):
     """A space that raises ends the battery with the FAIL lines of the
     spaces before it and its error line, as the one-process run does; a
-    child's NoStartError, which does not unpickle, arrives as a ValueError."""
+    worker's NoStartError comes back pickled, as a ValueError (exit 2)."""
     def fail_at(index):
         if index == bad:
             raise error(f"space {index} failed")
@@ -411,40 +412,76 @@ def test_verify_battery_failure_same_as_serial(capsys, monkeypatch, error, code,
         assert run_battery(capsys, monkeypatch, workers) == serial
 
 
-@pytest.mark.parametrize("die, last_line", [
-    (lambda: os.kill(os.getpid(), signal.SIGKILL),
-     f"error: a worker process exited with status {-signal.SIGKILL}"),
-    (lambda: 1 / 0, "ZeroDivisionError: division by zero")])
-def test_verify_battery_child_failure_is_an_error(capsys, monkeypatch, die, last_line):
-    """A child that dies without its results, or whose space raises an
-    exception main does not report, fails at that space with exit 1, after
-    the spaces before it; the second error carries its traceback."""
+# What every pending space of a pool fails with once a worker is killed.
+_BROKEN_POOL = ("A process in the process pool was terminated abruptly "
+                "while the future was running or pending.")
+
+
+def test_verify_battery_killed_worker_is_an_error(capsys, monkeypatch):
+    """A worker killed by a signal ends the run with exit 1 and the pool's
+    error line, after the FAIL lines of the spaces already in, which are
+    the first FAIL lines of the serial run."""
     parent = os.getpid()
 
     def fail_at(index):
         if index == 1 and os.getpid() != parent:
-            die()
+            os.kill(os.getpid(), signal.SIGKILL)
 
     failing_checks(monkeypatch, fail_at)
+    serial_fails = run_battery(capsys, monkeypatch, 1)[2].splitlines()
+    assert len(serial_fails) >= 4   # every space fails at least its first check
     code, out, err = run_battery(capsys, monkeypatch, 2)
     assert (code, out) == (1, "")
-    assert err.startswith(f"FAIL {_NAMES[0]}: ")
-    assert err.splitlines()[1].startswith("error: ")
-    assert err.splitlines()[-1] == last_line
+    lines = err.splitlines()
+    assert lines[-1] == f"error: {_BROKEN_POOL}"
+    assert lines[:-1] == serial_fails[:len(lines) - 1]
+
+
+def test_verify_battery_worker_exception_propagates(capsys, monkeypatch):
+    """An exception main does not report leaves a worker as it leaves the
+    one-process run."""
+    def fail_at(index):
+        if index == 1:
+            1 / 0
+
+    failing_checks(monkeypatch, fail_at)
+    for workers in (1, 2):
+        with pytest.raises(ZeroDivisionError, match="division by zero"):
+            run_battery(capsys, monkeypatch, workers)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def test_verify_battery_interrupt_reaps_children(capsys, monkeypatch):
+    """An interrupt of the main process, here sent by the worker that
+    checks space 1, leaves no worker behind."""
     parent = os.getpid()
 
     def fail_at(index):
-        if os.getpid() == parent:
-            raise KeyboardInterrupt
+        if index == 1 and os.getpid() != parent:
+            os.kill(parent, signal.SIGINT)
 
     failing_checks(monkeypatch, fail_at)
     with pytest.raises(KeyboardInterrupt):
         run_battery(capsys, monkeypatch, 3)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_one_space_or_one_cpu_builds_no_pool(capsys, monkeypatch):
+    """With one CPU, or one space on several, the spaces are verified in
+    this process and no worker is started."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker process was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_pool)
+    code, out, err = run_battery(capsys, monkeypatch, 1)
+    assert code in (0, 1) and len(json.loads(out)["battery"]) == 4
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    code, out, _ = run_cli(capsys, "verify", "--space", "lp:p=1.5,dim=2",
+                           "--grid", "96", "--refine", "30")
+    assert code in (0, 1) and "checks" in json.loads(out)
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -787,6 +788,21 @@ def test_no_start_errors_name_their_cause():
         with pytest.raises(ValueError, match=cause):
             refine_pairs(space, [objective], [starts], [np.full(2, -np.inf)], 0.1, cfg, "sup",
                          evaluations=[0], exclude=exclude)
+
+
+def test_no_start_error_survives_pickle():
+    """A worker process sends the error back pickled: its class, group and
+    message must come through."""
+    space = build_space(parse_space_spec("lp:p=1.5,dim=2"))
+    cfg = SearchConfig(grid_per_dim=90, refine_iters=20, multistart=2)
+    objective, starts = PairNormObjective(constants.min_norm), np.zeros((2, 2))
+    with pytest.raises(search.NoStartError) as caught:
+        refine_pairs(space, [objective, objective], [starts, starts],
+                     [np.zeros(2), np.full(2, -np.inf)], 0.1, cfg, "sup",
+                     evaluations=[0, 0], exclude=False)
+    error = pickle.loads(pickle.dumps(caught.value))
+    assert type(error) is search.NoStartError
+    assert (error.group, str(error)) == (1, str(caught.value))
 
 
 def test_output_independent_of_numpy_dispatch():

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Byte-identity gate for refactors: run a fixed list of normgeo CLI
 # invocations against two source trees and compare their stdout, without the
-# `seconds` timing lines, and their exit codes.
+# `seconds` timing lines, their stderr and their exit codes.
 #
 # Usage: tools/compare_cli_outputs.sh PARENT_SRC CHANGE_SRC
 #   Each argument is a checkout's root (holding src/normgeo) or its src
@@ -53,20 +53,24 @@ invocations=(
     "witness --space $polygon0 --constant sp"
     "witness --space $polygon0 --constant cnj"
     "witness --space $polygon0 --constant zbaganu"
+    # Bad input: exit 2 and an error line on stderr.
+    "constants --space lp:p=1.5,dim=2 --delta-eps 3"
 )
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
-# Runs the CLI from one tree; writes stdout without `seconds` lines and then
-# the exit code to $3.
+# Runs the CLI from one tree; writes stdout without `seconds` lines, then
+# stderr and then the exit code to $3.
 run() {
     local src=$1 args=$2 out=$3 code
     # The invocations hold no spaces inside an argument, so word splitting
     # rebuilds the argv.
-    PYTHONPATH="$src" python3 -m normgeo.cli $args > "$out.raw" 2> /dev/null
+    PYTHONPATH="$src" python3 -m normgeo.cli $args > "$out.raw" 2> "$out.err"
     code=$?
     grep -v seconds "$out.raw" > "$out"
+    echo "stderr:" >> "$out"
+    cat "$out.err" >> "$out"
     echo "exit $code" >> "$out"
 }
 
