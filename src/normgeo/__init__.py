@@ -14,7 +14,7 @@ from .spaces import (
     parse_space_spec,
     battery_specs,
 )
-from .search import SearchConfig, ConstantEstimate, sphere_point, maximize_pair, minimize_pair, infsup_pair
+from .search import SearchConfig, ConstantEstimate, maximize_pair, minimize_pair, infsup_pair
 from . import constants, oracle, verify
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "battery_specs",
     "SearchConfig",
     "ConstantEstimate",
-    "sphere_point",
     "maximize_pair",
     "minimize_pair",
     "infsup_pair",

@@ -33,7 +33,6 @@ from .search import (
     row_blocks,
     row_infimum,
     sphere_grid,
-    sphere_point,
     sphere_points,
     top_cells,
 )
@@ -41,7 +40,7 @@ from .search import (
 SQRT2 = math.sqrt(2.0)
 
 _T_GRID = 101           # t samples for scaled-pair sweeps over [0, 1]
-_EQ_ROOT_TOL = 1e-8     # |  ||x-y|| - eps  | accepted as on-constraint
+_EQ_ROOT_TOL = 1e-8     # ||x-y|| - eps accepted as on-constraint
 _GEQ_SLACK = 1e-12      # feasibility slack so exact-boundary grid pairs count
 
 
@@ -191,7 +190,7 @@ def check_modulus(name: str, value: float) -> None:
 
 
 def _exact_estimate(space: Space, value: float) -> ConstantEstimate:
-    e1 = sphere_point(space, np.eye(space.dim)[0])
+    e1 = sphere_points(space, np.eye(space.dim))[0]
     return ConstantEstimate(value=value, x=e1, y=e1.copy(), converged=True, evaluations=0)
 
 
@@ -329,37 +328,26 @@ def zbaganu(space: Space, cfg: SearchConfig | None = None) -> ConstantEstimate:
 # Modulus of convexity
 # --------------------------------------------------------------------------
 
-def delta(space: Space, eps: float, cfg: SearchConfig | None = None,
-          mode: str = "geq", *, cache: PairTable | None = None) -> ConstantEstimate:
-    """Modulus of convexity at eps in [0, 2].
-
-    mode "geq" (default): inf of 1 - ||x+y||/2 over unit pairs with
-    ||x-y|| >= eps (with a 1e-12 feasibility slack so exact-boundary grid
-    pairs are admitted): the lower of the constrained grid + zoom answer and
-    the boundary solve restricted to the same feasible set.  mode "eq": the
-    same inf restricted to | ||x-y|| - eps | <= 1e-8, the boundary solve
-    alone, which bisects the crossings of the constraint along the edges of
-    a lattice of second points and zooms the first point.  Both return 0
-    exactly at eps = 0.
+def delta(space: Space, eps: float, cfg: SearchConfig | None = None, *,
+          cache: PairTable | None = None) -> ConstantEstimate:
+    """Modulus of convexity at eps in [0, 2]: inf of 1 - ||x+y||/2 over unit
+    pairs with ||x-y|| >= eps, with a 1e-12 feasibility slack so that
+    exact-boundary grid pairs are admitted.  The lower of the constrained
+    grid + zoom answer and the boundary solve restricted to the same
+    feasible set; 0 exactly at eps = 0.  In dim >= 2 the inf over
+    ||x-y|| = eps is the same number.
     """
     check_modulus("delta", eps)
-    if mode not in ("geq", "eq"):
-        raise ValueError(f"mode must be 'geq' or 'eq', got {mode!r}")
     if eps <= 1e-12:
         return _exact_estimate(space, 0.0)
     cfg = cfg or SearchConfig.for_dim(space.dim)
-    if mode == "eq":
-        return _delta_boundary(space, eps, cfg, cache)
     # The raw constrained inf: the grid + zoom alone.
     est = _feasible(minimize_pair(space, _geq_objective(eps), cfg, cache=cache), eps)
     # The pair zoom zigzags against the feasibility wall when the
     # constraint binds; the boundary solve slides along it instead.  Its
     # witness sits within the documented 1e-12 feasibility slack, so the
     # lower of the two answers the same infimum.
-    try:
-        boundary = _delta_boundary(space, eps, cfg, cache, geq=True)
-    except ValueError:
-        return est
+    boundary = _delta_boundary(space, eps, cfg, cache)
     if boundary.value < est.value:
         est = replace(boundary, evaluations=boundary.evaluations + est.evaluations)
     return est
@@ -378,19 +366,19 @@ def _feasible(est: ConstantEstimate, eps: float) -> ConstantEstimate:
 
 
 def _delta_boundary(space: Space, eps: float, cfg: SearchConfig,
-                    cache: PairTable | None, geq: bool = False) -> ConstantEstimate:
+                    cache: PairTable | None) -> ConstantEstimate:
     """Boundary solve: inf of 1 - ||x+y||/2 over unit pairs on ||x-y|| = eps.
 
     row_values takes many first points x: per row it keeps the lattice
-    points y within _EQ_ROOT_TOL of the constraint and bisects every sign
-    change along an edge of the lattice (search.lattice_edges), all brackets
-    of all rows at once.  The lattice is the grid in 2D, and the grid of 8
-    per axis in dim >= 3, where its edges join the +-e_i neighbours on the
-    cube surface.  row_values serves the grid stage (every lattice point as
-    x), then the shared first-point zoom (search.row_infimum), whose roots
-    are not counted.  With geq only pairs with ||x-y|| >= eps - _GEQ_SLACK
-    count: lattice points inside that slack and the feasible end of each
-    final bracket, so the witness is feasible.
+    points y with -_GEQ_SLACK <= ||x-y|| - eps <= _EQ_ROOT_TOL and bisects
+    every sign change along an edge of the lattice (search.lattice_edges),
+    all brackets of all rows at once, keeping the feasible end of each final
+    bracket: every pair has ||x-y|| >= eps - _GEQ_SLACK, as delta's
+    constraint asks.  The lattice is the grid in 2D, and the grid of 8 per
+    axis in dim >= 3, where its edges join the +-e_i neighbours on the cube
+    surface.  row_values serves the grid stage (every lattice point as x),
+    then the shared first-point zoom (search.row_infimum), whose roots are
+    not counted.
     """
     if space.dim == 2:
         grid = cache.grid if cache is not None else sphere_grid(space, cfg.grid_per_dim)
@@ -399,14 +387,13 @@ def _delta_boundary(space: Space, eps: float, cfg: SearchConfig,
     n, k = grid.params.shape
     tails, heads, axes = lattice_edges(grid)
     steps = grid.step * np.eye(k)[axes]
-    on_low = -_GEQ_SLACK if geq else -_EQ_ROOT_TOL
 
     def row_values(X):
         """Per row x of X: min of 1 - ||x+y||/2 over its roots and the y
         attaining it (first among ties, lattice points before brackets); and
         the roots tried."""
         b = np.asarray(space.gauge(X[:, None, :] - grid.vectors)) - eps
-        oi, oj = np.nonzero((b >= on_low) & (b <= _EQ_ROOT_TOL))
+        oi, oj = np.nonzero((b >= -_GEQ_SLACK) & (b <= _EQ_ROOT_TOL))
         ci, ce = np.nonzero(b[:, tails] * b[:, heads] < 0.0)
         # Bisection keeps lo on the side of the tail's sign: lo moves to a
         # midpoint whose ||x-y|| < eps matches the tail's b < 0.
@@ -418,7 +405,7 @@ def _delta_boundary(space: Space, eps: float, cfg: SearchConfig,
             same = (np.asarray(space.gauge(Xc - sphere_points(space, mid))) < eps) == inside
             np.copyto(lo, mid, where=same[:, None])
             np.copyto(hi, mid, where=~same[:, None])
-        ends = np.where(inside[:, None], hi, lo) if geq else 0.5 * (lo + hi)
+        ends = np.where(inside[:, None], hi, lo)
         rows = np.concatenate([oi, ci])
         Y = np.concatenate([grid.vectors[oj], sphere_points(space, ends)])
         vals = 1.0 - np.asarray(space.gauge(X[rows] + Y)) / 2.0

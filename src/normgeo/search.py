@@ -168,25 +168,6 @@ class SphereGrid:
     step: float           # lattice spacing in parameter units
 
 
-def sphere_point(space: Space, params) -> np.ndarray:
-    """Map sphere parameters to a unit vector of the space, through
-    sphere_points.
-
-    dim 2 accepts a single angle; any dim accepts a direction vector of
-    length dim, which is gauge-normalized.  The zero direction is rejected.
-    """
-    arr = np.atleast_1d(np.asarray(params, dtype=float))
-    if arr.size != space.dim and not (arr.size == 1 and space.dim == 2):
-        raise ValueError(
-            f"expected one angle (dim 2) or {space.dim} direction components, got {arr.size}")
-    if arr.size == space.dim and np.abs(arr).max() < 1e-12:
-        raise ValueError("zero direction has no sphere point")
-    # Two copies of the row: numpy takes a one-row matrix product (the polygon
-    # gauges) down another BLAS path that can round differently, and a witness
-    # must carry the bits the engine evaluated in its batches.
-    return sphere_points(space, np.stack([arr, arr]))[0]
-
-
 def sphere_points(space: Space, params: np.ndarray) -> np.ndarray:
     """The one map from (..., k) parameter rows, known to be nonzero, to unit
     vectors: an angle (k = 1, dim 2 only) or a direction of length dim, taken
@@ -656,9 +637,11 @@ def refine_pairs(space: Space, objectives, starts, values, step: float, cfg: Sea
         _pair_batch(space, list(zip(objectives, signs, excludes)), sizes, cfg.eta, ts),
         np.concatenate(P0), np.concatenate(V0), h, lattice, np.repeat(signs, sizes), cfg,
         sphere_domain(space, 2), groups)
+    # The engine's last call, repeated for the witnesses: the same rows of
+    # the same floats in one sphere_points call, so the same bits.
+    units = sphere_points(space, P[:, :2 * k].reshape(-1, k)).reshape(len(P), 2, -1)
     return [ConstantEstimate(
-        value=float(vals[b]), x=sphere_point(space, P[b, :k]),
-        y=sphere_point(space, P[b, k:2 * k]), converged=bool(conv[b]),
+        value=float(vals[b]), x=units[b, 0], y=units[b, 1], converged=bool(conv[b]),
         evaluations=e + int(c), t=float(P[b, -1]) if search_t else None)
         for b, c, e in zip(best, count, evaluations)]
 
@@ -968,7 +951,7 @@ def infsup_pair(space: Space, objective: PairNormObjective, cfg: SearchConfig | 
         X = np.asfortranarray(X)
         vals, bad = _score(objective, *pair_norms(space, X, G), False, cfg.eta, 1.0)
         count = vals.size - np.count_nonzero(bad)
-        cells = np.concatenate([top_cells(row[:n // 2], 1.0, _INNER_STARTS) for row in vals])
+        cells = top_cells(vals[:, :n // 2], 1.0, _INNER_STARTS, axis=-1).ravel()
         rows = np.repeat(np.arange(len(X)), _INNER_STARTS)
         xs = np.asfortranarray(X[rows, None, :])
 

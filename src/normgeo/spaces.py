@@ -198,10 +198,9 @@ def _lp_gauge(p: float, weights: np.ndarray | None = None) -> Gauge:
         with np.errstate(over="ignore"):          # an overflowed row is redone scaled
             s = power_sum(np.abs(z))
         g = root(s)
-        if s.min() >= _NORMAL_MIN and s.max() < np.inf:
-            return g
         redo = ~((s >= _NORMAL_MIN) & (s < np.inf))   # NaN rows too
-        g[redo] = scaled(z[redo])
+        if redo.any():
+            g[redo] = scaled(z[redo])
         return g
 
     return gauge

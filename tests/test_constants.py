@@ -474,7 +474,7 @@ class TestGammaRho:
 class TestDelta:
     def test_zero_eps_exact(self, l2, hexagon):
         assert con.delta(l2, 0.0).value == 0.0
-        assert con.delta(hexagon, 0.0, mode="eq").value == 0.0
+        assert con.delta(hexagon, 0.0).value == 0.0
 
     def test_hilbert_closed_form(self, l2):
         for eps in (0.5, 1.0, 1.5):
@@ -520,19 +520,6 @@ class TestDelta:
             for lo_v, hi_v in zip(values, values[1:]):
                 assert hi_v >= lo_v - 1e-7
 
-    def test_geq_vs_eq_compared(self, l2, l15, hexagon, l15_3d, capsys):
-        # The loose-constraint answer can only be lower: its feasible set
-        # contains the equality slice.  Gaps beyond 1e-6 are reported for
-        # inspection rather than hidden by a wide tolerance.
-        for space in (l2, l15, hexagon, l15_3d):
-            for eps in (0.5, 1.0, 1.5):
-                geq = con.delta(space, eps, mode="geq").value
-                eq = con.delta(space, eps, mode="eq").value
-                assert geq <= eq + 1e-6
-                if abs(geq - eq) > 1e-6:
-                    print(f"delta mode gap on {space.name} at eps={eps}: "
-                          f"geq={geq:.9f} eq={eq:.9f}")
-
     def test_boundary_polish_counts_each_probe_once(self, l15, l15_3d):
         # One zoom level probes the 2k lattice points +-h e_i of every start,
         # k = 1 angle in 2D and k = dim direction coordinates in dim >= 3,
@@ -540,9 +527,9 @@ class TestDelta:
         for space, grid in ((l15, 64), (l15_3d, 8)):
             k = 1 if space.dim == 2 else space.dim
             base = SearchConfig(grid_per_dim=grid, refine_iters=0, multistart=4)
-            none = con.delta(space, 1.0, base, mode="eq").evaluations
+            none = con._delta_boundary(space, 1.0, base, None).evaluations
             for levels in (1, 2, 5):
-                est = con.delta(space, 1.0, replace(base, refine_iters=levels), mode="eq")
+                est = con._delta_boundary(space, 1.0, replace(base, refine_iters=levels), None)
                 assert est.evaluations - none == 2 * k * levels * base.multistart
 
     def test_eps_range_validation(self, l2):
@@ -550,8 +537,6 @@ class TestDelta:
             con.delta(l2, -0.1)
         with pytest.raises(ValueError):
             con.delta(l2, 2.1)
-        with pytest.raises(ValueError):
-            con.delta(l2, 1.0, mode="between")
 
 
 class TestEps0:
@@ -625,14 +610,14 @@ class TestEuclidean3D:
         assert abs(con.eps0(l2_3d, self.cfg).value) <= 1e-2
 
     def test_delta_eq_closed_form(self, l2_3d):
-        # Mode "eq" is the boundary solve alone: bisection along the +-e_i
-        # edges of the cube-surface lattice, then the zoom of the first point.
+        # The boundary solve alone: bisection along the +-e_i edges of the
+        # cube-surface lattice, then the zoom of the first point.
         for eps in (1.0, 1.5):
-            est = con.delta(l2_3d, eps, self.cfg, mode="eq")
+            est = con._delta_boundary(l2_3d, eps, self.cfg, None)
             assert est.value == pytest.approx(1.0 - math.sqrt(1.0 - eps * eps / 4.0), abs=1e-9)
             assert l2_3d.norm(est.x) == pytest.approx(1.0, abs=1e-9)
             assert l2_3d.norm(est.y) == pytest.approx(1.0, abs=1e-9)
-            assert l2_3d.norm(est.x - est.y) == pytest.approx(eps, abs=1e-8)
+            assert eps - 1e-12 <= l2_3d.norm(est.x - est.y) <= eps + 1e-8
 
 
 def _hanner_delta(p: float, eps: float) -> float:
@@ -649,10 +634,10 @@ def _hanner_delta(p: float, eps: float) -> float:
 
 
 class TestDelta3D:
-    """delta on lp^3 at the default config against its closed forms, which
-    hold in every dim >= 2: Hanner's for p = 1.5 and Clarkson's
-    1 - (1 - (eps/2)^p)^(1/p) for p = 3.  Each space shares one pair table,
-    as in compute_all."""
+    """delta and its boundary solve alone on lp^3 at the default config
+    against the closed forms of delta, which hold in every dim >= 2:
+    Hanner's for p = 1.5 and Clarkson's 1 - (1 - (eps/2)^p)^(1/p) for
+    p = 3.  Each space shares one pair table, as in compute_all."""
 
     EPS = (0.5, 1.0, 1.5)
     CLOSED_FORMS = {"lp:p=1.5,dim=3": lambda e: _hanner_delta(1.5, e),
@@ -666,8 +651,8 @@ class TestDelta3D:
             cfg = SearchConfig.for_dim(space.dim)
             cache = pair_table(space, cfg)
             for eps in self.EPS:
-                for mode in ("geq", "eq"):
-                    out[spec, eps, mode] = space, con.delta(space, eps, cfg, mode, cache=cache)
+                out[spec, eps, "delta"] = space, con.delta(space, eps, cfg, cache=cache)
+                out[spec, eps, "boundary"] = space, con._delta_boundary(space, eps, cfg, cache)
         return out
 
     def test_closed_forms(self, estimates):
@@ -675,22 +660,14 @@ class TestDelta3D:
             expect = self.CLOSED_FORMS[spec](eps)
             assert est.value == pytest.approx(expect, abs=1e-9), (spec, eps, mode)
 
-    def test_geq_not_above_eq(self, estimates):
-        for spec in self.CLOSED_FORMS:
-            for eps in self.EPS:
-                geq = estimates[spec, eps, "geq"][1].value
-                eq = estimates[spec, eps, "eq"][1].value
-                assert geq <= eq + 1e-12, (spec, eps)
-
     def test_witnesses_unit_and_feasible(self, estimates):
         for (spec, eps, mode), (space, est) in estimates.items():
             assert space.norm(est.x) == pytest.approx(1.0, abs=1e-9)
             assert space.norm(est.y) == pytest.approx(1.0, abs=1e-9)
             dist = space.norm(est.x - est.y)
-            if mode == "geq":
-                assert dist >= eps - 1e-12, (spec, eps)
-            else:
-                assert abs(dist - eps) <= 1e-8, (spec, eps)
+            assert dist >= eps - 1e-12, (spec, eps, mode)
+            if mode == "boundary":
+                assert dist <= eps + 1e-8, (spec, eps)
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from normgeo.constants import delta, eps0, gamma, schaffer, sp_constant, t_and_T
 from normgeo.search import (ConstantEstimate, PairNormObjective, SearchConfig,
                             infsup_pair, maximize_pair, minimize_pair, pair_table,
                             axis_lattice, box_lattice, lattice_edges, refine_pairs, refine_starts,
-                            sphere_grid, sphere_point, sphere_points, top_cells)
+                            sphere_grid, sphere_points, top_cells)
 from normgeo.spaces import battery_specs, build_space, parse_space_spec
 
 TWO_PI = 2.0 * math.pi
@@ -29,36 +29,62 @@ TWO_PI = 2.0 * math.pi
 # --------------------------------------------------------------------------
 
 def test_sphere_point_2d_angle(l1):
-    v = sphere_point(l1, math.pi / 4.0)
+    v = sphere_points(l1, np.array([[math.pi / 4.0]]))[0]
     assert l1.norm(v) == pytest.approx(1.0, abs=1e-12)
     assert v[0] == pytest.approx(v[1])
 
 
 def test_sphere_point_direction_any_dim():
     sp = build_space(parse_space_spec("lp:p=2,dim=3"))
-    v = sphere_point(sp, [1.0, 1.0, 1.0])
+    v = sphere_points(sp, np.array([[1.0, 1.0, 1.0]]))[0]
     assert sp.norm(v) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_sphere_point_rejects_zero(l2):
-    with pytest.raises(ValueError):
-        sphere_point(l2, [0.0, 0.0])
 
 
 @pytest.mark.parametrize("spec, k", [("lp:p=1.5,dim=2", 1), ("lp:p=1.5,dim=2", 2),
                                      ("lp:p=1.5,dim=3", 3), ("polygon0", 1)])
 def test_sphere_point_bits_of_sphere_points(spec, k):
-    """A reported witness carries the bits the engine evaluated: sphere_point
-    gives a row the bits sphere_points gives it in a batch, for angles (k = 1)
-    and directions alike, on the lp and on the polygon gauges."""
+    """A reported witness carries the bits the engine evaluated: sphere_points
+    gives a row in a two-row call the bits it gives that row in a batch, for
+    angles (k = 1) and directions alike, on the lp and on the polygon gauges.
+    (numpy takes a one-row matrix product, as the polygon gauges make, down
+    another BLAS path that can round differently.)"""
     space = build_space(battery_specs(7, 20)[0] if spec == "polygon0"
                         else parse_space_spec(spec))
     rng = np.random.default_rng(3)
     params = (rng.uniform(0.0, TWO_PI, (2000, 1)) if k == 1
               else rng.uniform(-1.0, 1.0, (2000, k)))
     batched = sphere_points(space, params)
-    single = np.array([sphere_point(space, row if k > 1 else row[0]) for row in params])
+    single = np.array([sphere_points(space, np.stack([row, row]))[0] for row in params])
     assert np.array_equal(single, batched)
+
+
+@pytest.mark.parametrize("spec", [
+    battery_specs(7, 20)[0],
+    "polyv:v=[[1,0],[0.5,0.8660254037844386],[-0.5,0.8660254037844386]]",
+    "lp:p=1.5,dim=2", "lp:p=1.5,dim=3",
+    "polyf:f=[[1,1,0],[1,-1,0],[1,0,1],[1,0,-1],[0,1,1],[0,1,-1]]"],
+    ids=["polygon0", "hexagon", "lp1.5-dim2", "lp1.5-dim3", "polyf-dim3"])
+def test_witness_bits_reproduce_value(spec):
+    """A reported witness carries the bits the engine evaluated its value
+    from: the combine of the gauge of x + ty and x - ty, in one two-row
+    call, is the value bit for bit, for the six pair constants, T, the
+    sqrt2 residual, and gamma and rho at a fixed t != 1."""
+    space = build_space(parse_space_spec(spec) if isinstance(spec, str) else spec)
+    cfg = SearchConfig.for_dim(2) if space.dim == 2 else SearchConfig(grid_per_dim=8)
+    cache = pair_table(space, cfg)
+    pairs = constants.pair_constants(space, cfg, cache)
+    combines = {key: fn for key, (fn, _, _) in constants._PAIR_SCANS.items()}
+    combines.update(cnj=constants._cnj_combine, zbaganu=constants._zbaganu_combine)
+    cases = [(est, combines[key], 1.0 if est.t is None else est.t) for key, est in pairs.items()]
+    cases += [(constants.T_constant(space, cfg, cache=cache), constants.geom_mean, 1.0),
+              (constants.sqrt2_pair_residual(space, cfg, cache=cache), constants.sqrt2_residual,
+               1.0),
+              (gamma(space, 0.5, cfg), constants._gamma_combine, 0.5),
+              (constants.rho(space, 0.5, cfg), lambda a, b: (a + b) / 2.0 - 1.0, 0.5)]
+    for est, combine, t in cases:
+        a, b = np.asarray(space.gauge(np.stack([est.x + t * est.y, est.x - t * est.y])))
+        value = combine(a, b) if est.t is None else combine(a, b, est.t)
+        assert float(value) == est.value, (spec, combine)
 
 
 def test_sphere_grid_2d_on_sphere(hexagon):

@@ -284,6 +284,18 @@ def test_lp_gauge_lone_vector_bits_of_batch(text):
     assert np.array_equal(lone, sp.gauge(z))
 
 
+@pytest.mark.parametrize("text", [
+    *(f"lp:p={p},dim={d}" for p in (1, 1.5, 2, 3) for d in (2, 3)),
+    "linf:dim=2", "linf:dim=3", "wlp:p=1.5,w=[0.5,2]", "wlp:p=1.5,w=[0.5,2,3]",
+    "polyf:f=[[1,0],[0,1],[1,1]]", "polyf:f=[[1,1,0],[1,-1,0],[1,0,1],[1,0,-1],[0,1,1],[0,1,-1]]",
+    "polyv:v=[[1,0],[0.5,0.8660254037844386],[-0.5,0.8660254037844386]]"])
+def test_gauge_of_empty_batch(text):
+    # An empty batch, as the bisection of delta's boundary solve passes when
+    # no lattice edge brackets the constraint, maps to an empty result.
+    sp = build_space(parse_space_spec(text))
+    assert np.asarray(sp.gauge(np.empty((0, sp.dim)))).shape == (0,)
+
+
 def test_weighted_lp_weights_before_the_power():
     # Weighted after the power, |z|^p = (0, 5e-324) would leave the sum one
     # scaled subnormal, in the normal range, and the gauge 0.397; weighted

@@ -53,6 +53,10 @@ invocations=(
     "witness --space $polygon0 --constant sp"
     "witness --space $polygon0 --constant cnj"
     "witness --space $polygon0 --constant zbaganu"
+    "witness --space lp:p=1.5,dim=3 --constant james"
+    # delta at eps = 2, the end of its domain.
+    "sweep --space $hexagon --delta-eps 1.75:2:0.25"
+    "constants --space $polyf --delta-eps 2"
     # Bad input: exit 2 and an error line on stderr.
     "constants --space lp:p=1.5,dim=2 --delta-eps 3"
 )
