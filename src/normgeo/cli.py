@@ -115,14 +115,13 @@ def _parse_range(text: str) -> list[float]:
 
 
 def _parse_battery(text: str) -> tuple[int, int]:
-    kv = {}
-    for part in text.split(","):
-        key, eq, value = part.partition("=")
-        if not eq or key not in ("seed", "count") or key in kv:
-            raise ValueError(f"battery spec must be seed=N,count=K, got {text!r}")
-        kv[key] = int(value)
-    if set(kv) != {"seed", "count"} or kv["count"] < 1:
-        raise ValueError(f"battery spec must be seed=N,count=K, got {text!r}")
+    """(seed, count) of a --battery spec seed=N,count=K: integers N >= 0 and
+    K >= 1."""
+    parts = [part.partition("=") for part in text.split(",")]
+    kv = {key: int(value) for key, _, value in parts if value.isdecimal()}
+    if len(parts) != 2 or set(kv) != {"seed", "count"} or kv["count"] < 1:
+        raise ValueError(f"battery spec must be seed=N,count=K with integers N >= 0 and K >= 1, "
+                         f"got {text!r}")
     return kv["seed"], kv["count"]
 
 
@@ -138,6 +137,8 @@ def cmd_constants(args) -> int:
     rho_ts = _parse_float_list(args.rho_t) if args.rho_t else []
     if args.oracle and space.dim != 2:
         raise ValueError("--oracle requires a 2D space")
+    if args.oracle and args.format == "csv":
+        raise ValueError("--oracle requires --format json; the CSV output has no oracle section")
     if args.oracle and args.oracle_grid < 3:
         raise ValueError(f"--oracle-grid must be at least 3, got {args.oracle_grid}")
 

@@ -19,7 +19,6 @@ from .search import (
     PairNormObjective,
     PairTable,
     SearchConfig,
-    block_cells,
     extremize,
     infsup_pair,
     lattice_edges,
@@ -42,6 +41,7 @@ SQRT2 = math.sqrt(2.0)
 _T_GRID = 101           # t samples for scaled-pair sweeps over [0, 1]
 _EQ_ROOT_TOL = 1e-8     # ||x-y|| - eps accepted as on-constraint
 _GEQ_SLACK = 1e-12      # feasibility slack so exact-boundary grid pairs count
+_FLAT = 1e-7            # eps0's threshold: delta(eps) <= _FLAT counts as zero
 
 
 # --------------------------------------------------------------------------
@@ -430,79 +430,25 @@ def _delta_boundary(space: Space, eps: float, cfg: SearchConfig,
     return replace(est, evaluations=evaluations + est.evaluations)
 
 
-def _band(table: PairTable, lo: float, hi: float) -> np.ndarray:
-    """Flat indices, as int32, of the class walk's cells (one per mirror
-    class of t = 1, search.row_blocks) of the pairs with lo <= ||x-y|| < hi,
-    collected one block of rows at a time."""
-    n = len(table.plus)
-    out = []
-    for i0, i1 in row_blocks(n, True):
-        minus = table.block(i0, i1, i0)[:, ::-1]
-        cells = block_cells(n, i0, i0, minus.shape[2],
-                            np.flatnonzero((minus >= lo) & (minus < hi)))
-        # Cells below the block's diagonal repeat cells of its rows above it.
-        out.append(cells[cells % n % (n // 2) >= cells // n].astype(np.int32))
-    return np.concatenate(out)
-
-
 def eps0(space: Space, cfg: SearchConfig | None = None, *,
          cache: PairTable | None = None) -> ConstantEstimate:
-    """Largest eps with delta(eps) = 0: sup of the zero set of the modulus of
-    convexity, by bisection against the threshold delta(eps) <= 1e-7.
+    """Largest eps with delta(eps) = 0, the characteristic of convexity, at
+    the threshold delta(eps) <= 1e-7: the largest multiple of 2^-14 at or
+    below E, capped at 2, where E is the sup of ||x-y|| over unit pairs
+    with 1 - ||x+y||/2 <= 1e-7.
 
-    Each probe is the raw geq grid + zoom: the boundary refinement could
-    only shift the flat/non-flat call on values within its ~1e-5 correction
-    of the threshold, and the bisection reports at 1e-4 resolution anyway.
-    With a stored table, once a probe comes out non-flat, each later probe
-    inside the bracket [lo, hi] scans only the pairs that can be among its
-    starts: the feasible starts of the last non-flat probe, which are the
-    best pairs with ||x-y|| >= hi - slack, and the band of pairs with
-    lo - slack <= ||x-y|| < hi - slack, one cell per mirror class, whose
-    members share ||x-y||.  So it picks the same starts as a full scan
-    would.
+    The unit sphere is compact, so delta(eps) <= 1e-7 exactly when some
+    unit pair has ||x-y|| >= eps and 1 - ||x+y||/2 <= 1e-7: the eps with
+    delta(eps) <= 1e-7 form [0, E], and one constrained sup finds its end.
+    The threshold admits pairs a little past the end of a flat zone, which
+    on the hexagon puts E at 1.0000002; flooring to the 2^-14 lattice drops
+    that width on polygons.
+    The witness is the maximizing pair, so ||x-y|| >= value and
+    1 - ||x+y||/2 <= 1e-7.
     """
-    cfg = cfg or SearchConfig.for_dim(space.dim)
-    if space.dim > 2 and cache is None:
-        cfg = replace(cfg, grid_per_dim=min(cfg.grid_per_dim, 12))
-    if cache is None:
-        cache = pair_table(space, cfg)
-    threshold = 1e-7
-
-    def probe(e: float, cells=None, classes=None) -> tuple[ConstantEstimate, np.ndarray]:
-        """The raw geq estimate at e, and those of its starts feasible at e."""
-        (est,), (starts,) = extremize(space, [_geq_objective(e)], cfg, "inf", cache=cache,
-                                     cells=cells, classes=classes)
-        if cache is not None:
-            starts = starts[cache.minus_at(starts) >= e - _GEQ_SLACK].astype(np.int32)
-        return _feasible(est, e), starts
-
-    est_two, carried = probe(2.0)
-    if est_two.value <= threshold:
-        return ConstantEstimate(value=2.0, x=est_two.x, y=est_two.y, converged=True,
-                                evaluations=est_two.evaluations)
-    lo, hi = 0.0, 2.0
-    evaluations = est_two.evaluations
-    witness = band = None
-    while hi - lo > 1e-4:
-        mid = 0.5 * (lo + hi)
-        est, starts = probe(mid, None if band is None else carried, band)
-        evaluations += est.evaluations
-        if est.value <= threshold:
-            lo = mid
-            witness = est
-            if band is not None:
-                band = band[cache.minus_at(band) >= mid - _GEQ_SLACK]
-        else:
-            hi, carried = mid, starts
-            if band is not None:
-                band = band[cache.minus_at(band) < mid - _GEQ_SLACK]
-            elif cache is not None:
-                band = _band(cache, lo - _GEQ_SLACK, mid - _GEQ_SLACK)
-    return ConstantEstimate(
-        value=lo,
-        x=None if witness is None else witness.x,
-        y=None if witness is None else witness.y,
-        converged=True, evaluations=evaluations)
+    flat = PairNormObjective(lambda a, b: np.where(1.0 - a / 2.0 <= _FLAT, b, -np.inf))
+    (est,), _ = extremize(space, [flat], cfg, "sup", cache=cache)
+    return replace(est, value=min(2.0, math.floor(est.value * 2.0 ** 14) / 2.0 ** 14))
 
 
 # --------------------------------------------------------------------------

@@ -277,17 +277,6 @@ class PairTable:
         halves swapped are the ||x-y||."""
         return self.plus[i0:i1].reshape(i1 - i0, 2, -1)[:, :, lo:]
 
-    def minus_at(self, cells: np.ndarray) -> np.ndarray:
-        """||x-y|| at the pairs numbered cells (flat indices), read from the
-        antipodal rows CHUNK_PAIRS cells at a time."""
-        n = len(self.plus)
-        flat = self.plus.ravel()
-        out = np.empty(len(cells))
-        for c0 in range(0, len(cells), CHUNK_PAIRS):
-            chunk = np.asarray(cells[c0:c0 + CHUNK_PAIRS], dtype=np.intp)
-            out[c0:c0 + CHUNK_PAIRS] = flat[(chunk + n // 2 * n) % flat.size]
-        return out
-
     @property
     def minus(self) -> np.ndarray:
         """||x-y|| over the whole grid: a new (n, n) array, not stored."""
@@ -660,9 +649,9 @@ def top_cells(vals: np.ndarray, sign: float, count: int, cells=None, axis=None) 
     Exact under any ties: every cell strictly better than the count-th value
     is taken, and the remaining places go to the lowest-index cells at that
     value, so the choice depends on the values alone.  cells, when given,
-    holds the index of each value in a larger array (a chunk of given cells,
-    or candidates merged from several scans), distinct in each row and in
-    any order, and takes the place of the flat index in the order.
+    holds the index of each value in a larger array (candidates merged
+    from several scans), distinct in each row and in any order, and takes
+    the place of the flat index in the order.
     """
     key = -sign * np.asarray(vals, dtype=float)
     n = key.size if axis is None else key.shape[-1]
@@ -730,45 +719,6 @@ def class_sizes(i, j, n: int, swap: bool) -> np.ndarray:
     return 2 * ((jm >= i).astype(np.int8) + (jm > i))
 
 
-def _candidates(space: Space, objective: PairNormObjective, grid: SphereGrid,
-                cache: PairTable | None, exclude: bool, eta: float, sign: float, count: int,
-                cells, classes):
-    """extremize's scan: yield per block the flat indices and values of
-    candidate cells and its evaluation count.  The candidates of all blocks
-    hold the count best cells of the whole scan.
-
-    Without cells and classes, the class walk; otherwise the pairs of the
-    table cache numbered cells, each scored and counted alone, and classes,
-    one cell per class scored and counted for its members, CHUNK_PAIRS at a
-    time.  A block's count best cells, and with them the members of their
-    classes, are its candidates.  A class's lowest-index cell, which a block
-    holds, ranks ahead of its other members, and the cells ahead of it in
-    its block are cells of the grid, so it is among its block's count best
-    when any member is among the count best of the whole scan.
-    """
-    n = len(grid.vectors)
-    swap = objective.t == 1.0
-    if cells is None and classes is None:
-        for i0, lo, vals, evaluations in _walk(space, objective, grid, cache, exclude, eta,
-                                               sign, swap):
-            idx = top_cells(vals, sign, count)
-            members = mirror_members(block_cells(n, i0, lo, vals.shape[2], idx), n, swap)
-            yield members.ravel(), np.repeat(vals.ravel()[idx], members.shape[1]), evaluations
-        return
-    plus = cache.plus.ravel()
-    for given, as_classes in ((cells, False), (classes, True)):
-        for c0 in range(0, 0 if given is None else len(given), CHUNK_PAIRS):
-            chunk = np.asarray(given[c0:c0 + CHUNK_PAIRS], dtype=np.intp)
-            vals, bad = _score(objective, plus[chunk], cache.minus_at(chunk), exclude, eta, sign)
-            idx = top_cells(vals, sign, count, chunk)
-            if not as_classes:
-                yield chunk[idx], vals[idx], chunk.size - np.count_nonzero(bad)
-                continue
-            members = mirror_members(chunk[idx], n, True)
-            yield (members.ravel(), np.repeat(vals[idx], 4),
-                   int(class_sizes(*np.divmod(chunk[~bad], n), n, True).sum(dtype=np.intp)))
-
-
 def mirror_members(cells, n: int, swap: bool, inner: int = 1) -> np.ndarray:
     """The members of the mirror class of each cell, along a new last axis:
     the inverse of mirror_representatives.
@@ -814,18 +764,13 @@ def pick_starts(grid: SphereGrid, cells, values, sign: float, count: int, swap: 
 
 
 def extremize(space: Space, objectives, cfg: SearchConfig | None, mode, *,
-              exclude=False, cache: PairTable | None = None,
-              cells: np.ndarray | None = None, classes: np.ndarray | None = None):
+              exclude=False, cache: PairTable | None = None):
     """The one scan-and-zoom: the sup (mode "sup") or inf ("inf") over
     unit-sphere pairs (x, y) of each objective, a PairNormObjective with a
     fixed t, at (||x+ty||, ||x-ty||).  With exclude, pairs with
     ||x+ty|| < eta or ||x-ty|| < eta are skipped.  mode and exclude are one
     value for all objectives or one per objective.  cache, the shared pair
-    table, supplies the norms of a t = 1 objective.  cells and classes, when
-    either is given, limit the scan of a t = 1 objective to pairs of the
-    table: those numbered cells (flat indices), and the members of the
-    mirror classes of classes, lowest-index cells of their classes (such as
-    the class walk's); the two sets share no pair.
+    table, supplies the norms of a t = 1 objective.
 
     Returns the estimates and, per objective, the flat grid indices of its
     starts: the cfg.multistart best cells by value and then by flat index.
@@ -838,17 +783,23 @@ def extremize(space: Space, objectives, cfg: SearchConfig | None, mode, *,
     """
     cfg = cfg or SearchConfig.for_dim(space.dim)
     grid = cache.grid if cache is not None else sphere_grid(space, cfg.grid_per_dim)
+    n = len(grid.vectors)
     picked, scans = [], []
     for objective, sign, excluded in zip(objectives, *_per_group(mode, exclude, len(objectives))):
+        # The class walk; each block's best cells and the members of their
+        # classes are its candidates, which hold the best of the whole scan.
         found, values, evaluations = [], [], 0
-        for where, vals, count in _candidates(space, objective, grid, cache, excluded, cfg.eta,
-                                              sign, cfg.multistart, cells, classes):
-            found.append(where)
-            values.append(vals)
+        swap = objective.t == 1.0
+        for i0, lo, vals, count in _walk(space, objective, grid, cache, excluded, cfg.eta, sign,
+                                         swap):
+            idx = top_cells(vals, sign, cfg.multistart)
+            members = mirror_members(block_cells(n, i0, lo, vals.shape[2], idx), n, swap)
+            found.append(members.ravel())
+            values.append(np.repeat(vals.ravel()[idx], members.shape[1]))
             evaluations += count
         found, first = np.unique(np.concatenate(found), return_index=True)
         picked.append(pick_starts(grid, found, np.concatenate(values)[first], sign,
-                                  cfg.multistart, objective.t == 1.0))
+                                  cfg.multistart, swap))
         scans.append(evaluations)
     starts, params, start_values = zip(*picked)
     ests = refine_pairs(space, objectives, params, start_values, grid.step, cfg, mode,

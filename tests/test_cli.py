@@ -140,6 +140,14 @@ def _no_computation(*args, **kwargs):
     raise AssertionError("the input should be rejected before any computation")
 
 
+def test_constants_oracle_rejects_csv_before_computing(capsys, monkeypatch):
+    monkeypatch.setattr(cli.con, "compute_all", _no_computation)
+    code, out, err = run_cli(capsys, "constants", "--space", "lp:p=2,dim=2",
+                             "--oracle", "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err == "error: --oracle requires --format json; the CSV output has no oracle section\n"
+
+
 @pytest.mark.parametrize("grid", ["0", "-5", "2"])
 def test_constants_oracle_grid_rejected_before_computing(capsys, monkeypatch, grid):
     monkeypatch.setattr(cli.con, "compute_all", _no_computation)
@@ -313,9 +321,12 @@ def test_verify_battery_json(capsys):
 
 
 def test_verify_battery_bad_spec(capsys):
-    for bad in ("seed=7", "count=3", "seed=7,count=0", "seed=7,count=3,x=1"):
+    for bad in ("seed=7", "count=3", "seed=7,count=0", "seed=7,count=3,x=1",
+                "seed=-1,count=1", "seed=1.5,count=1"):
         code, _, err = run_cli(capsys, "verify", "--battery", bad)
         assert code == 2, bad
+        assert err == (f"error: battery spec must be seed=N,count=K with integers N >= 0 "
+                       f"and K >= 1, got {bad!r}\n"), bad
 
 
 def test_verify_needs_one_target(capsys):

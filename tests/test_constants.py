@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from normgeo import constants as con, search
 from normgeo.search import SearchConfig, pair_table
-from normgeo.spaces import build_space, parse_space_spec
+from normgeo.spaces import _convex_hull_2d, battery_specs, build_space, parse_space_spec
 
 SQRT2 = math.sqrt(2.0)
 
@@ -550,36 +550,24 @@ class TestEps0:
         assert abs(all_consts["l15"]["eps0"].value) <= 1e-2
 
     def test_hexagon_exactly_one(self, all_consts):
-        # The flat zone ends at 1, which the bisection probes directly.
+        # The flat zone ends at 1, a point of the 2^-14 lattice.
         assert all_consts["hex"]["eps0"].value == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("spec", [HEXAGON, POLYGON0, "lp:p=1.5,dim=3"])
-    def test_band_scan_matches_full_rescan(self, spec):
-        # Reference: the same bisection with a full grid scan at every probe.
-        space = build_space(parse_space_spec(spec))
-        cfg = SearchConfig.for_dim(space.dim)
-        if space.dim > 2:
-            cfg = replace(cfg, grid_per_dim=12)
-        cache = pair_table(space, cfg)
-
-        def raw(e):   # delta's raw geq inf: the grid + zoom alone
-            return con._feasible(con.minimize_pair(space, con._geq_objective(e), cfg,
-                                                   cache=cache), e)
-        est = raw(2.0)
-        assert est.value > 1e-7
-        lo, hi, witness, evaluations = 0.0, 2.0, None, est.evaluations
-        while hi - lo > 1e-4:
-            mid = 0.5 * (lo + hi)
-            est = raw(mid)
-            evaluations += est.evaluations
-            if est.value <= 1e-7:
-                lo, witness = mid, est
-            else:
-                hi = mid
-        got = con.eps0(space, cfg, cache=cache)
-        assert got.value == lo
-        assert np.array_equal(got.x, witness.x) and np.array_equal(got.y, witness.y)
-        assert got.evaluations < evaluations / 2   # the later probes scan less
+    @pytest.mark.parametrize("spec", [parse_space_spec(HEXAGON), *battery_specs(7, 20)],
+                             ids=["hexagon", *(f"battery{i}" for i in range(20))])
+    def test_polygon_is_longest_edge(self, spec):
+        """On a polygon, 1 - ||x+y||/2 = 0 exactly when x and y lie on one
+        edge of the unit sphere, so eps0 is L, the longest edge of the
+        symmetric hull in the polygon's own norm, reported on the 2^-14
+        lattice; the witness is a pair that shows the value."""
+        space = build_space(spec)
+        v = np.asarray(spec.vertices)
+        hull = _convex_hull_2d(np.concatenate([v, -v]))
+        L = max(space.norm(b - a) for a, b in zip(hull, np.roll(hull, -1, axis=0)))
+        est = con.eps0(space)
+        assert est.value == math.floor(L * 2.0 ** 14) / 2.0 ** 14
+        assert space.norm(est.x - est.y) >= est.value
+        assert 1.0 - space.norm(est.x + est.y) / 2.0 <= 1e-7
 
 
 # --------------------------------------------------------------------------

@@ -305,7 +305,6 @@ def test_pair_table_values(l1):
         x, y = g.vectors[i], g.vectors[j]
         assert table.plus[i, j] == pytest.approx(l1.norm(x + y), abs=1e-14)
         assert minus[i, j] == pytest.approx(l1.norm(x - y), abs=1e-14)
-        assert table.minus_at(np.array([i * 64 + j]))[0] == minus[i, j]
         if i < 32:   # a row of H: its block's halves swapped are ||x-y||
             assert table.block(i, i + 1, 0)[0, ::-1].ravel()[j] == minus[i, j]
 
@@ -423,7 +422,7 @@ def test_scan_independent_of_block_size(monkeypatch):
     """Every grid walk goes through search.row_blocks; a block size that
     divides nothing evenly leaves every value, witness and evaluation count
     as it is, with and without a shared pair table.  It splits delta's
-    boundary-solve grid stage and eps0's band into several blocks."""
+    boundary-solve grid stage into several blocks."""
     def row_blocks(n, swap):
         """search.row_blocks, counted by the calling function's name."""
         blocks = search.row_blocks(n, swap)
@@ -446,8 +445,7 @@ def test_scan_independent_of_block_size(monkeypatch):
             m.setattr(search, "CHUNK_PAIRS", 997)
             m.setattr(constants, "row_blocks", row_blocks)
             blocks = estimates()
-        for name in ("_delta_boundary", "_band"):
-            assert min(walks[name]) > 1, (spec, name, walks[name])
+        assert min(walks["_delta_boundary"]) > 1, (spec, walks["_delta_boundary"])
         for a, b in zip(ref, blocks):
             assert (a.value, a.evaluations) == (b.value, b.evaluations)
             assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
@@ -473,39 +471,25 @@ def _full_values(space, grid, objective, exclude, eta, sign):
     return np.where(bad, -sign * np.inf, vals), bad
 
 
-def _class_members(cells, n):
-    """Every member of the t = 1 mirror class of each cell, written out."""
-    i, j = np.divmod(np.asarray(cells, dtype=np.intp), n)
-    ih, jh = (i + n // 2) % n, (j + n // 2) % n
-    return np.unique(np.concatenate([i * n + j, ih * n + jh, j * n + i, jh * n + ih]))
-
-
-def _reference_starts(space, grid, objective, cfg, mode, exclude, cells=None, classes=None):
+def _reference_starts(space, grid, objective, cfg, mode, exclude):
     """The starts of a scan of every pair: top_cells on the full value
-    array (or on the given cells and every member of the given classes),
-    then pick_starts.  Returns the start cells, their parameters and values
-    and the evaluation count."""
+    array, then pick_starts.  Returns the start cells, their parameters and
+    values and the evaluation count."""
     sign = 1.0 if mode == "sup" else -1.0
     vals, bad = _full_values(space, grid, objective, exclude, cfg.eta, sign)
-    if cells is None and classes is None:
-        given = np.arange(vals.size)
-    else:
-        given = np.concatenate([np.asarray([] if cells is None else cells, dtype=np.intp),
-                                _class_members([] if classes is None else classes, len(vals))])
-    v = vals.ravel()[given]
-    best = top_cells(v, sign, cfg.multistart, given)
-    starts, params, values = search.pick_starts(grid, given[best], v[best], sign, cfg.multistart,
+    v = vals.ravel()
+    best = top_cells(v, sign, cfg.multistart)
+    starts, params, values = search.pick_starts(grid, best, v[best], sign, cfg.multistart,
                                                 objective.t == 1.0)
-    return starts, params, values, given.size - np.count_nonzero(bad.ravel()[given])
+    return starts, params, values, v.size - np.count_nonzero(bad)
 
 
-def _reference_extremize(space, objectives, cfg, mode, *, exclude=False, cache=None, cells=None,
-                         classes=None):
+def _reference_extremize(space, objectives, cfg, mode, *, exclude=False, cache=None):
     """search.extremize from a scan of every pair (_reference_starts)."""
     cfg = cfg or SearchConfig.for_dim(space.dim)
     grid = cache.grid if cache is not None else sphere_grid(space, cfg.grid_per_dim)
     starts, params, values, counts = zip(*[
-        _reference_starts(space, grid, o, cfg, mode, exclude, cells, classes) for o in objectives])
+        _reference_starts(space, grid, o, cfg, mode, exclude) for o in objectives])
     ests = refine_pairs(space, objectives, params, values, grid.step, cfg, mode,
                         evaluations=counts, exclude=exclude)
     return ests, list(starts)
@@ -590,28 +574,23 @@ def test_class_walk_matches_full_scan(monkeypatch, spec, chunk):
     n x n grid and runs top_cells, then pick_starts, on it gives the same
     start cells, the same starts and values handed to the engine, and the
     same estimates and evaluation counts, bit for bit, with the shared
-    table and from the gauge.  So do a scan of every class given as a
-    cell set (extremize's classes), t's grid row sups and the C_NJ/C_Z
+    table and from the gauge.  So do t's grid row sups and the C_NJ/C_Z
     sweep, whose combines run on the rows of H."""
     space = _space(spec)
     cfg = SearchConfig(grid_per_dim=64 if space.dim == 2 else 8, refine_iters=20)
     table = pair_table(space, cfg)
     monkeypatch.setattr(search, "CHUNK_PAIRS", chunk)
-    every_class = constants._band(table, -np.inf, np.inf)
     for objective, mode, exclude in _SCANS:
-        runs = [(table, None), (None, None)]
-        if objective.t == 1.0:
-            runs.append((table, every_class))
-        for cache, classes in runs:
+        for cache in (table, None):
             got_starts, ref_starts = [], []
             with monkeypatch.context() as m:
                 _recording_engine(m, got_starts)
                 got = search.extremize(space, [objective], cfg, mode, exclude=exclude,
-                                       cache=cache, classes=classes)
+                                       cache=cache)
             with monkeypatch.context() as m:
                 _recording_engine(m, ref_starts)
                 ref = _reference_extremize(space, [objective], cfg, mode, exclude=exclude,
-                                           cache=cache, classes=classes)
+                                           cache=cache)
             assert got[1][0].tolist() == ref[1][0].tolist(), (spec, mode, cache is None)
             _assert_same_starts(got_starts, ref_starts)
             _assert_same_estimates(got[0], ref[0])
@@ -778,26 +757,6 @@ def test_mirror_classes_do_not_over_reduce(monkeypatch, spec, t, mode, multistar
         (ref,), _ = search.extremize(space, [objective], cfg, mode)
     assert est.value == pytest.approx(ref.value, rel=0.0, abs=1e-12)
     assert est.evaluations <= ref.evaluations
-
-
-def test_cell_scan_independent_of_cell_order(monkeypatch):
-    """extremize over given cells picks its starts by value, then by flat
-    index, however the cells are ordered and split into chunks: every cell,
-    shuffled, gives the full scan's starts and estimate.  The rounded
-    objective ties many cells at the cut-off value."""
-    space = build_space(parse_space_spec("lp:p=1.5,dim=2"))
-    cfg = SearchConfig(grid_per_dim=96, refine_iters=40, multistart=4)
-    cache = pair_table(space, cfg)
-    objective = PairNormObjective(lambda a, b: np.round(a + b, 1))
-    (ref,), (ref_starts,) = search.extremize(space, [objective], cfg, "inf", cache=cache)
-    cells = np.random.default_rng(3).permutation(cache.plus.size).astype(np.int32)
-    with monkeypatch.context() as m:
-        m.setattr(search, "CHUNK_PAIRS", 997)
-        (est,), (starts,) = search.extremize(space, [objective], cfg, "inf", cache=cache,
-                                             cells=cells)
-    assert starts.tolist() == ref_starts.tolist()
-    assert (est.value, est.evaluations) == (ref.value, ref.evaluations)
-    assert np.array_equal(est.x, ref.x) and np.array_equal(est.y, ref.y)
 
 
 def test_no_start_errors_name_their_cause():

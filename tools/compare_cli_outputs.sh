@@ -8,6 +8,12 @@
 #   directory.  Prints one line per invocation and a diff for each that
 #   differs.  Exits 0 when all match, 1 on any difference, 2 on bad usage.
 #   Takes a few minutes; the two trees run side by side, one process each.
+#
+# Against a tree whose eps0 still bisects delta(eps) <= 1e-7 with 16 probes,
+# the eps0 entry of every `constants` run differs (its evaluations and
+# witness, and its value on smooth lp and wlp norms), and the
+# `--oracle --format csv` run, which such a tree ran without printing the
+# oracle, exits 2.  Every other line is the same.
 set -u
 
 if [ $# -ne 2 ]; then
@@ -57,8 +63,13 @@ invocations=(
     # delta at eps = 2, the end of its domain.
     "sweep --space $hexagon --delta-eps 1.75:2:0.25"
     "constants --space $polyf --delta-eps 2"
+    # The CSV writer, weighted lp, a gamma sweep and a near-flat smooth norm.
+    "constants --space wlp:p=1.5,w=[1,9] --format csv"
+    "sweep --space lp:p=1.5,dim=2 --gamma-t 0.25:1:0.25"
+    "constants --space lp:p=40,dim=2"
     # Bad input: exit 2 and an error line on stderr.
     "constants --space lp:p=1.5,dim=2 --delta-eps 3"
+    "constants --space $hexagon --oracle --format csv"
 )
 
 work=$(mktemp -d)
