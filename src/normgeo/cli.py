@@ -21,7 +21,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import constants as con
-from .oracle import oracle_pair_norm_extrema
+from .parallel import map_in_order
 from .search import ConstantEstimate, SearchConfig, sphere_grid
 from .spaces import NormSpec, battery_specs, build_space, parse_space_spec
 from .verify import VerificationReport, run_checks
@@ -143,16 +143,11 @@ def cmd_constants(args) -> int:
         raise ValueError(f"--oracle-grid must be at least 3, got {args.oracle_grid}")
 
     t0 = time.perf_counter()
-    ests = con.compute_all(space, cfg, gamma_ts=gamma_ts, delta_eps=delta_eps,
-                           rho_ts=rho_ts)
+    found = con.compute_all(space, cfg, gamma_ts=gamma_ts, delta_eps=delta_eps, rho_ts=rho_ts,
+                            oracle_grid=args.oracle_grid if args.oracle else None)
+    ests, oracle_vals = found if args.oracle else (found, None)
     oracle_section = None
     if args.oracle:
-        combines = {key: (fn, mode) for key, (fn, mode, _) in con._PAIR_SCANS.items()}
-        combines["T"] = (con.geom_mean, "sup")
-        combines["t"] = (con.geom_mean, "infsup")
-        oracle_vals = oracle_pair_norm_extrema(space, combines,
-                                               grid_size=args.oracle_grid,
-                                               eta=cfg.eta)
         oracle_section = {"grid_size": args.oracle_grid}
         for name, ov in oracle_vals.items():
             oracle_section[name] = {
@@ -257,7 +252,7 @@ def cmd_verify(args) -> int:
         specs = battery_specs(*_parse_battery(args.battery))
     reports = []
     any_failed = False
-    for report, fails in _map_in_order(_verify_one, specs, args):
+    for report, fails in map_in_order(_verify_one, specs, args):
         reports.append(report)
         for line in fails:
             any_failed = True
@@ -267,43 +262,6 @@ def cmd_verify(args) -> int:
     out = {**reports[0], "timing": timing} if args.space else {"battery": reports, "timing": timing}
     print(json.dumps(out, indent=2))
     return 1 if any_failed else 0
-
-
-# --------------------------------------------------------------------------
-# In-order map over a pool of forked workers
-# --------------------------------------------------------------------------
-
-def _usable_cpus() -> int:
-    """The CPUs in this process's affinity mask; 1 where the platform has no
-    fork or no affinity mask."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _map_in_order(fn, items: list, *args):
-    """Yield fn(item, *args) for each item in order, and raise where the
-    first failing item's call raises, as the plain loop does.
-
-    With w = min(len(items), _usable_cpus()) > 1 the calls run in a pool of
-    w forked worker processes and this process only collects their results,
-    so fn, items, args and fn's results must pickle.  Fork, not spawn: a
-    worker starts with the imported package and shares its pages until it
-    writes them, where a spawned worker would import everything again.  On
-    a failure or an interrupt the calls not yet started are cancelled, and
-    every worker is joined before the exception leaves.
-    """
-    workers = min(len(items), _usable_cpus())
-    if workers < 2:
-        yield from (fn(item, *args) for item in items)
-        return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    sys.stdout.flush()   # a worker flushes the buffers it inherits on exit
-    sys.stderr.flush()
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        yield from pool.map(fn, items, *([arg] * len(items) for arg in args))
 
 
 # --------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 
+from .oracle import OracleResult, oracle_pair_norm_extrema
+from .parallel import run_split
 from .spaces import Space
 from .search import (
     ConstantEstimate,
@@ -105,6 +107,11 @@ _PAIR_SCANS = {
     "cnj_prime": (mean_square_quarter, "sup", False),
     "schaffer": (max_norm, "inf", False),
 }
+
+# The reductions `constants --oracle` cross-checks on the dense-grid oracle:
+# key -> (combine, mode), the _PAIR_SCANS constants, then T and t.
+ORACLE_COMBINES = {**{key: (fn, mode) for key, (fn, mode, _) in _PAIR_SCANS.items()},
+                   "T": (geom_mean, "sup"), "t": (geom_mean, "infsup")}
 
 
 def _pair_constant(space: Space, key: str, cfg: SearchConfig | None,
@@ -487,29 +494,52 @@ def pair_constants(space: Space, cfg: SearchConfig,
 
 
 def compute_all(space: Space, cfg: SearchConfig | None = None, *,
-                gamma_ts=(), delta_eps=(), rho_ts=()) -> dict[str, ConstantEstimate]:
-    """All constants of one space, sharing a single pair-norm table.
+                gamma_ts=(), delta_eps=(), rho_ts=(), oracle_grid: int | None = None
+                ) -> (dict[str, ConstantEstimate]
+                      | tuple[dict[str, ConstantEstimate], dict[str, OracleResult]]):
+    """All constants of one space, sharing a single pair-norm table, in the
+    key order of pair_constants, then t, T, eps0 and each gamma, delta and
+    rho.  With oracle_grid, also the dense-grid oracle's values of
+    ORACLE_COMBINES at that grid size: (constants, oracle).
 
     A modulus argument outside its domain raises ValueError before any
     computation.  A failure in any single computation is re-raised as a
     RuntimeError naming the constant, so callers can report which one broke.
+
+    The table is built here, then the independent searches run as tasks of
+    parallel.run_split, in the order t and T (the costliest search), the
+    oracle, pair_constants, eps0, each gamma, each delta, each rho: on
+    several CPUs this process takes every w-th of them and forked workers
+    the rest, sharing the table.  Each estimate is that of the same call
+    on one CPU, and the failure reported is the first in task order.
     """
     for name, values in (("gamma", gamma_ts), ("delta", delta_eps), ("rho", rho_ts)):
         for v in values:
             check_modulus(name, float(v))
     cfg = cfg or SearchConfig.for_dim(space.dim)
     cache = pair_table(space, cfg)
-    out = pair_constants(space, cfg, cache)
 
-    def compute(key, fn):
-        out[key] = guarded(key, fn)
+    def task(key, fn):
+        return lambda: guarded(key, fn)
 
-    out["t"], out["T"] = guarded("T", lambda: t_and_T(space, cfg, cache=cache))
-    compute("eps0", lambda: eps0(space, cfg, cache=cache))
+    tasks = {"t and T": task("T", lambda: t_and_T(space, cfg, cache=cache))}
+    if oracle_grid is not None:
+        tasks["oracle"] = lambda: oracle_pair_norm_extrema(space, ORACLE_COMBINES,
+                                                           grid_size=oracle_grid, eta=cfg.eta)
+    tasks["pair constants"] = lambda: pair_constants(space, cfg, cache)
+    tasks["eps0"] = task("eps0", lambda: eps0(space, cfg, cache=cache))
     for t in gamma_ts:
-        compute(f"gamma({float(t):.12g})", lambda t=float(t): gamma(space, t, cfg))
+        key = f"gamma({float(t):.12g})"
+        tasks[key] = task(key, lambda t=float(t): gamma(space, t, cfg))
     for e in delta_eps:
-        compute(f"delta({float(e):.12g})", lambda e=float(e): delta(space, e, cfg, cache=cache))
+        key = f"delta({float(e):.12g})"
+        tasks[key] = task(key, lambda e=float(e): delta(space, e, cfg, cache=cache))
     for t in rho_ts:
-        compute(f"rho({float(t):.12g})", lambda t=float(t): rho(space, t, cfg))
-    return out
+        key = f"rho({float(t):.12g})"
+        tasks[key] = task(key, lambda t=float(t): rho(space, t, cfg))
+    done = dict(zip(tasks, run_split(list(tasks.values()))))
+    out = done.pop("pair constants")
+    out["t"], out["T"] = done.pop("t and T")
+    oracle = done.pop("oracle", None)
+    out.update(done)
+    return out if oracle_grid is None else (out, oracle)

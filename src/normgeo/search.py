@@ -78,6 +78,11 @@ import numpy as np
 from .spaces import Space
 
 _STORED_PAIR_LIMIT = 40_000_000   # largest nx*ny kept as an in-memory table
+# The most points a sphere grid may lay out: its angles in 2D, and in
+# dim >= 3 the (k+1)^dim cube lattice whose surface it keeps, 8 dim bytes a
+# point in each copy (25 MB at the cap in dim 3).  Every default grid up to
+# dim 6 lies below it.
+GRID_POINT_LIMIT = 2 ** 20
 CHUNK_PAIRS = 2_000_000   # pairs per block of a grid scan
 
 TWO_PI = 2.0 * math.pi
@@ -181,6 +186,25 @@ def sphere_points(space: Space, params: np.ndarray) -> np.ndarray:
     return direction / np.asarray(space.gauge(direction))[..., None]
 
 
+def _check_grid_size(dim: int, grid_per_dim: int) -> None:
+    """Raise ValueError, naming the largest grid_per_dim dim allows, when a
+    sphere grid would lay out more than GRID_POINT_LIMIT points."""
+    def points(k):
+        return k + k % 2 if dim == 2 else (k + 1) ** dim
+
+    if points(grid_per_dim) <= GRID_POINT_LIMIT:
+        return
+    largest = GRID_POINT_LIMIT
+    if dim > 2:
+        largest = 1
+        while points(largest + 1) <= GRID_POINT_LIMIT:
+            largest += 1
+    below = ", below the smallest search grid (8)" if largest < 8 else ""
+    raise ValueError(f"grid_per_dim={grid_per_dim} lays out {points(grid_per_dim)} points in "
+                     f"dim {dim}, over the limit of {GRID_POINT_LIMIT}; the largest grid_per_dim "
+                     f"dim {dim} allows is {largest}{below}")
+
+
 def sphere_grid(space: Space, grid_per_dim: int) -> SphereGrid:
     """The grid H u -H: point j + n/2 is the exact negation of point j.
 
@@ -189,8 +213,10 @@ def sphere_grid(space: Space, grid_per_dim: int) -> SphereGrid:
     first half of the cube-surface lattice in lexicographic order, then its
     negation.  Negation reverses the lexicographic order of the lattice and
     no surface point is its own antipode, so the negated half is the other
-    half of the lattice.
+    half of the lattice.  A grid over GRID_POINT_LIMIT points raises
+    ValueError before anything is allocated.
     """
+    _check_grid_size(space.dim, grid_per_dim)
     if space.dim == 2:
         n = grid_per_dim + grid_per_dim % 2
         thetas = TWO_PI * np.arange(n) / n

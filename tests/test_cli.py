@@ -1,16 +1,20 @@
 import concurrent.futures
 import json
 import math
+import multiprocessing
 import os
 import re
 import signal
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import normgeo.cli as cli
 from normgeo.cli import fmt, main
-from normgeo.search import NoStartError
-from normgeo.spaces import battery_specs, build_space
+from normgeo.parallel import run_split
+from normgeo.search import NoStartError, SearchConfig
+from normgeo.spaces import battery_specs, build_space, parse_space_spec
 
 
 def run_cli(capsys, *argv):
@@ -493,6 +497,108 @@ def test_verify_one_space_or_one_cpu_builds_no_pool(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--space", "lp:p=1.5,dim=2",
                            "--grid", "96", "--refine", "30")
     assert code in (0, 1) and "checks" in json.loads(out)
+
+
+# constants splits its searches (and the oracle) over w processes, w the
+# CPUs of the affinity mask (at most one per task); this process takes every
+# w-th task and a pool of w - 1 forked workers the rest.
+_HEXAGON = "polyv:v=[[1,0],[0.5,0.8660254037844386],[-0.5,0.8660254037844386]]"
+_SMALL = ("--grid", "96", "--refine", "30")
+_MODULI = ("--delta-eps", "0.5,1", "--gamma-t", "0.5,1", "--rho-t", "1")
+
+
+def run_constants(capsys, monkeypatch, cpus, *args):
+    """constants on the hexagon with `cpus` CPUs in the affinity mask: exit
+    code, stdout without its seconds line, stderr; no child may be left."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    code, out, err = run_cli(capsys, "constants", "--space", _HEXAGON, *_SMALL, *args)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return code, re.sub(r'\n *"seconds": \S+', "", out), err
+
+
+def test_constants_output_same_on_any_cpu_count(capsys, monkeypatch):
+    args = ("--oracle", "--oracle-grid", "720", *_MODULI)
+    serial = run_constants(capsys, monkeypatch, 1, *args)
+    rep = json.loads(serial[1])
+    assert serial[0] == 0 and serial[2] == ""
+    assert list(rep["oracle"]) == ["grid_size", "sp", "james", "cnj_prime", "schaffer", "T", "t"]
+    assert list(rep["constants"])[6:] == ["t", "T", "eps0", "gamma(0.5)", "gamma(1)",
+                                          "delta(0.5)", "delta(1)", "rho(1)"]
+    for cpus in (2, 3):
+        assert run_constants(capsys, monkeypatch, cpus, *args) == serial
+
+
+@pytest.mark.parametrize("combine, key", [("_cnj_combine", "cnj"),
+                                          ("_gamma_combine", "gamma(0.5)")])
+def test_constants_failure_same_on_any_cpu_count(capsys, monkeypatch, combine, key):
+    """A computation that fails names its constant and exits 1 at every CPU
+    count.  A NaN gamma combine fails both gamma tasks; the first in task
+    order is reported, whichever process ran it."""
+    monkeypatch.setattr(cli.con, combine, _nan_combine)
+    serial = run_constants(capsys, monkeypatch, 1, *_MODULI)
+    assert serial[:2] == (1, "")
+    assert serial[2].startswith(f"error: computation of '{key}' failed: no ")
+    for cpus in (2, 3):
+        assert run_constants(capsys, monkeypatch, cpus, *_MODULI) == serial
+
+
+def test_constants_one_cpu_builds_no_pool(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker process was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_pool)
+    code, out, err = run_constants(capsys, monkeypatch, 1, "--oracle", "--oracle-grid", "360",
+                                   *_MODULI)
+    assert (code, err) == (0, "") and "oracle" in json.loads(out)
+
+
+def _nan_combine(a, b, *t):
+    return np.full(np.shape(a), np.nan)
+
+
+def _values(ests):
+    return {key: (est.value, list(est.x), list(est.y)) for key, est in ests.items()}
+
+
+def test_compute_all_in_a_worker_builds_no_pool(monkeypatch):
+    """compute_all called inside a pool's worker runs every task in that
+    worker, however many CPUs its mask holds, and gets the same values."""
+    space = build_space(parse_space_spec(_HEXAGON))
+    cfg = SearchConfig(grid_per_dim=96, refine_iters=30)
+    moduli = {"gamma_ts": (0.5,), "delta_eps": (1.0,), "rho_ts": (1.0,)}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    serial = _values(cli.con.compute_all(space, cfg, **moduli))
+
+    def in_worker():
+        assert multiprocessing.parent_process() is not None
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker process started a pool")
+        # This worker's own copies of the module attributes.
+        concurrent.futures.ProcessPoolExecutor = os.fork = no_pool
+        return _values(cli.con.compute_all(space, cfg, **moduli))
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert run_split([lambda: None, in_worker]) == [None, serial]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_constants_grid_too_large_exit_2(capsys):
+    """A grid whose lattice would not fit in memory exits 2 before anything
+    large is allocated, naming the largest grid the dimension allows."""
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "constants", "--space", "lp:p=1.5,dim=4",
+                                 "--grid", "120")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == ("error: grid_per_dim=120 lays out 214358881 points in dim 4, over the "
+                   "limit of 1048576; the largest grid_per_dim dim 4 allows is 31\n")
+    assert peak < 4e6
 
 
 # --------------------------------------------------------------------------

@@ -120,6 +120,22 @@ def test_sphere_grid_is_antipodal(dim, grids):
             assert np.array_equal(g.params[n // 2:], -g.params[:n // 2])
 
 
+@pytest.mark.parametrize("dim, largest", [(2, 2 ** 20), (3, 100), (4, 31), (6, 9), (7, 6)])
+def test_sphere_grid_size_limit(dim, largest):
+    """A grid lays out at most search.GRID_POINT_LIMIT points: the default
+    grid of every dim up to 6 does, and one past the largest grid a
+    dimension allows raises a ValueError that names that grid, before the
+    lattice is built."""
+    assert search.GRID_POINT_LIMIT == 2 ** 20
+    if dim <= 6:
+        search._check_grid_size(dim, SearchConfig.for_dim(dim).grid_per_dim)
+    search._check_grid_size(dim, largest)
+    below = ", below the smallest search grid (8)" if largest < 8 else ""
+    message = f"the largest grid_per_dim dim {dim} allows is {largest}{below}"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        sphere_grid(build_space(parse_space_spec(f"lp:p=1.5,dim={dim}")), largest + 1)
+
+
 def test_sphere_grid_doubling_nests():
     sp = build_space(parse_space_spec("lp:p=1,dim=3"))
     coarse = sphere_grid(sp, 8)
