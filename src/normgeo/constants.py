@@ -14,7 +14,7 @@ import numpy as np
 
 from .oracle import OracleResult, oracle_pair_norm_extrema
 from .parallel import run_split
-from .spaces import Space
+from .spaces import Space, longest_facet_segment, polygon_facet_functionals
 from .search import (
     ConstantEstimate,
     NoStartError,
@@ -43,7 +43,6 @@ SQRT2 = math.sqrt(2.0)
 _T_GRID = 101           # t samples for scaled-pair sweeps over [0, 1]
 _EQ_ROOT_TOL = 1e-8     # ||x-y|| - eps accepted as on-constraint
 _GEQ_SLACK = 1e-12      # feasibility slack so exact-boundary grid pairs count
-_FLAT = 1e-7            # eps0's threshold: delta(eps) <= _FLAT counts as zero
 
 
 # --------------------------------------------------------------------------
@@ -338,38 +337,17 @@ def zbaganu(space: Space, cfg: SearchConfig | None = None) -> ConstantEstimate:
 def delta(space: Space, eps: float, cfg: SearchConfig | None = None, *,
           cache: PairTable | None = None) -> ConstantEstimate:
     """Modulus of convexity at eps in [0, 2]: inf of 1 - ||x+y||/2 over unit
-    pairs with ||x-y|| >= eps, with a 1e-12 feasibility slack so that
-    exact-boundary grid pairs are admitted.  The lower of the constrained
-    grid + zoom answer and the boundary solve restricted to the same
-    feasible set; 0 exactly at eps = 0.  In dim >= 2 the inf over
-    ||x-y|| = eps is the same number.
-    """
+    pairs with ||x-y|| >= eps.  0 at eps = 0; 1 - eps0/2 at eps = 2, with
+    the witness (u, -v) of eps0's segment (u, v), as x and -y span a segment
+    of length ||x+y|| in the sphere when ||x-y|| = 2.  In between, the
+    boundary solve: in dim >= 2 the inf over ||x-y|| = eps is the same."""
     check_modulus("delta", eps)
     if eps <= 1e-12:
         return _exact_estimate(space, 0.0)
-    cfg = cfg or SearchConfig.for_dim(space.dim)
-    # The raw constrained inf: the grid + zoom alone.
-    est = _feasible(minimize_pair(space, _geq_objective(eps), cfg, cache=cache), eps)
-    # The pair zoom zigzags against the feasibility wall when the
-    # constraint binds; the boundary solve slides along it instead.  Its
-    # witness sits within the documented 1e-12 feasibility slack, so the
-    # lower of the two answers the same infimum.
-    boundary = _delta_boundary(space, eps, cfg, cache)
-    if boundary.value < est.value:
-        est = replace(boundary, evaluations=boundary.evaluations + est.evaluations)
-    return est
-
-
-def _geq_objective(eps: float) -> PairNormObjective:
-    """1 - ||x+y||/2 where ||x-y|| >= eps - _GEQ_SLACK, +inf elsewhere."""
-    return PairNormObjective(
-        lambda a, b: np.where(b >= eps - _GEQ_SLACK, 1.0 - a / 2.0, np.inf))
-
-
-def _feasible(est: ConstantEstimate, eps: float) -> ConstantEstimate:
-    if not math.isfinite(est.value):
-        raise ValueError(f"no unit pair satisfies ||x-y|| >= {eps}")
-    return est
+    if eps == 2.0:
+        est = eps0(space)
+        return replace(est, value=1.0 - est.value / 2.0, y=-est.y)
+    return _delta_boundary(space, eps, cfg or SearchConfig.for_dim(space.dim), cache)
 
 
 def _delta_boundary(space: Space, eps: float, cfg: SearchConfig,
@@ -437,25 +415,23 @@ def _delta_boundary(space: Space, eps: float, cfg: SearchConfig,
     return replace(est, evaluations=evaluations + est.evaluations)
 
 
-def eps0(space: Space, cfg: SearchConfig | None = None, *,
-         cache: PairTable | None = None) -> ConstantEstimate:
-    """Largest eps with delta(eps) = 0, the characteristic of convexity, at
-    the threshold delta(eps) <= 1e-7: the largest multiple of 2^-14 at or
-    below E, capped at 2, where E is the sup of ||x-y|| over unit pairs
-    with 1 - ||x+y||/2 <= 1e-7.
-
-    The unit sphere is compact, so delta(eps) <= 1e-7 exactly when some
-    unit pair has ||x-y|| >= eps and 1 - ||x+y||/2 <= 1e-7: the eps with
-    delta(eps) <= 1e-7 form [0, E], and one constrained sup finds its end.
-    The threshold admits pairs a little past the end of a flat zone, which
-    on the hexagon puts E at 1.0000002; flooring to the 2^-14 lattice drops
-    that width on polygons.
-    The witness is the maximizing pair, so ||x-y|| >= value and
-    1 - ||x+y||/2 <= 1e-7.
-    """
-    flat = PairNormObjective(lambda a, b: np.where(1.0 - a / 2.0 <= _FLAT, b, -np.inf))
-    (est,), _ = extremize(space, [flat], cfg, "sup", cache=cache)
-    return replace(est, value=min(2.0, math.floor(est.value * 2.0 ** 14) / 2.0 ** 14))
+def eps0(space: Space, cfg: SearchConfig | None = None) -> ConstantEstimate:
+    """Characteristic of convexity sup{eps : delta(eps) = 0}, exactly: the
+    unit sphere is compact, so it is the length of the longest segment in
+    the sphere.  0 on lp and weighted lp with p > 1 (strictly convex), 2 on
+    (weighted) l1, and on linf and the polytopes the longest segment in one
+    facet.  The witness is the segment's ends; cfg is not used."""
+    spec = space.spec
+    if spec.family in ("lp", "weighted-lp"):
+        if spec.p > 1.0:
+            return _exact_estimate(space, 0.0)
+        x, y = sphere_points(space, np.eye(space.dim)[:2])
+        return ConstantEstimate(value=2.0, x=x, y=y, converged=True, evaluations=0)
+    F = (polygon_facet_functionals(spec.vertices) if spec.family == "poly-vertices"
+         else spec.functionals or np.eye(space.dim))   # linf: the cube's facets
+    x, y = longest_facet_segment(F, space.gauge)
+    return ConstantEstimate(value=min(2.0, float(space.gauge(x - y))), x=x, y=y,
+                            converged=True, evaluations=0)
 
 
 # --------------------------------------------------------------------------
@@ -497,17 +473,17 @@ def compute_all(space: Space, cfg: SearchConfig | None = None, *,
                 gamma_ts=(), delta_eps=(), rho_ts=(), oracle_grid: int | None = None
                 ) -> (dict[str, ConstantEstimate]
                       | tuple[dict[str, ConstantEstimate], dict[str, OracleResult]]):
-    """All constants of one space, sharing a single pair-norm table, in the
-    key order of pair_constants, then t, T, eps0 and each gamma, delta and
-    rho.  With oracle_grid, also the dense-grid oracle's values of
-    ORACLE_COMBINES at that grid size: (constants, oracle).
+    """All constants of one space in the key order of pair_constants, then
+    t, T, eps0 and each gamma, delta and rho.  With oracle_grid, also the
+    dense-grid oracle's values of ORACLE_COMBINES at that grid size:
+    (constants, oracle).
 
     A modulus argument outside its domain raises ValueError before any
     computation.  A failure in any single computation is re-raised as a
     RuntimeError naming the constant, so callers can report which one broke.
 
-    The table is built here, then the independent searches run as tasks of
-    parallel.run_split, in the order t and T (the costliest search), the
+    The pair-norm table is built here; then the computations run as tasks
+    of parallel.run_split, in the order t and T (the costliest search), the
     oracle, pair_constants, eps0, each gamma, each delta, each rho: on
     several CPUs this process takes every w-th of them and forked workers
     the rest, sharing the table.  Each estimate is that of the same call
@@ -527,7 +503,7 @@ def compute_all(space: Space, cfg: SearchConfig | None = None, *,
         tasks["oracle"] = lambda: oracle_pair_norm_extrema(space, ORACLE_COMBINES,
                                                            grid_size=oracle_grid, eta=cfg.eta)
     tasks["pair constants"] = lambda: pair_constants(space, cfg, cache)
-    tasks["eps0"] = task("eps0", lambda: eps0(space, cfg, cache=cache))
+    tasks["eps0"] = task("eps0", lambda: eps0(space, cfg))
     for t in gamma_ts:
         key = f"gamma({float(t):.12g})"
         tasks[key] = task(key, lambda t=float(t): gamma(space, t, cfg))

@@ -13,6 +13,7 @@ Space carrying a vectorized gauge: a callable mapping arrays of shape
 from __future__ import annotations
 
 import ast
+import itertools
 import math
 import random
 import re
@@ -270,6 +271,26 @@ def polygon_facet_functionals(vertices) -> np.ndarray:
     if np.any(offsets <= 1e-12 * scale * np.abs(normals).max()):
         raise ValueError("degenerate hull: origin is not interior to conv(V u -V)")
     return normals / offsets[:, None]
+
+
+def longest_facet_segment(F, gauge: Gauge) -> tuple[np.ndarray, np.ndarray]:
+    """Ends (u, v) of the longest segment, in the norm gauge, in one facet of
+    the ball max_i |<F_i, x>| <= 1: two vertices of the facet, as the norm
+    is convex.  The vertices of facet i solve <F_i, x> = 1 with dim - 1
+    other facet equations <+-F_j, x> = 1 and lie in the ball; the facets of
+    -F are the negations of those of F."""
+    F = np.asarray(F, dtype=float)
+    m, dim = F.shape
+    rows = np.array([(i, *rest) for i in range(m) for rest in
+                     itertools.combinations([j for j in range(2 * m) if j % m != i], dim - 1)])
+    A = np.concatenate([F, -F])[rows]
+    ok = np.abs(np.linalg.det(A)) > 1e-12 * np.abs(A).max(axis=(1, 2)) ** dim
+    X = np.linalg.solve(A[ok], np.ones((int(ok.sum()), dim, 1)))[..., 0]
+    inside = np.abs(X @ F.T).max(axis=1) <= 1.0 + 1e-9
+    X, facet = X[inside], rows[ok, 0][inside]
+    i, j = np.nonzero(facet[:, None] == facet)
+    best = np.argmax(gauge(X[i] - X[j]))
+    return X[i[best]], X[j[best]]
 
 
 # --------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from normgeo import constants as con
@@ -42,7 +43,13 @@ def battery_T(battery_t_and_T):
 
 @pytest.fixture(scope="session")
 def battery_oracle(battery_spaces):
-    """Refinement-free dense-grid references at 3600 points per angle."""
+    """Refinement-free dense-grid references at 3600 points per angle.
+
+    On the polygons the same scan also gives delta(2), the inf of
+    1 - ||x+y||/2 over pairs with ||x-y|| = 2, and eps0, the sup of ||x-y||
+    over pairs with ||x+y|| = 2, each up to a 1e-12 slack: the grid holds
+    every hull vertex.  On a strictly convex norm only x = -y and x = y
+    meet these constraints, and the exclusion radius eta drops them."""
     cfg = SearchConfig.for_dim(2)
     combines = {
         "sp": (con.pair_cosine, "sup"),
@@ -51,8 +58,13 @@ def battery_oracle(battery_spaces):
         "schaffer": (con.max_norm, "inf"),
         "T": (con.geom_mean, "sup"),
     }
-    return [oracle_pair_norm_extrema(s, combines, grid_size=3600, eta=cfg.eta)
-            for s in battery_spaces]
+    flat = {
+        "delta(2)": (lambda a, b: np.where(b >= 2.0 - 1e-12, 1.0 - a / 2.0, np.inf), "inf"),
+        "eps0": (lambda a, b: np.where(a >= 2.0 - 1e-12, b, -np.inf), "sup"),
+    }
+    return [oracle_pair_norm_extrema(
+        s, {**combines, **flat} if s.spec.family == "poly-vertices" else combines,
+        grid_size=3600, eta=cfg.eta) for s in battery_spaces]
 
 
 def _check(report, name):
@@ -198,6 +210,18 @@ def test_criterion_11_oracle_equivalence(battery_reports, battery_T,
                 worst = (gap, f"{k} on {space.name}")
     _line(11, worst[0] <= 1e-3,
           f"max optimizer-vs-grid gap = {worst[0]:.3e} at {worst[1]} (<= 1e-3)")
+
+
+def test_polygon_eps0_and_delta2_match_oracle(battery_spaces, battery_oracle):
+    """eps0 and delta(2) come from the facets of the unit ball, not from a
+    search; the dense grid finds the same longest segment on every battery
+    polygon."""
+    gaps = []
+    for space, ref in zip(battery_spaces, battery_oracle):
+        if "eps0" in ref:
+            gaps.append(abs(con.eps0(space).value - ref["eps0"].value))
+            gaps.append(abs(con.delta(space, 2.0).value - ref["delta(2)"].value))
+    assert len(gaps) == 40 and max(gaps) <= 1e-12, max(gaps)
 
 
 def test_criterion_12_battery_determinism():

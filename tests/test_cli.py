@@ -88,6 +88,20 @@ def test_constants_requested_moduli(capsys):
         math.sqrt(1.25) - 1.0, abs=1e-5)
 
 
+def test_constants_flat_norm_eps0_and_delta_at_two(capsys):
+    """lp40 in dim 3 is strictly convex however flat: eps0 = 0 and
+    delta(2) = 1, each exact with its witness."""
+    code, out, err = run_cli(capsys, "constants", "--space", "lp:p=40,dim=3",
+                             "--delta-eps", "1,2")
+    assert (code, err) == (0, "")
+    rep = json.loads(out)["constants"]
+    assert rep["eps0"] == {"value": 0.0, "witness": {"x": [1.0, 0.0, 0.0], "y": [1.0, 0.0, 0.0]},
+                           "converged": True, "evaluations": 0}
+    assert rep["delta(2)"]["value"] == 1.0
+    assert rep["delta(1)"]["value"] == pytest.approx(1.0 - (1.0 - 0.5 ** 40) ** (1.0 / 40.0),
+                                                     abs=1e-12)
+
+
 def test_constants_oracle_flag(capsys):
     code, out, _ = run_cli(capsys, "constants", "--space", "lp:p=1,dim=2",
                            "--grid", "240", "--refine", "60",

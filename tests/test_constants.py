@@ -508,8 +508,8 @@ class TestDelta:
     def test_delta_at_two(self, l2, l1):
         # y = -x forces the midpoint to the origin in any strictly convex
         # norm; l1 admits flat pairs all the way out.
-        assert con.delta(l2, 2.0).value == pytest.approx(1.0, abs=1e-4)
-        assert con.delta(l1, 2.0).value == pytest.approx(0.0, abs=1e-6)
+        assert con.delta(l2, 2.0).value == 1.0
+        assert con.delta(l1, 2.0).value == 0.0
 
     def test_monotone_in_eps(self, l15, hexagon):
         for space in (l15, hexagon):
@@ -539,35 +539,64 @@ class TestDelta:
             con.delta(l2, 2.1)
 
 
+def _assert_eps0_witness(space, est):
+    """The witness of eps0 spans a segment of length eps0 in the sphere."""
+    assert space.norm(est.x - est.y) == pytest.approx(est.value, abs=1e-12)
+    assert 1.0 - space.norm(est.x + est.y) / 2.0 <= 1e-15
+
+
+def _assert_delta2_witness(space, est):
+    assert space.norm(est.x - est.y) >= 2.0 - 1e-12
+    assert 1.0 - space.norm(est.x + est.y) / 2.0 == pytest.approx(est.value, abs=1e-12)
+
+
 class TestEps0:
     def test_hilbert_zero(self, all_consts):
-        assert abs(all_consts["l2"]["eps0"].value) <= 1e-3
+        assert all_consts["l2"]["eps0"].value == 0.0
 
     def test_l1_two(self, all_consts):
-        assert all_consts["l1"]["eps0"].value == pytest.approx(2.0, abs=1e-3)
+        assert all_consts["l1"]["eps0"].value == 2.0
 
     def test_uniformly_convex_near_zero(self, all_consts):
-        assert abs(all_consts["l15"]["eps0"].value) <= 1e-2
+        assert all_consts["l15"]["eps0"].value == 0.0
 
     def test_hexagon_exactly_one(self, all_consts):
-        # The flat zone ends at 1, a point of the 2^-14 lattice.
+        # The longest segment in the sphere is an edge of the hexagon.
         assert all_consts["hex"]["eps0"].value == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("spec, value", [
+        *((f"lp:p={p},dim={d}", 2.0 if p == 1 else 0.0) for p in (1, 1.5, 3, 40) for d in (2, 3)),
+        *((f"wlp:p={p},w={w}", 2.0 if p == 1 else 0.0) for p in (1, 1.5)
+          for w in ("[0.5,3]", "[0.5,3,7]")),
+        ("linf:dim=2", 2.0), ("linf:dim=3", 2.0),
+        # The CI polytope, the cube and the octahedron.
+        ("polyf:f=[[1,1,0],[1,-1,0],[1,0,1],[1,0,-1],[0,1,1],[0,1,-1]]", 2.0),
+        ("polyf:f=[[1,0,0],[0,1,0],[0,0,1]]", 2.0),
+        ("polyf:f=[[1,1,1],[1,1,-1],[1,-1,1],[-1,1,1]]", 2.0)])
+    def test_closed_forms(self, spec, value):
+        """eps0 and delta(2) = 1 - eps0/2 exactly, from no search, with
+        witnesses that show both values."""
+        space = build_space(parse_space_spec(spec))
+        est, d2 = con.eps0(space), con.delta(space, 2.0)
+        assert (est.value, est.converged, est.evaluations) == (value, True, 0)
+        assert d2.value == 1.0 - value / 2.0
+        _assert_eps0_witness(space, est)
+        _assert_delta2_witness(space, d2)
 
     @pytest.mark.parametrize("spec", [parse_space_spec(HEXAGON), *battery_specs(7, 20)],
                              ids=["hexagon", *(f"battery{i}" for i in range(20))])
     def test_polygon_is_longest_edge(self, spec):
         """On a polygon, 1 - ||x+y||/2 = 0 exactly when x and y lie on one
         edge of the unit sphere, so eps0 is L, the longest edge of the
-        symmetric hull in the polygon's own norm, reported on the 2^-14
-        lattice; the witness is a pair that shows the value."""
+        symmetric hull in the polygon's own norm; the witness is a pair that
+        shows the value."""
         space = build_space(spec)
         v = np.asarray(spec.vertices)
         hull = _convex_hull_2d(np.concatenate([v, -v]))
         L = max(space.norm(b - a) for a, b in zip(hull, np.roll(hull, -1, axis=0)))
         est = con.eps0(space)
-        assert est.value == math.floor(L * 2.0 ** 14) / 2.0 ** 14
-        assert space.norm(est.x - est.y) >= est.value
-        assert 1.0 - space.norm(est.x + est.y) / 2.0 <= 1e-7
+        assert abs(est.value - L) <= 1e-12
+        _assert_eps0_witness(space, est)
 
 
 # --------------------------------------------------------------------------
@@ -595,7 +624,7 @@ class TestEuclidean3D:
         assert con.rho(l2_3d, 1.0, self.cfg).value == pytest.approx(SQRT2 - 1.0, abs=1e-6)
 
     def test_eps0_near_zero(self, l2_3d):
-        assert abs(con.eps0(l2_3d, self.cfg).value) <= 1e-2
+        assert con.eps0(l2_3d, self.cfg).value == 0.0
 
     def test_delta_eq_closed_form(self, l2_3d):
         # The boundary solve alone: bisection along the +-e_i edges of the
@@ -622,10 +651,10 @@ def _hanner_delta(p: float, eps: float) -> float:
 
 
 class TestDelta3D:
-    """delta and its boundary solve alone on lp^3 at the default config
-    against the closed forms of delta, which hold in every dim >= 2:
-    Hanner's for p = 1.5 and Clarkson's 1 - (1 - (eps/2)^p)^(1/p) for
-    p = 3.  Each space shares one pair table, as in compute_all."""
+    """delta on lp^3 at the default config against the closed forms of
+    delta, which hold in every dim >= 2: Hanner's for p = 1.5 and
+    Clarkson's 1 - (1 - (eps/2)^p)^(1/p) for p = 3.  Each space shares one
+    pair table, as in compute_all."""
 
     EPS = (0.5, 1.0, 1.5)
     CLOSED_FORMS = {"lp:p=1.5,dim=3": lambda e: _hanner_delta(1.5, e),
@@ -639,23 +668,20 @@ class TestDelta3D:
             cfg = SearchConfig.for_dim(space.dim)
             cache = pair_table(space, cfg)
             for eps in self.EPS:
-                out[spec, eps, "delta"] = space, con.delta(space, eps, cfg, cache=cache)
-                out[spec, eps, "boundary"] = space, con._delta_boundary(space, eps, cfg, cache)
+                out[spec, eps] = space, con.delta(space, eps, cfg, cache=cache)
         return out
 
     def test_closed_forms(self, estimates):
-        for (spec, eps, mode), (_, est) in estimates.items():
+        for (spec, eps), (_, est) in estimates.items():
             expect = self.CLOSED_FORMS[spec](eps)
-            assert est.value == pytest.approx(expect, abs=1e-9), (spec, eps, mode)
+            assert est.value == pytest.approx(expect, abs=1e-9), (spec, eps)
 
     def test_witnesses_unit_and_feasible(self, estimates):
-        for (spec, eps, mode), (space, est) in estimates.items():
+        for (spec, eps), (space, est) in estimates.items():
             assert space.norm(est.x) == pytest.approx(1.0, abs=1e-9)
             assert space.norm(est.y) == pytest.approx(1.0, abs=1e-9)
             dist = space.norm(est.x - est.y)
-            assert dist >= eps - 1e-12, (spec, eps, mode)
-            if mode == "boundary":
-                assert dist <= eps + 1e-8, (spec, eps)
+            assert eps - 1e-12 <= dist <= eps + 1e-8, (spec, eps)
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normgeo import constants, search
-from normgeo.constants import delta, eps0, gamma, schaffer, sp_constant, t_and_T
+from normgeo.constants import delta, gamma, schaffer, sp_constant, t_and_T
 from normgeo.search import (ConstantEstimate, PairNormObjective, SearchConfig,
                             infsup_pair, maximize_pair, minimize_pair, pair_table,
                             axis_lattice, box_lattice, lattice_edges, refine_pairs, refine_starts,
@@ -453,7 +453,7 @@ def test_scan_independent_of_block_size(monkeypatch):
             cache = pair_table(space, cfg)
             return [sp_constant(space, cfg, cache=cache), schaffer(space, cfg),
                     *t_and_T(space, cfg), delta(space, 1.0, cfg, cache=cache),
-                    gamma(space, 0.5, cfg), eps0(space, cfg, cache=cache)]
+                    gamma(space, 0.5, cfg)]
 
         ref = estimates()
         walks = {}
@@ -662,7 +662,7 @@ def test_half_grid_walks_match_full_scan(monkeypatch, spec, grid):
                                              (constants.max_norm, "inf", False))]
             ests = [est for (est,), _ in out]
             ests += [infsup_pair(space, PairNormObjective(constants.geom_mean), cfg, cache=cache),
-                     eps0(space, cfg, cache=cache), gamma(space, 0.5, cfg),
+                     gamma(space, 0.5, cfg),
                      *constants._scaled_extremum(
                          space, [constants._cnj_combine, constants._zbaganu_combine], cfg)]
         return [cells for _, (cells,) in out], ests, starts

@@ -9,11 +9,17 @@
 #   differs.  Exits 0 when all match, 1 on any difference, 2 on bad usage.
 #   Takes a few minutes; the two trees run side by side, one process each.
 #
-# Against a tree whose eps0 still bisects delta(eps) <= 1e-7 with 16 probes,
-# the eps0 entry of every `constants` run differs (its evaluations and
-# witness, and its value on smooth lp and wlp norms), and the
-# `--oracle --format csv` run, which such a tree ran without printing the
-# oracle, exits 2.  Every other line is the same.
+# Against a tree whose eps0 is still a constrained sup at the threshold
+# 1 - ||x+y||/2 <= 1e-7, floored to 2^-14, and whose delta keeps the lower
+# of a constrained pair zoom and the boundary solve, only eps0 and delta
+# entries differ.  Every `constants` run differs in its eps0 entry
+# (evaluations and witness; the value on smooth lp and wlp norms, which
+# read the threshold's width, and on polygon #0, which read the floor).
+# Each delta(eps) with 0 < eps < 2 differs in its evaluations and witness,
+# and in value only in `--delta-eps 1 --multistart 1` on polygon #0
+# (0 against 1.1e-16); each delta(2) in its witness and evaluations.
+# `constants --space lp:p=40,dim=3 --delta-eps 1,2` fails there with
+# exit 1.  Every other line is the same.
 set -u
 
 if [ $# -ne 2 ]; then
@@ -67,6 +73,9 @@ invocations=(
     "constants --space wlp:p=1.5,w=[1,9] --format csv"
     "sweep --space lp:p=1.5,dim=2 --gamma-t 0.25:1:0.25"
     "constants --space lp:p=40,dim=2"
+    # A flat smooth norm in dim 3 with delta at 2, and the cube.
+    "constants --space lp:p=40,dim=3 --delta-eps 1,2"
+    "constants --space linf:dim=3"
     # Bad input: exit 2 and an error line on stderr.
     "constants --space lp:p=1.5,dim=2 --delta-eps 3"
     "constants --space $hexagon --oracle --format csv"
