@@ -24,8 +24,8 @@ Antipodal grids: every grid is H u -H, its second half the exact negations
 of its first.  Every gauge is bitwise even and (-x) + y = -(x - y) exactly in
 IEEE arithmetic, so ||x - y_j|| is ||x + y_(j+n/2)|| and the pair norms of
 (-x, y) are those of (x, y) swapped, bit for bit.  The pair table stores
-||x + y|| alone, and every grid walk calls the gauge on x + y for x in H
-only (half_pair_norms, pair_norms).
+||x + y|| for x in H alone, and every grid walk calls the gauge on x + y
+for x in H only (half_pair_norms, pair_norms).
 
 Mirror classes: two maps of a pair leave both pair norms unchanged, bit for
 bit, for every combine.  (x, y) -> (-x, -y) at any fixed t, since
@@ -77,13 +77,13 @@ import numpy as np
 
 from .spaces import Space
 
-_STORED_PAIR_LIMIT = 40_000_000   # largest nx*ny kept as an in-memory table
+_STORED_PAIR_LIMIT = 40_000_000   # most n^2 grid pairs given a table, of n^2/2 floats (160 MB)
 # The most points a sphere grid may lay out: its angles in 2D, and in
 # dim >= 3 the (k+1)^dim cube lattice whose surface it keeps, 8 dim bytes a
 # point in each copy (25 MB at the cap in dim 3).  Every default grid up to
 # dim 6 lies below it.
 GRID_POINT_LIMIT = 2 ** 20
-CHUNK_PAIRS = 2_000_000   # pairs per block of a grid scan
+CHUNK_PAIRS = 500_000   # pairs per block of a grid scan
 
 TWO_PI = 2.0 * math.pi
 
@@ -260,10 +260,10 @@ def lattice_edges(grid: SphereGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 # Pair tables
 # --------------------------------------------------------------------------
 
-def antipodal(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """a with the halves of an H u -H grid axis swapped: entry j of the
-    result is entry (j + n/2) mod n of a, the entry of j's antipode."""
-    return np.roll(a, a.shape[axis] // 2, axis=axis)
+def antipodal(a: np.ndarray) -> np.ndarray:
+    """a with the halves of its last axis, an H u -H grid, swapped: entry j
+    of the result is entry (j + n/2) mod n of a, the entry of j's antipode."""
+    return np.roll(a, a.shape[-1] // 2, axis=-1)
 
 
 def half_pair_norms(space: Space, xs: np.ndarray, ys: np.ndarray, lo: int) -> np.ndarray:
@@ -291,11 +291,11 @@ def pair_norms(space: Space, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray
 
 @dataclass
 class PairTable:
-    """Stored ||x+y|| over the full H u -H grid (kept at dim-2 sizes).
-    ||x_i - y|| is the row of i's antipode, (i + n/2) mod n."""
+    """Stored ||x+y|| for x in H, over every y of the H u -H grid: the rows
+    of -H, and the ||x-y|| of a row, are its halves swapped."""
 
     grid: SphereGrid
-    plus: np.ndarray    # (n, n)
+    plus: np.ndarray    # (n/2, n)
 
     def block(self, i0: int, i1: int, lo: int) -> np.ndarray:
         """||x+y|| over a row_blocks block, rows i0..i1 of H and columns
@@ -305,18 +305,19 @@ class PairTable:
 
     @property
     def minus(self) -> np.ndarray:
-        """||x-y|| over the whole grid: a new (n, n) array, not stored."""
-        return antipodal(self.plus, axis=0)
+        """||x-y|| over the whole grid, the rows of -H then of H: a new (n, n) array."""
+        return np.concatenate([antipodal(self.plus), self.plus])
 
 
 def row_blocks(n: int, swap: bool) -> list[tuple[int, int]]:
-    """The blocks (i0, i1) of rows of H of the class walk of an n x n pair
-    grid on H u -H (see the module docstring); every grid walk goes through
-    here.  A block holds the columns lo.. of each half of its rows, lo = 0
-    without swap and lo = i0 with it (a t = 1 walk), at most CHUNK_PAIRS
-    pairs (one row at least).  The cells (i, j) with (j mod n/2) < i of a
-    swap block repeat cells of its own rows above its diagonal; a swap
-    block spans at most half its width, so they stay a quarter of it."""
+    """The blocks (i0, i1) of rows of H, the rows a pair table stores, of
+    the class walk of an n x n pair grid on H u -H (see the module
+    docstring); every grid walk goes through here.  A block holds the
+    columns lo.. of each half of its rows, lo = 0 without swap and lo = i0
+    with it (a t = 1 walk), at most CHUNK_PAIRS pairs (one row at least).
+    The cells (i, j) with (j mod n/2) < i of a swap block repeat cells of
+    its own rows above its diagonal; a swap block spans at most half its
+    width, so they stay a quarter of it."""
     half, blocks, i0 = n // 2, [], 0
     while i0 < half:
         width = half - i0 if swap else half
@@ -338,25 +339,22 @@ def block_cells(n: int, i0: int, lo: int, width: int, idx: np.ndarray) -> np.nda
 def pair_table(space: Space, cfg: SearchConfig) -> PairTable | None:
     """Precompute pair norms for reuse across objectives; None if too large.
 
-    The gauge runs on the cells of the t = 1 class walk alone (row_blocks),
-    n^2/4 points.  The H x H and H x -H quadrants are symmetric, and the
-    rows of -H are those of H with the halves swapped, so transposes and
-    copies fill in the rest, bit for bit.
+    The table holds the rows of H alone.  The gauge runs on the cells of
+    the t = 1 class walk (row_blocks), n^2/4 points; the H x H and H x -H
+    quadrants are symmetric, so transposes fill in the rest, bit for bit.
     """
     grid = sphere_grid(space, cfg.grid_per_dim)
     n = len(grid.vectors)
     if n * n > _STORED_PAIR_LIMIT:
         return None
     half = n // 2
-    table = PairTable(grid, np.empty((n, n)))
+    table = PairTable(grid, np.empty((half, n)))
     plus = table.plus
     for i0, i1 in row_blocks(n, True):
         table.block(i0, i1, i0)[...] = half_pair_norms(space, grid.vectors[i0:i1],
                                                        grid.vectors, i0)
         for q in (0, half):
             plus[i1:half, q + i0:q + i1] = plus[i0:i1, q + i1:q + half].T
-    plus[half:, :half] = plus[:half, half:]
-    plus[half:, half:] = plus[:half, :half]
     return table
 
 

@@ -4,6 +4,7 @@ import pickle
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,9 @@ from normgeo.search import (ConstantEstimate, PairNormObjective, SearchConfig,
 from normgeo.spaces import battery_specs, build_space, parse_space_spec
 
 TWO_PI = 2.0 * math.pi
+# Block sizes, in pairs, at which the walks must agree: a large one, the
+# default, and one that splits every test grid into many blocks.
+_CHUNKS = [2_000_000, search.CHUNK_PAIRS, 997]
 
 
 # --------------------------------------------------------------------------
@@ -309,6 +313,12 @@ def test_row_infimum_finds_known_minimum(spec, grid):
 # Pair table
 # --------------------------------------------------------------------------
 
+def _full_plus(table):
+    """The n x n ||x+y|| of a pair table: its stored rows of H, then the
+    rows of -H, those rows with their halves swapped."""
+    return np.concatenate([table.plus, np.roll(table.plus, table.plus.shape[0], axis=1)])
+
+
 def test_pair_table_values(l1):
     """The stored ||x+y|| and the ||x-y|| read from the antipodal rows match
     Space.norm, in every quadrant of H u -H."""
@@ -316,10 +326,10 @@ def test_pair_table_values(l1):
     table = pair_table(l1, cfg)
     assert table is not None
     g = sphere_grid(l1, 64)
-    minus = table.minus
+    plus, minus = _full_plus(table), table.minus
     for i, j in ((5, 41), (41, 5), (37, 60), (2, 3)):
         x, y = g.vectors[i], g.vectors[j]
-        assert table.plus[i, j] == pytest.approx(l1.norm(x + y), abs=1e-14)
+        assert plus[i, j] == pytest.approx(l1.norm(x + y), abs=1e-14)
         assert minus[i, j] == pytest.approx(l1.norm(x - y), abs=1e-14)
         if i < 32:   # a row of H: its block's halves swapped are ||x-y||
             assert table.block(i, i + 1, 0)[0, ::-1].ravel()[j] == minus[i, j]
@@ -328,24 +338,32 @@ def test_pair_table_values(l1):
 @pytest.mark.parametrize("spec, grid", [
     ("lp:p=1.5,dim=2", None), ("lp:p=1.5,dim=3", 12), ("hexagon", None), ("polygon0", None),
     ("polyf:f=[[1,1,0],[1,-1,0],[1,0,1],[1,0,-1],[0,1,1],[0,1,-1]]", 12)])
-@pytest.mark.parametrize("chunk", [search.CHUNK_PAIRS, 997])
+@pytest.mark.parametrize("chunk", _CHUNKS)
 def test_pair_table_matches_direct_gauge(monkeypatch, spec, grid, chunk):
-    """pair_table runs the gauge on the upper triangles of two quadrants and
-    fills the rest by transposes and copies; every entry equals a direct
-    n x n gauge table bit for bit, so no transposed fill rounds apart."""
+    """pair_table runs the gauge on the upper triangles of two quadrants of
+    the rows of H and fills the rest of those rows by transposes; every
+    entry, and every entry of the rows of -H built from them, equals a
+    direct n x n gauge table bit for bit, so no transposed fill rounds
+    apart.  The premise of storing the rows of H alone: the direct table's
+    rows of -H are its rows of H with the halves swapped, bit for bit."""
     space = _space(spec)
     cfg = SearchConfig.for_dim(space.dim) if grid is None else SearchConfig(grid_per_dim=grid)
     monkeypatch.setattr(search, "CHUNK_PAIRS", chunk)
     table = pair_table(space, cfg)
     vectors = sphere_grid(space, cfg.grid_per_dim).vectors
-    assert np.array_equal(table.plus, _direct_pair_norms(space, vectors, vectors)[0])
+    direct = _direct_pair_norms(space, vectors, vectors)[0]
+    h = len(vectors) // 2
+    assert np.array_equal(direct[h:], np.roll(direct[:h], h, axis=1))
+    assert table.plus.shape == (h, 2 * h)
+    assert np.array_equal(_full_plus(table), direct)
 
 
-def test_pair_table_stores_n_squared_floats(l15):
-    """The table stores ||x+y|| alone: n^2 floats in all its arrays."""
+def test_pair_table_stores_half_n_squared_floats(l15):
+    """The table stores ||x+y|| over the rows of H alone: n^2/2 floats in
+    all its arrays."""
     table = pair_table(l15, SearchConfig(grid_per_dim=64))
     arrays = [getattr(table, f.name) for f in fields(table)]
-    assert sum(a.size for a in arrays if isinstance(a, np.ndarray)) == 64 * 64
+    assert sum(a.size for a in arrays if isinstance(a, np.ndarray)) == 64 * 64 // 2
 
 
 def test_pair_table_shared_results_match(l15):
@@ -356,6 +374,30 @@ def test_pair_table_shared_results_match(l15):
     without = maximize_pair(l15, obj, cfg)
     assert with_cache.value == without.value
     assert np.array_equal(with_cache.x, without.x)
+
+
+def test_dim3_table_and_walks_peak_memory():
+    """The memory of `constants` in dim 3: on the default grid of lp1.5,
+    the pair table, then t from it and gamma(0.5) from the gauge while it
+    is held, peak below the table's n^2/2 floats plus 11 blocks of
+    CHUNK_PAIRS floats (84.6 MB of 91.8 MB with numpy 2.4).  tracemalloc
+    sees numpy's buffers.  A table of all n^2 floats goes over it."""
+    space = build_space(parse_space_spec("lp:p=1.5,dim=3"))
+    cfg = SearchConfig.for_dim(3)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        table = pair_table(space, cfg)
+        constants.T_constant(space, cfg, cache=table)
+        gamma(space, 0.5, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    n = len(table.grid.vectors)
+    assert peak <= 8 * (n * n // 2 + 11 * search.CHUNK_PAIRS), peak / 1e6
 
 
 def test_config_for_dim_defaults():
@@ -583,7 +625,7 @@ _SCANS = [
 
 
 @pytest.mark.parametrize("spec", _SPECS)
-@pytest.mark.parametrize("chunk", [search.CHUNK_PAIRS, 997])
+@pytest.mark.parametrize("chunk", _CHUNKS)
 def test_class_walk_matches_full_scan(monkeypatch, spec, chunk):
     """extremize scores one cell per mirror class and expands the best
     classes to their members; a reference that scores every cell of the
@@ -674,8 +716,8 @@ def test_half_grid_walks_match_full_scan(monkeypatch, spec, grid):
         m.setattr(search, "_row_sups", _reference_row_sups)
         m.setattr(constants, "_scaled_extremum", _reference_sweep)
         points = sphere_grid(space, cfg.grid_per_dim)
-        ref = run(search.PairTable(points, _direct_pair_norms(space, points.vectors,
-                                                              points.vectors)[0]))
+        plus = _direct_pair_norms(space, points.vectors, points.vectors)[0]
+        ref = run(search.PairTable(points, plus[:len(plus) // 2]))
     for chunk in (search.CHUNK_PAIRS, 997):
         with monkeypatch.context() as m:
             m.setattr(search, "CHUNK_PAIRS", chunk)
@@ -699,7 +741,7 @@ def test_geom_mean_rows_are_mirror_pairs(spec, grid):
     if grid is not None:
         cfg = SearchConfig(grid_per_dim=grid)
     cache = pair_table(space, cfg)
-    vals = constants.geom_mean(cache.plus, cache.minus)
+    vals = constants.geom_mean(_full_plus(cache), cache.minus)
     h = len(vals) // 2
     sups = vals.max(axis=1)
     assert np.array_equal(sups[:h], sups[h:])
@@ -726,7 +768,7 @@ def test_mirror_class_members_tie(spec, grid):
     cache = pair_table(space, cfg)
     vectors = cache.grid.vectors
     h = len(vectors) // 2
-    for t, norms in ((1.0, (cache.plus, cache.minus)),
+    for t, norms in ((1.0, (_full_plus(cache), cache.minus)),
                      (1.0, _direct_pair_norms(space, vectors, vectors)),
                      (0.5, _direct_pair_norms(space, vectors, 0.5 * vectors))):
         for V in norms:
