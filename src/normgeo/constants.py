@@ -21,6 +21,7 @@ from .search import (
     PairNormObjective,
     PairTable,
     SearchConfig,
+    block_rows,
     extremize,
     infsup_pair,
     lattice_edges,
@@ -258,17 +259,17 @@ def _scaled_extremum(space: Space, fns, cfg: SearchConfig) -> list[ConstantEstim
     """sup over unit pairs (u, v) and t in [0, 1] of fn(||u+tv||, ||u-tv||, t),
     for each combine fn of fns.
 
-    Stage 1 sweeps a t-grid of 101 points over a reduced pair grid in
-    vectorized blocks, computing the pair norms of each block once for all
-    combines.  The cells (u, v, t) and (-u, -v, t) form a mirror class and
-    carry the same value bit for bit, so the combines run on u in H alone:
-    each t's 4 best classes, expanded to their members (search.mirror_members),
-    hold its 4 best cells of the whole grid, and every t of a block is
-    picked at once (search.top_cells by rows).  Stage 2 refines (u, v, t)
-    jointly, from one start of each class among each combine's best cells
-    (search.pick_starts), all combines in one lockstep refine_pairs call.
-    The reduction to ||u|| = 1 >= t = ||v||-scale is exact for the quotients
-    used here, which are scale-invariant and symmetric in the pair.
+    Stage 1 sweeps a t-grid of 101 points over a reduced pair grid, in
+    blocks of t of at most search.CHUNK_PAIRS pairs, computing the pair
+    norms of each block once for all combines.  The cells (u, v, t) and
+    (-u, -v, t) form a mirror class and carry the same value bit for bit, so
+    the combines run on u in H alone: each t's 4 best classes, expanded to
+    their members (search.mirror_members), hold its 4 best cells of the
+    whole grid; every t of a block is picked at once, each alone.  Stage 2
+    refines (u, v, t) jointly, from one start of each class among each
+    combine's best cells (search.pick_starts), all combines in one lockstep
+    refine_pairs call.  The reduction to ||u|| = 1 >= t = ||v||-scale is
+    exact for the quotients used here, scale-invariant and symmetric.
     """
     if space.dim == 2:
         grid = sphere_grid(space, max(48, cfg.grid_per_dim // 8))
@@ -280,7 +281,7 @@ def _scaled_extremum(space: Space, fns, cfg: SearchConfig) -> list[ConstantEstim
 
     objectives = [PairNormObjective(fn, t=None) for fn in fns]
     cells, values = [[] for _ in fns], [[] for _ in fns]
-    block = max(1, 400_000 // (m * m))
+    block = block_rows(m // 2 * m)   # t values per block, m/2 x m pairs each
     for t0 in range(0, _T_GRID, block):
         tb = ts[t0:t0 + block]
         a, b = pair_norms(space, V[:m // 2], tb[:, None, None] * V)

@@ -38,18 +38,20 @@ swaps the two norms, which only a combine symmetric in them ignores, so it
 forms no class.
 
 Class walk: every scan scores one cell per class, the class's lowest flat
-index (row_blocks).  At a fixed t != 1 that is the cell whose row lies in
-H, n^2/2 cells; at t = 1 the cells (i, j) with i in H and (j mod n/2) >= i,
-the upper triangles of the H x H and H x -H quadrants, n^2/4 cells.  A
-class counts as many evaluations as it has members (class_sizes: 2, or 4
-at t = 1 unless j = i or j = i+), unless its value is excluded or NaN,
-which holds for all members alike.  The best cells of each block are expanded back to
-the members of their classes (mirror_members).  A class's lowest-index
-cell ranks ahead of its other members by value and then by flat index, so
-the best cells of a full scan of the grid are among those members.
-Starts, ties and evaluation counts are those of a full scan.  Members of a
-class zoom to the same value up to rounding, so the engine zooms one
-member of each class among an objective's starts (mirror_representatives).
+index, in blocks of rows of at most CHUNK_PAIRS pairs (row_blocks).  At a
+fixed t != 1 that is the cell whose row lies in H, n^2/2 cells; at t = 1
+the cells (i, j) with i in H and (j mod n/2) >= i, the upper triangles of
+the H x H and H x -H quadrants, n^2/4 cells.  A class counts as many
+evaluations as it has members (class_sizes: 2, or 4 at t = 1 unless j = i
+or j = i+), unless its value is excluded or NaN, which holds for all
+members alike.  The best cells of each block are expanded back to the
+members of their classes (mirror_members).  A class's lowest-index cell
+ranks ahead of its other members by value and then by flat index, so the
+best cells of a full scan of the grid are among those members.  Starts,
+ties and evaluation counts are those of a full scan, at any block size.
+Members of a class zoom to the same value up to rounding, so the engine
+zooms one member of each class among an objective's starts
+(mirror_representatives).
 
 Shared zooms: one refine_pairs call holds groups of starts that may differ
 in combine, mode (one sign per start in refine_starts), exclusion and fixed
@@ -83,7 +85,7 @@ _STORED_PAIR_LIMIT = 40_000_000   # most n^2 grid pairs given a table, of n^2/2 
 # point in each copy (25 MB at the cap in dim 3).  Every default grid up to
 # dim 6 lies below it.
 GRID_POINT_LIMIT = 2 ** 20
-CHUNK_PAIRS = 500_000   # pairs per block of a grid scan
+CHUNK_PAIRS = 2 ** 16   # pairs per block of every pair scan (block_rows)
 
 TWO_PI = 2.0 * math.pi
 
@@ -309,6 +311,11 @@ class PairTable:
         return np.concatenate([antipodal(self.plus), self.plus])
 
 
+def block_rows(row_pairs: int) -> int:
+    """Rows of row_pairs pairs each in a block of at most CHUNK_PAIRS pairs (one row at least)."""
+    return max(1, CHUNK_PAIRS // row_pairs)
+
+
 def row_blocks(n: int, swap: bool) -> list[tuple[int, int]]:
     """The blocks (i0, i1) of rows of H, the rows a pair table stores, of
     the class walk of an n x n pair grid on H u -H (see the module
@@ -321,7 +328,7 @@ def row_blocks(n: int, swap: bool) -> list[tuple[int, int]]:
     half, blocks, i0 = n // 2, [], 0
     while i0 < half:
         width = half - i0 if swap else half
-        rows = max(1, min(CHUNK_PAIRS // (2 * width), width // 2 if swap else half))
+        rows = max(1, min(block_rows(2 * width), width // 2 if swap else half))
         blocks.append((i0, min(i0 + rows, half)))
         i0 += rows
     return blocks
@@ -895,11 +902,12 @@ def infsup_pair(space: Space, objective: PairNormObjective, cfg: SearchConfig | 
 
     Stage 1 takes the exact inner sup on the grid.  Stage 2 is the
     first-point zoom row_infimum, which re-solves the inner problem at every
-    outer lattice point for all of them at once: a scan of their grid rows,
-    then a zoom, by the same engine, from the _INNER_STARTS best cells of
-    each row's H half.  Each mirror pair is zoomed once.  The pair norms of
-    (-x, y) are those of (x, -y), so on the H u -H grid rows i and i + n/2
-    hold the same values in another order, and the same sup, bit for bit:
+    outer lattice point for all of them at once: a scan of their grid rows
+    in blocks of at most CHUNK_PAIRS pairs, then a zoom, by the same engine,
+    from the _INNER_STARTS best cells of each row's H half.  Each mirror
+    pair is zoomed once.  The pair norms of (-x, y) are those of (x, -y),
+    so on the H u -H grid rows i and i + n/2 hold the same values in
+    another order, and the same sup, bit for bit:
     the outer starts are the H representatives (i mod n/2) of the
     multistart best rows.  The combine must be symmetric in its two norms,
     as t's geometric mean is: then y and -y score alike, each row's second
@@ -924,20 +932,23 @@ def infsup_pair(space: Space, objective: PairNormObjective, cfg: SearchConfig | 
         """sup over y for each row x of X: the values and the y vectors."""
         nonlocal evaluations
         X = np.asfortranarray(X)
-        vals, bad = _score(objective, *pair_norms(space, X, G), False, cfg.eta, 1.0)
-        count = vals.size - np.count_nonzero(bad)
-        cells = top_cells(vals[:, :n // 2], 1.0, _INNER_STARTS, axis=-1).ravel()
-        rows = np.repeat(np.arange(len(X)), _INNER_STARTS)
-        xs = np.asfortranarray(X[rows, None, :])
+        cells, starts, step = [], [], block_rows(n)
+        for r in range(0, len(X), step):   # the grid rows of X, CHUNK_PAIRS pairs a block
+            vals, bad = _score(objective, *pair_norms(space, X[r:r + step], G), False, cfg.eta, 1.0)
+            evaluations += vals.size - np.count_nonzero(bad)
+            cells.append(top_cells(vals[:, :n // 2], 1.0, _INNER_STARTS, axis=-1))
+            starts.append(np.take_along_axis(vals, cells[-1], axis=1))
+        cells, starts = np.concatenate(cells).ravel(), np.concatenate(starts).ravel()
+        xs = np.asfortranarray(np.repeat(X, _INNER_STARTS, axis=0)[:, None, :])
 
         def f(params):
             ys = sphere_points(space, np.asfortranarray(params))
             return _pair_values(space, objective, xs, ys, False, cfg.eta, 1.0)[0]
 
-        P, V, _, _, (zoomed,) = refine_starts(f, grid.params[cells], vals[rows, cells],
+        P, V, _, _, (zoomed,) = refine_starts(f, grid.params[cells], starts,
                                               grid.step / inner_radius, inner_lattice, 1.0,
                                               cfg, sphere_domain(space, 1))
-        evaluations += count + int(zoomed)
+        evaluations += int(zoomed)
         V = V.reshape(len(X), _INNER_STARTS)
         win = np.arange(len(X)) * _INNER_STARTS + V.argmax(axis=1)
         return V.max(axis=1), sphere_points(space, P[win])

@@ -14,18 +14,19 @@ from dataclasses import fields
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normgeo import constants, search
+from normgeo import constants, search, verify
 from normgeo.constants import delta, gamma, schaffer, sp_constant, t_and_T
 from normgeo.search import (ConstantEstimate, PairNormObjective, SearchConfig,
                             infsup_pair, maximize_pair, minimize_pair, pair_table,
                             axis_lattice, box_lattice, lattice_edges, refine_pairs, refine_starts,
                             sphere_grid, sphere_points, top_cells)
-from normgeo.spaces import battery_specs, build_space, parse_space_spec
+from normgeo.spaces import (battery_specs, build_space, parse_space_spec,
+                            polygon_facet_functionals)
 
 TWO_PI = 2.0 * math.pi
-# Block sizes, in pairs, at which the walks must agree: a large one, the
+# Block sizes, in pairs, at which the walks must agree: two large ones, the
 # default, and one that splits every test grid into many blocks.
-_CHUNKS = [2_000_000, search.CHUNK_PAIRS, 997]
+_CHUNKS = [2_000_000, 500_000, search.CHUNK_PAIRS, 997]
 
 
 # --------------------------------------------------------------------------
@@ -376,28 +377,75 @@ def test_pair_table_shared_results_match(l15):
     assert np.array_equal(with_cache.x, without.x)
 
 
-def test_dim3_table_and_walks_peak_memory():
-    """The memory of `constants` in dim 3: on the default grid of lp1.5,
-    the pair table, then t from it and gamma(0.5) from the gauge while it
-    is held, peak below the table's n^2/2 floats plus 11 blocks of
-    CHUNK_PAIRS floats (84.6 MB of 91.8 MB with numpy 2.4).  tracemalloc
-    sees numpy's buffers.  A table of all n^2 floats goes over it."""
-    space = build_space(parse_space_spec("lp:p=1.5,dim=3"))
-    cfg = SearchConfig.for_dim(3)
+def _traced_peak(fn):
+    """fn's result and the peak of the memory tracemalloc sees (numpy's
+    buffers among it) above what was held when fn was called."""
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        table = pair_table(space, cfg)
-        constants.T_constant(space, cfg, cache=table)
-        gamma(space, 0.5, cfg)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def test_dim3_table_and_walks_peak_memory():
+    """The memory of `constants` in dim 3: on the default grid of lp1.5,
+    the pair table, then T from it and gamma(0.5) from the gauge while it
+    is held, peak below the table's n^2/2 floats plus 11 blocks of
+    CHUNK_PAIRS floats (52.9 MB of 53.6 MB with numpy 2.4).  A table of all
+    n^2 floats goes over it."""
+    space = build_space(parse_space_spec("lp:p=1.5,dim=3"))
+    cfg = SearchConfig.for_dim(3)
+
+    def run():
+        table = pair_table(space, cfg)
+        constants.T_constant(space, cfg, cache=table)
+        gamma(space, 0.5, cfg)
+        return table
+
+    table, peak = _traced_peak(run)
     n = len(table.grid.vectors)
     assert peak <= 8 * (n * n // 2 + 11 * search.CHUNK_PAIRS), peak / 1e6
+
+
+def test_dim3_t_inner_scan_peak_memory():
+    """t's inner solve scans the grid rows of its outer lattice points (96
+    rows of n = 3,458 pairs on the default dim-3 grid) in blocks of at most
+    CHUNK_PAIRS pairs: with the table held, t alone peaks within 14 blocks
+    of CHUNK_PAIRS floats above it (8.0 blocks, 4.2 MB, with numpy 2.4).
+    Scanning all rows at once reads 22.4 blocks."""
+    space = build_space(parse_space_spec("lp:p=1.5,dim=3"))
+    cfg = SearchConfig.for_dim(3)
+    table = pair_table(space, cfg)
+    _, peak = _traced_peak(lambda: constants.t_constant(space, cfg, cache=table))
+    assert peak <= 8 * 14 * search.CHUNK_PAIRS, peak / 1e6
+
+
+def test_2d_widest_polygon_peak_memory():
+    """Every pair batch of the battery's 2D run is bounded by CHUNK_PAIRS:
+    on its widest polygon (12 facets, whose gauge holds a float per pair and
+    facet), the pair table, the pair constants and gamma_profile peak
+    within the table plus 2 * facets * CHUNK_PAIRS floats (11.5 MB of
+    14.7 MB with numpy 2.4, the table 2.1 MB).  A C_NJ/C_Z t-sweep in
+    blocks of 400 k pairs' worth of t reads 30.8 MB."""
+    specs = battery_specs(7, 20)
+    facets = [len(polygon_facet_functionals(s.vertices)) for s in specs]
+    space = build_space(specs[int(np.argmax(facets))])
+    cfg = SearchConfig.for_dim(2)
+
+    def run():
+        table = pair_table(space, cfg)
+        constants.pair_constants(space, cfg, table)
+        constants.gamma_profile(space, verify._GAMMA_TS, cfg)
+        return table
+
+    table, peak = _traced_peak(run)
+    assert max(facets) == 12
+    assert peak <= table.plus.nbytes + 8 * 2 * max(facets) * search.CHUNK_PAIRS, peak / 1e6
 
 
 def test_config_for_dim_defaults():
