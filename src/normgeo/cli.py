@@ -219,10 +219,9 @@ def cmd_sweep(args) -> int:
         for t in values:
             lines.append(f"{fmt(t)},{fmt(con.gamma(space, t, cfg).value)}")
     else:
-        cache = con.pair_table(space, cfg)   # one table for every eps
         lines = ["eps,delta"]
         for e in values:
-            lines.append(f"{fmt(e)},{fmt(con.delta(space, e, cfg, cache=cache).value)}")
+            lines.append(f"{fmt(e)},{fmt(con.delta(space, e, cfg).value)}")
     print("\n".join(lines))
     return 0
 

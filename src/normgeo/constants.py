@@ -335,24 +335,22 @@ def zbaganu(space: Space, cfg: SearchConfig | None = None) -> ConstantEstimate:
 # Modulus of convexity
 # --------------------------------------------------------------------------
 
-def delta(space: Space, eps: float, cfg: SearchConfig | None = None, *,
-          cache: PairTable | None = None) -> ConstantEstimate:
+def delta(space: Space, eps: float, cfg: SearchConfig | None = None) -> ConstantEstimate:
     """Modulus of convexity at eps in [0, 2]: inf of 1 - ||x+y||/2 over unit
     pairs with ||x-y|| >= eps.  0 at eps = 0; 1 - eps0/2 at eps = 2, with
     the witness (u, -v) of eps0's segment (u, v), as x and -y span a segment
     of length ||x+y|| in the sphere when ||x-y|| = 2.  In between, the
-    boundary solve: in dim >= 2 the inf over ||x-y|| = eps is the same."""
+    boundary solve alone: in dim >= 2 the inf over ||x-y|| = eps is the same."""
     check_modulus("delta", eps)
     if eps <= 1e-12:
         return _exact_estimate(space, 0.0)
     if eps == 2.0:
         est = eps0(space)
         return replace(est, value=1.0 - est.value / 2.0, y=-est.y)
-    return _delta_boundary(space, eps, cfg or SearchConfig.for_dim(space.dim), cache)
+    return _delta_boundary(space, eps, cfg or SearchConfig.for_dim(space.dim))
 
 
-def _delta_boundary(space: Space, eps: float, cfg: SearchConfig,
-                    cache: PairTable | None) -> ConstantEstimate:
+def _delta_boundary(space: Space, eps: float, cfg: SearchConfig) -> ConstantEstimate:
     """Boundary solve: inf of 1 - ||x+y||/2 over unit pairs on ||x-y|| = eps.
 
     row_values takes many first points x: per row it keeps the lattice
@@ -360,16 +358,14 @@ def _delta_boundary(space: Space, eps: float, cfg: SearchConfig,
     every sign change along an edge of the lattice (search.lattice_edges),
     all brackets of all rows at once, keeping the feasible end of each final
     bracket: every pair has ||x-y|| >= eps - _GEQ_SLACK, as delta's
-    constraint asks.  The lattice is the grid in 2D, and the grid of 8 per
-    axis in dim >= 3, where its edges join the +-e_i neighbours on the cube
-    surface.  row_values serves the grid stage (every lattice point as x),
-    then the shared first-point zoom (search.row_infimum), whose roots are
-    not counted.
+    constraint asks.  The lattice is the grid of cfg.grid_per_dim in 2D, and
+    the grid of 8 per axis in dim >= 3, where its edges join the +-e_i
+    neighbours on the cube surface; it is built here, as no stored pair
+    norm is read.  row_values serves the grid stage (every lattice point as
+    x), then the shared first-point zoom (search.row_infimum), whose roots
+    are not counted.
     """
-    if space.dim == 2:
-        grid = cache.grid if cache is not None else sphere_grid(space, cfg.grid_per_dim)
-    else:
-        grid = sphere_grid(space, min(cfg.grid_per_dim, 8))
+    grid = sphere_grid(space, cfg.grid_per_dim if space.dim == 2 else min(cfg.grid_per_dim, 8))
     n, k = grid.params.shape
     tails, heads, axes = lattice_edges(grid)
     steps = grid.step * np.eye(k)[axes]
@@ -510,7 +506,7 @@ def compute_all(space: Space, cfg: SearchConfig | None = None, *,
         tasks[key] = task(key, lambda t=float(t): gamma(space, t, cfg))
     for e in delta_eps:
         key = f"delta({float(e):.12g})"
-        tasks[key] = task(key, lambda e=float(e): delta(space, e, cfg, cache=cache))
+        tasks[key] = task(key, lambda e=float(e): delta(space, e, cfg))
     for t in rho_ts:
         key = f"rho({float(t):.12g})"
         tasks[key] = task(key, lambda t=float(t): rho(space, t, cfg))

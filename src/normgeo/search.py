@@ -477,9 +477,6 @@ def refine_starts(f, starts, values, h, lattice, sign, cfg: SearchConfig,
 # Pair objectives
 # --------------------------------------------------------------------------
 
-_PLUS_MINUS = np.array([1.0, -1.0])
-
-
 def _score(objective: PairNormObjective, plus, minus, exclude: bool, eta: float, sign: float,
            t=None):
     """objective at the pair norms plus = ||x+ty|| and minus = ||x-ty||,
@@ -492,20 +489,6 @@ def _score(objective: PairNormObjective, plus, minus, exclude: bool, eta: float,
     if exclude:
         bad |= (plus < eta) | (minus < eta)
     return np.where(bad, -sign * np.inf, vals), bad
-
-
-def _pair_values(space: Space, objective: PairNormObjective, xs, ys, exclude: bool,
-                 eta: float, sign: float, t=None):
-    """_score at the broadcast pairs (xs, ys), from one gauge call.  t (one
-    value per row of ys) overrides the objective's own t."""
-    if t is not None:
-        ys = t[:, None] * ys
-    elif objective.t != 1.0:
-        ys = objective.t * ys
-    # x + (-1 * ty) is exactly x - ty: both norms in one gauge call.
-    signs = _PLUS_MINUS.reshape((2,) + (1,) * np.ndim(ys))
-    plus, minus = np.asarray(space.gauge(xs + signs * ys))
-    return _score(objective, plus, minus, exclude, eta, sign, t)
 
 
 class NoStartError(ValueError):
@@ -883,14 +866,14 @@ _INNER_STARTS = 2        # best grid cells of each row's H half that the inner z
 
 
 def _row_sups(space: Space, objective: PairNormObjective, grid: SphereGrid,
-              cache: PairTable | None, eta: float) -> tuple[np.ndarray, int]:
+              cache: PairTable | None) -> tuple[np.ndarray, int]:
     """The sup of the objective over each row of the n x n grid, and the
     evaluations of a scan of every pair.  Row i + n/2 holds the values of
     row i in another order (its mirror class cells), so the class walk
     scores the rows of H, and each stands for its mirror row too."""
     half = len(grid.vectors) // 2
     row_sup, evaluations = np.empty(half), 0
-    for i0, _, vals, count in _walk(space, objective, grid, cache, False, eta, 1.0, False):
+    for i0, _, vals, count in _walk(space, objective, grid, cache, False, None, 1.0, False):
         row_sup[i0:i0 + len(vals)] = vals.max(axis=(1, 2))
         evaluations += count
     return np.concatenate([row_sup, row_sup]), evaluations
@@ -913,8 +896,9 @@ def infsup_pair(space: Space, objective: PairNormObjective, cfg: SearchConfig | 
     as t's geometric mean is: then y and -y score alike, each row's second
     half repeats its first, and the inner starts come from H alone.  The
     inner lattice is offsets -4..4 on the angle in 2D, the cube
-    {-1, 0, 1}^dim around a direction vector in dim >= 3.  The reported
-    value, x and y come from one inner solve.
+    {-1, 0, 1}^dim around a direction vector in dim >= 3; each of its
+    levels takes both pair norms of its points, x + ty and x - ty, from one
+    gauge call.  The reported value, x and y come from one inner solve.
     """
     cfg = cfg or SearchConfig.for_dim(space.dim)
     grid = cache.grid if cache is not None else sphere_grid(space, cfg.grid_per_dim)
@@ -927,6 +911,7 @@ def infsup_pair(space: Space, objective: PairNormObjective, cfg: SearchConfig | 
     # which numpy does faster when that axis is the outermost in memory (the
     # lp gauge about 1.5-2x on the scan's arrays).
     G = np.asfortranarray(objective.t * grid.vectors)
+    signs = np.array([objective.t, -objective.t])[:, None, None, None]
 
     def inner_sup(X):
         """sup over y for each row x of X: the values and the y vectors."""
@@ -942,8 +927,10 @@ def infsup_pair(space: Space, objective: PairNormObjective, cfg: SearchConfig | 
         xs = np.asfortranarray(np.repeat(X, _INNER_STARTS, axis=0)[:, None, :])
 
         def f(params):
+            # x + (-t) y is exactly x - ty: both pair norms from one gauge call.
             ys = sphere_points(space, np.asfortranarray(params))
-            return _pair_values(space, objective, xs, ys, False, cfg.eta, 1.0)[0]
+            plus, minus = np.asarray(space.gauge(xs + signs * ys))
+            return _score(objective, plus, minus, False, cfg.eta, 1.0)[0]
 
         P, V, _, _, (zoomed,) = refine_starts(f, grid.params[cells], starts,
                                               grid.step / inner_radius, inner_lattice, 1.0,
@@ -954,7 +941,7 @@ def infsup_pair(space: Space, objective: PairNormObjective, cfg: SearchConfig | 
         return V.max(axis=1), sphere_points(space, P[win])
 
     # Stage 1: exact grid inf-sup.
-    row_sup, evaluations = _row_sups(space, objective, grid, cache, cfg.eta)
+    row_sup, evaluations = _row_sups(space, objective, grid, cache)
     if evaluations == 0:
         raise ValueError("no grid pair has a value; the combine is NaN at every one")
     start_rows = np.unique(top_cells(row_sup, -1.0, cfg.multistart) % (n // 2))

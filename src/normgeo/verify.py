@@ -100,7 +100,7 @@ def run_checks(space: Space, cfg: SearchConfig | None = None) -> VerificationRep
     est["sqrt2_residual"] = constants.guarded(
         "sqrt2_residual", lambda: constants.sqrt2_pair_residual(space, cfg, cache=cache))
     est["delta(0)"] = constants.guarded(
-        "delta(0)", lambda: constants.delta(space, 0.0, cfg, cache=cache))
+        "delta(0)", lambda: constants.delta(space, 0.0, cfg))
     res, d0 = est["sqrt2_residual"].value, est["delta(0)"].value
     gammas = constants.guarded("gamma", lambda: constants.gamma_profile(space, _GAMMA_TS, cfg))
     for t, g in zip(_GAMMA_TS, gammas):

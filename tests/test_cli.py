@@ -264,8 +264,7 @@ def test_sweep_delta_l1_all_zero(capsys):
 
 @pytest.mark.parametrize("space, grid", [("lp:p=1.5,dim=2", 48), ("lp:p=1.5,dim=3", 8)])
 def test_sweep_delta_shared_table_matches_delta(capsys, space, grid):
-    # The sweep builds one pair table for every eps; each row is still the
-    # value delta gives without a table.
+    # Each row of the sweep is the value delta gives at the same config.
     from normgeo import constants
     from normgeo.search import SearchConfig
     from normgeo.spaces import build_space, parse_space_spec
@@ -277,6 +276,23 @@ def test_sweep_delta_shared_table_matches_delta(capsys, space, grid):
     cfg = SearchConfig(grid_per_dim=grid, refine_iters=40, multistart=4)
     expect = [f"{fmt(e)},{fmt(constants.delta(built, e, cfg).value)}" for e in (0.5, 1.0, 1.5)]
     assert out.strip().split("\n") == ["eps,delta"] + expect
+
+
+def test_sweep_delta_builds_no_pair_table(capsys, monkeypatch):
+    # delta reads no stored pair norm, so a sweep of it builds no table, and
+    # in dim 3 its lattice of 8 per axis caps the grid: --grid 120, whose
+    # full grid is over the point limit, gives the rows of --grid 24.
+    monkeypatch.setattr(cli.con, "pair_table", _no_computation)
+    code, _, _ = run_cli(capsys, "sweep", "--space", _HEXAGON, "--delta-eps", "0.5:1:0.5",
+                         "--grid", "96", "--refine", "30")
+    assert code == 0
+    rows = []
+    for grid in ("24", "120"):
+        code, out, _ = run_cli(capsys, "sweep", "--space", "lp:p=1.5,dim=3", "--delta-eps",
+                               "1:1:1", "--refine", "20", "--multistart", "2", "--grid", grid)
+        assert code == 0
+        rows.append(out)
+    assert rows[0] == rows[1]
 
 
 def test_sweep_requires_exactly_one_axis(capsys):

@@ -514,8 +514,7 @@ class TestDelta:
     def test_monotone_in_eps(self, l15, hexagon):
         for space in (l15, hexagon):
             cfg = SearchConfig.for_dim(space.dim)
-            cache = pair_table(space, cfg)
-            values = [con.delta(space, e, cfg, cache=cache).value
+            values = [con.delta(space, e, cfg).value
                       for e in np.arange(0.0, 2.01, 0.25)]
             for lo_v, hi_v in zip(values, values[1:]):
                 assert hi_v >= lo_v - 1e-7
@@ -527,9 +526,9 @@ class TestDelta:
         for space, grid in ((l15, 64), (l15_3d, 8)):
             k = 1 if space.dim == 2 else space.dim
             base = SearchConfig(grid_per_dim=grid, refine_iters=0, multistart=4)
-            none = con._delta_boundary(space, 1.0, base, None).evaluations
+            none = con._delta_boundary(space, 1.0, base).evaluations
             for levels in (1, 2, 5):
-                est = con._delta_boundary(space, 1.0, replace(base, refine_iters=levels), None)
+                est = con._delta_boundary(space, 1.0, replace(base, refine_iters=levels))
                 assert est.evaluations - none == 2 * k * levels * base.multistart
 
     def test_eps_range_validation(self, l2):
@@ -630,7 +629,7 @@ class TestEuclidean3D:
         # The boundary solve alone: bisection along the +-e_i edges of the
         # cube-surface lattice, then the zoom of the first point.
         for eps in (1.0, 1.5):
-            est = con._delta_boundary(l2_3d, eps, self.cfg, None)
+            est = con._delta_boundary(l2_3d, eps, self.cfg)
             assert est.value == pytest.approx(1.0 - math.sqrt(1.0 - eps * eps / 4.0), abs=1e-9)
             assert l2_3d.norm(est.x) == pytest.approx(1.0, abs=1e-9)
             assert l2_3d.norm(est.y) == pytest.approx(1.0, abs=1e-9)
@@ -653,8 +652,7 @@ def _hanner_delta(p: float, eps: float) -> float:
 class TestDelta3D:
     """delta on lp^3 at the default config against the closed forms of
     delta, which hold in every dim >= 2: Hanner's for p = 1.5 and
-    Clarkson's 1 - (1 - (eps/2)^p)^(1/p) for p = 3.  Each space shares one
-    pair table, as in compute_all."""
+    Clarkson's 1 - (1 - (eps/2)^p)^(1/p) for p = 3."""
 
     EPS = (0.5, 1.0, 1.5)
     CLOSED_FORMS = {"lp:p=1.5,dim=3": lambda e: _hanner_delta(1.5, e),
@@ -666,9 +664,8 @@ class TestDelta3D:
         for spec in self.CLOSED_FORMS:
             space = build_space(parse_space_spec(spec))
             cfg = SearchConfig.for_dim(space.dim)
-            cache = pair_table(space, cfg)
             for eps in self.EPS:
-                out[spec, eps] = space, con.delta(space, eps, cfg, cache=cache)
+                out[spec, eps] = space, con.delta(space, eps, cfg)
         return out
 
     def test_closed_forms(self, estimates):

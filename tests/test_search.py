@@ -224,6 +224,21 @@ def test_infsup_known_value(l2):
     assert est.value == pytest.approx(math.sqrt(2.0), abs=1e-6)
 
 
+@pytest.mark.parametrize("spec", ["lp:p=2,dim=2", "lp:p=1.5,dim=2", "lp:p=1.5,dim=3"])
+def test_infsup_scaled_pair(spec):
+    """The inner zoom at t != 1 scores (||x + ty||, ||x - ty||).  On l2,
+    a^2 + b^2 = 2 + 2t^2 for every pair, so at t = 1/2 the sup over y of
+    sqrt(ab) is sqrt(1.25) for every x.  On lp1.5 the value is the combine
+    at the reported witness, bit for bit."""
+    space = build_space(parse_space_spec(spec))
+    cfg = SearchConfig(grid_per_dim=96 if space.dim == 2 else 8, refine_iters=40, multistart=4)
+    est = infsup_pair(space, PairNormObjective(constants.geom_mean, t=0.5), cfg)
+    if spec == "lp:p=2,dim=2":
+        assert est.value == math.sqrt(1.25)
+    a, b = space.gauge(np.array([est.x + 0.5 * est.y, est.x - 0.5 * est.y]))
+    assert constants.geom_mean(a, b) == est.value
+
+
 # --------------------------------------------------------------------------
 # Determinism and refinement
 # --------------------------------------------------------------------------
@@ -542,7 +557,7 @@ def test_scan_independent_of_block_size(monkeypatch):
         def estimates():
             cache = pair_table(space, cfg)
             return [sp_constant(space, cfg, cache=cache), schaffer(space, cfg),
-                    *t_and_T(space, cfg), delta(space, 1.0, cfg, cache=cache),
+                    *t_and_T(space, cfg), delta(space, 1.0, cfg),
                     gamma(space, 0.5, cfg)]
 
         ref = estimates()
@@ -601,9 +616,9 @@ def _reference_extremize(space, objectives, cfg, mode, *, exclude=False, cache=N
     return ests, list(starts)
 
 
-def _reference_row_sups(space, objective, grid, cache, eta):
+def _reference_row_sups(space, objective, grid, cache):
     """search._row_sups from a scan of every pair."""
-    vals, bad = _full_values(space, grid, objective, False, eta, 1.0)
+    vals, bad = _full_values(space, grid, objective, False, None, 1.0)
     return vals.max(axis=1), vals.size - np.count_nonzero(bad)
 
 
@@ -703,8 +718,8 @@ def test_class_walk_matches_full_scan(monkeypatch, spec, chunk):
         if not exclude:
             grid = table.grid
             for cache in (table, None):
-                got_sups, got_count = search._row_sups(space, objective, grid, cache, cfg.eta)
-                ref_sups, ref_count = _reference_row_sups(space, objective, grid, cache, cfg.eta)
+                got_sups, got_count = search._row_sups(space, objective, grid, cache)
+                ref_sups, ref_count = _reference_row_sups(space, objective, grid, cache)
                 assert np.array_equal(got_sups, ref_sups) and got_count == ref_count
     fns = [constants._cnj_combine, constants._zbaganu_combine]
     _assert_same_estimates(constants._scaled_extremum(space, fns, cfg),

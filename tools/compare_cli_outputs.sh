@@ -54,6 +54,7 @@ invocations=(
     "constants --space lp:p=1.5,dim=3 --delta-eps 0.5,1,1.5"
     "constants --space $polyf --delta-eps 0.5,1,1.5"
     "sweep --space $hexagon --delta-eps 0.25:1.75:0.25"
+    "sweep --space lp:p=1.5,dim=3 --delta-eps 0.5:1.5:0.5"
     "sweep --space lp:dim=2 --p 1:4:0.25"
     "constants --space lp:p=2,dim=2 --delta-eps 1"
     "constants --space $polygon0 --delta-eps 1 --multistart 1"
